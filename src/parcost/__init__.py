@@ -10,8 +10,8 @@ pure functions, safe to call concurrently.
 from .core import (Assignment, CostMatrix, GopSolution, Rational, SortInstance,
                    TransferMatrix, as_exact, derive_transfer_and_load, drp_cost,
                    gop_objective, sort_io_term)
-from .drp import (DrpInstance, TspFbInstance, drp_solve_approx, drp_solve_exact,
-                  ratio_bound, tspfb_brute, tspfb_to_drp)
+from .drp import (DrpInstance, TspFbInstance, drp_brute, drp_solve_approx,
+                  drp_solve_exact, ratio_bound, tspfb_brute, tspfb_to_drp)
 from .errors import GuardError, InstanceError, ParameterError
 from .gopsort import (GopInstance, equal_splitters, gop_solve_approx,
                       gop_solve_exact)
@@ -30,7 +30,7 @@ __all__ = [
     "GopSolution", "Graph", "GuardError", "InstanceError", "IoOptimality",
     "IoReport", "ParameterError", "Rational", "SortInstance", "TransferMatrix",
     "TspFbInstance", "as_exact", "assignment_cost", "classify_io_optimality",
-    "derive_transfer_and_load", "drp_cost", "drp_solve_approx",
+    "derive_transfer_and_load", "drp_brute", "drp_cost", "drp_solve_approx",
     "drp_solve_exact", "drp_to_lap", "equal_splitters", "gop_objective",
     "gop_solve_approx", "gop_solve_exact", "io_sort_count",
     "kruskal_serial_io", "lap_brute", "lap_solve", "mm_parallel_io_model",

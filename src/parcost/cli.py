@@ -74,7 +74,7 @@ def _report_json(report) -> dict:
 
 def _cmd_drp_exact(args) -> int:
     inst = drp_from_json(_read_json(args))
-    assignment, cost = drp_solve_exact(inst, max_p=args.guard or 10)
+    assignment, cost = drp_solve_exact(inst)
     _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num(cost)})
     return 0
 
@@ -89,7 +89,7 @@ def _cmd_drp_approx(args) -> int:
 
 def _cmd_gop_exact(args) -> int:
     g = gop_from_json(_read_json(args))
-    solution = gop_solve_exact(g, work_guard=args.guard or DEFAULT_WORK_GUARD)
+    solution = gop_solve_exact(g, work_guard=args.guard)
     _emit_json(args, _solution_json(solution))
     return 0
 
@@ -211,6 +211,13 @@ def _cmd_validate(args) -> int:
         "n/edges, or n/weights fields")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_io_flags(sub, output=True) -> None:
     sub.add_argument("--input", help="instance JSON file ('-' or omitted: stdin)")
     if output:
@@ -224,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "on clusters with non-uniform link costs.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("drp-exact", help="exhaustive redistribution optimum")
+    sub = subs.add_parser("drp-exact",
+                          help="exact redistribution optimum (Hungarian method, O(p^3))")
     _add_io_flags(sub)
-    sub.add_argument("--guard", type=int, help="max p for the p! search (default 10)")
     sub.set_defaults(handler=_cmd_drp_exact)
 
     sub = subs.add_parser("drp-approx", help="assignment-surrogate approximation")
@@ -235,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gop-exact", help="exhaustive splitter+assignment optimum")
     _add_io_flags(sub)
-    sub.add_argument("--guard", type=int,
-                     help=f"work cap on C(n,p-1)*p! (default {DEFAULT_WORK_GUARD})")
+    sub.add_argument("--guard", type=_positive_int, default=DEFAULT_WORK_GUARD,
+                     help="work cap on C(n,p-1)*p! (default %(default)s)")
     sub.set_defaults(handler=_cmd_gop_exact)
 
     sub = subs.add_parser("gop-approx", help="equal splitters + surrogate assignment")
@@ -284,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--memory", type=int)
     sub.add_argument("--epsilon", default="1/10")
     sub.add_argument("--edge-factor", type=int, default=4)
-    sub.add_argument("--guard", type=int)
+    sub.add_argument("--guard", type=_positive_int,
+                     help="gop-ratio work cap on C(n,p-1)*p! (default 1000)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--csv", dest="format", action="store_const", const="csv",
                      help="force CSV output (the default)")

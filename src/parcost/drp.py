@@ -1,7 +1,9 @@
 """The data redistribution problem: exact and approximate solvers, ratio
 bound, and the reduction from tours of a complete bipartite graph.
 
-The exact solver enumerates all p! assignments behind a guard. The
+The objective decomposes per virtual machine, so the exact solver is one
+linear assignment problem, solved by the Hungarian method in O(p^3); the
+p! enumeration survives only as the guarded oracle ``drp_brute``. The
 approximation ignores the cost matrix entirely, solves the unit-cost
 assignment surrogate on the transfer matrix alone, and reports that
 assignment's true cost; its cost is never more than max/min link cost times
@@ -17,7 +19,7 @@ from itertools import permutations
 from .core import (Assignment, CostMatrix, Rational, TransferMatrix,
                    _exact_square, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
-from .lap import drp_to_lap, lap_solve
+from .lap import AssignmentProblem, drp_to_lap, lap_solve
 
 DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
@@ -91,27 +93,15 @@ def _assignment_weights(inst: DrpInstance) -> list[list[Rational]]:
     return g
 
 
-def drp_solve_exact(inst: DrpInstance,
-                    max_p: int = DEFAULT_EXACT_LIMIT) -> tuple[Assignment, Rational]:
-    """Global minimum over all p! assignments, lexicographically smallest first.
+def drp_solve_exact(inst: DrpInstance) -> tuple[Assignment, Rational]:
+    """Minimum-cost assignment, lexicographically smallest among optima.
 
-    Enumeration is in lexicographic mapping order with strict improvement,
-    so the returned mapping is the smallest optimal one.
+    The collapsed weights g[j][k] turn the problem into a linear assignment
+    problem, solved by the Hungarian method in O(p^3). ``lap_solve`` puts
+    physical machines on rows, hence the transpose; its cost is
+    sum_j g[j][mapping[j]] and its tie-break is the same as ``drp_brute``'s.
     """
-    p = inst.p
-    if p > max_p:
-        raise GuardError(
-            f"p={p} exceeds the exhaustive-search guard {max_p} (p! enumeration)")
-    g = _assignment_weights(inst)
-    best_perm: tuple[int, ...] | None = None
-    best_cost: Rational = 0
-    for perm in permutations(range(p)):
-        cost = sum(g[j][perm[j]] for j in range(p))
-        if best_perm is None or cost < best_cost:
-            best_perm = perm
-            best_cost = cost
-    assert best_perm is not None
-    return Assignment(tuple(k + 1 for k in best_perm)), as_exact(best_cost)
+    return lap_solve(AssignmentProblem(tuple(zip(*_assignment_weights(inst)))))
 
 
 def drp_solve_approx(inst: DrpInstance) -> tuple[Assignment, Rational]:
@@ -179,6 +169,29 @@ def tspfb_to_drp(tour: TspFbInstance) -> DrpInstance:
     assert all(d == 2 for d in column_degree), "position graph must be 2-regular"
     cost = CostMatrix(tour.weights, allow_nonzero_diagonal=True)
     return DrpInstance(TransferMatrix(tuple(tuple(r) for r in transfer)), cost)
+
+
+def drp_brute(inst: DrpInstance,
+              max_p: int = DEFAULT_EXACT_LIMIT) -> tuple[Assignment, Rational]:
+    """Exhaustive minimum over all p! assignments; oracle for drp_solve_exact.
+
+    Enumeration is in lexicographic mapping order with strict improvement,
+    so the returned mapping is the smallest optimal one.
+    """
+    p = inst.p
+    if p > max_p:
+        raise GuardError(
+            f"p={p} exceeds the exhaustive-search guard {max_p} (p! enumeration)")
+    g = _assignment_weights(inst)
+    best_perm: tuple[int, ...] | None = None
+    best_cost: Rational = 0
+    for perm in permutations(range(p)):
+        cost = sum(g[j][perm[j]] for j in range(p))
+        if best_perm is None or cost < best_cost:
+            best_perm = perm
+            best_cost = cost
+    assert best_perm is not None
+    return Assignment(tuple(k + 1 for k in best_perm)), as_exact(best_cost)
 
 
 def tspfb_brute(tour: TspFbInstance,

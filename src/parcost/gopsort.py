@@ -93,8 +93,8 @@ def gop_solve_approx(g: GopInstance, exact_assignment: bool = False) -> GopSolut
 
     With ``exact_assignment=True`` the embedded redistribution subproblem is
     solved exactly instead (an extension for comparison runs; the default
-    matches the plain approximation). Polynomial time either way for
-    bounded p.
+    matches the plain approximation). Polynomial time either way: both
+    subproblem solvers are O(p^3) assignment solves.
     """
     inst, cost = g.inst, g.cost
     splitters = equal_splitters(inst)

@@ -96,6 +96,9 @@ class TestSweeps:
             SweepSpec(kind="drp-ratio", sizes=(3, 2))
         with pytest.raises(ParameterError):
             SweepSpec(kind="drp-ratio", sizes=(2, 3), trials=0)
+        for guard in (0, -1):
+            with pytest.raises(ParameterError):
+                SweepSpec(kind="gop-ratio", sizes=(4,), guard=guard)
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),
@@ -107,11 +110,17 @@ class TestSweeps:
         assert all(r[within] == "yes" for r in data)
 
     def test_guard_violations_become_skipped_rows(self):
+        # C(4,2)*3! = 36 fits the default work guard; C(30,2)*3! = 2610 does not
+        header, rows = run_sweep(SweepSpec(kind="gop-ratio", sizes=(4, 30),
+                                           trials=1, seed=5, p=3))
+        statuses = {r[0]: r[3] for r in rows[:-1]}
+        assert statuses["4"] == "ok"
+        assert statuses["30"] == "skipped"
+
+    def test_drp_ratio_has_no_guard(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(3, 12),
                                            trials=1, seed=5))
-        statuses = {r[0]: r[2] for r in rows[:-1]}
-        assert statuses["3"] == "ok"
-        assert statuses["12"] == "skipped"
+        assert [r[2] for r in rows[:-1]] == ["ok", "ok"]
 
     def test_mst_sweep_classifies_non(self):
         header, rows = run_sweep(SweepSpec(kind="mst-io",

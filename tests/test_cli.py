@@ -54,14 +54,36 @@ class TestSolverCommands:
         assert json.loads(out)["cost"] == 30  # equals the brute tour optimum
 
     def test_guard_exit_code(self, tmp_path, capsys):
+        # C(30,2)*3! = 2610 exceeds gop-exact's default work guard of 1000
+        gop = {"p": 3, "subsets": [list(range(k, 31, 3)) for k in (1, 2, 3)],
+               "cost": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        code, _, err = run_cli(capsys, "gop-exact",
+                               "--input", write_json(tmp_path, "gop.json", gop))
+        assert code == 1
+        assert "guard" in err
+        # drp-exact has no guard left: p = 12 is past the old p! limit of 10
         p = 12
         inst = {"p": p,
                 "transfer": [[1] * p for _ in range(p)],
                 "cost": [[0 if i == j else 1 for j in range(p)] for i in range(p)]}
         path = write_json(tmp_path, "big.json", inst)
-        code, _, err = run_cli(capsys, "drp-exact", "--input", path)
-        assert code == 1
-        assert "guard" in err
+        code, out, _ = run_cli(capsys, "drp-exact", "--input", path)
+        assert code == 0
+        assert json.loads(out) == {"mapping": list(range(1, p + 1)), "cost": p * (p - 1)}
+
+    def test_non_positive_guard_is_bad_input(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json",
+                          {"p": 2, "subsets": [[3, 4], [1, 2]],
+                           "cost": [[0, 1], [1, 0]]})
+        for guard in ("0", "-5"):
+            code, out, err = run_cli(capsys, "gop-exact", "--input", path,
+                                     "--guard", guard)
+            assert (code, out) == (2, "")
+            assert "positive integer" in err
+            code, out, err = run_cli(capsys, "sweep", "--kind", "gop-ratio",
+                                     "--sizes", "4", f"--guard={guard}")
+            assert (code, out) == (2, "")
+            assert "positive integer" in err
 
 
 class TestSimCommands:

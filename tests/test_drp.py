@@ -3,9 +3,9 @@ import random
 import pytest
 
 from parcost import (CostMatrix, DrpInstance, GuardError,
-                     InstanceError, TransferMatrix, TspFbInstance, drp_cost,
-                     drp_solve_approx, drp_solve_exact, ratio_bound,
-                     tspfb_brute, tspfb_to_drp)
+                     InstanceError, TransferMatrix, TspFbInstance, drp_brute,
+                     drp_cost, drp_solve_approx, drp_solve_exact,
+                     ratio_bound, tspfb_brute, tspfb_to_drp)
 from parcost.bench import gen_drp, gen_tspfb
 from parcost.drp import _tour_columns
 
@@ -36,11 +36,23 @@ class TestExact:
         assert a.mapping == (3, 2, 1)
 
     def test_guard(self):
+        # only the p! oracle is guarded; the assignment solver takes p = 11
         p = 11
         t = TransferMatrix([[1] * p for _ in range(p)])
         c = CostMatrix([[0 if i == j else 1 for j in range(p)] for i in range(p)])
+        inst = DrpInstance(t, c)
         with pytest.raises(GuardError):
-            drp_solve_exact(DrpInstance(t, c))
+            drp_brute(inst)
+        a, cost = drp_solve_exact(inst)
+        assert a.mapping == tuple(range(1, p + 1))  # every plan ties; smallest wins
+        assert cost == p * (p - 1)
+
+    def test_large_p_beats_approx(self):
+        inst = gen_drp(40, 1, 10, 20, seed=3)
+        a, cost = drp_solve_exact(inst)
+        assert sorted(a.mapping) == list(range(1, 41))
+        assert cost == drp_cost(inst.transfer, inst.cost, a)
+        assert cost <= drp_solve_approx(inst)[1]
 
     def test_monotone_in_cost_entry(self):
         rng = random.Random(41)

@@ -99,9 +99,11 @@ class TestApprox:
 
     def test_exact_assignment_extension_helps_or_ties(self):
         rng = random.Random(73)
-        for _ in range(30):
-            g = gen_gop(rng.randint(6, 12), 2, seed=rng.randrange(2 ** 32),
-                        cost_high=9)
+        instances = [gen_gop(rng.randint(6, 12), 2, seed=rng.randrange(2 ** 32),
+                             cost_high=9) for _ in range(30)]
+        # p = 12 is past the 10-machine limit of the brute-force oracle
+        instances.append(gen_gop(48, 12, seed=4, cost_high=9))
+        for g in instances:
             plain = gop_solve_approx(g)
             refined = gop_solve_approx(g, exact_assignment=True)
             assert refined.total_cost <= plain.total_cost + 1e-9
