@@ -233,6 +233,8 @@ class SweepSpec:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.guard is not None and self.guard < 1:
             raise ParameterError(f"guard must be >= 1, got {self.guard}")
+        if self.memory is not None and self.memory < 2:
+            raise ParameterError(f"memory must be >= 2, got {self.memory}")
         Seed(self.seed)
         object.__setattr__(self, "sizes", sizes)
 
@@ -331,7 +333,7 @@ def _sweep_terasort(spec: SweepSpec):
     header = ("n", "trial", "status", "parallel_io", "serial_io", "ratio",
               "classification")
     p = spec.p or 4
-    memory = spec.memory or 1000
+    memory = 1000 if spec.memory is None else spec.memory
     rows = []
     per_size: list[tuple[int, int, int]] = []
     for n in spec.sizes:
@@ -360,7 +362,7 @@ def _sweep_mst(spec: SweepSpec):
     per_size: list[tuple[int, int, int]] = []
     for n in spec.sizes:
         m = math.isqrt(n ** 3)  # floor(n^1.5)
-        memory = spec.memory or n
+        memory = n if spec.memory is None else spec.memory
         par_total = ser_total = 0
         for trial in range(spec.trials):
             seed = _trial_seed(spec, n, trial)

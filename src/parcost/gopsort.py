@@ -8,12 +8,12 @@ redistribution subproblem with the unit-cost assignment surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 
 from .core import (Assignment, CostMatrix, GopSolution, SortInstance,
                    derive_transfer_and_load, sort_io_term)
-from .drp import DrpInstance, _assignment_weights, drp_solve_approx, drp_solve_exact
+from .drp import DrpInstance, drp_solve_approx, drp_solve_exact
 from .errors import GuardError, InstanceError
 
 #: Default cap on C(n, p-1) * p!; sized for n <= 14 with p <= 3.
@@ -59,17 +59,26 @@ def gop_solve_exact(g: GopInstance,
         raise GuardError(
             f"C({n},{p - 1})*{p}! = {work} exceeds the work guard {work_guard}")
     values = inst.values()
+    owner = {value: i for i, subset in enumerate(inst.subsets) for value in subset}
+    # prefix[k][x]: cost of sending the x smallest elements to machine k, so
+    # hosting the interval of ranks a..b-1 on k costs prefix[k][b] - prefix[k][a]
+    prefix = [list(accumulate((cost.entries[owner[value]][k] for value in values),
+                              initial=0))
+              for k in range(p)]
+    perms = list(permutations(range(p)))
     best: GopSolution | None = None
-    for splitters in combinations(values, p - 1):
-        transfer, loads = derive_transfer_and_load(inst, splitters)
-        io = sort_io_term(loads)
-        weights = _assignment_weights(DrpInstance(transfer, cost))
-        for perm in permutations(range(p)):
-            comm = sum(weights[j][perm[j]] for j in range(p))
+    for ranks in combinations(range(n), p - 1):
+        cuts = (0, *(t + 1 for t in ranks), n)
+        bounds = tuple(zip(cuts, cuts[1:]))
+        io = sort_io_term([b - a for a, b in bounds])
+        weights = [[w[b] - w[a] for w in prefix] for a, b in bounds]
+        for perm in perms:
+            comm = sum(map(list.__getitem__, weights, perm))
             total = float(comm) + io
             if best is None or total < best.total_cost:
                 mapping = Assignment(tuple(k + 1 for k in perm))
-                best = GopSolution(splitters, mapping, comm, io, total)
+                best = GopSolution(tuple(values[t] for t in ranks), mapping,
+                                   comm, io, total)
     assert best is not None
     return best
 

@@ -257,6 +257,16 @@ def _as_epsilon(epsilon) -> Fraction:
     return eps
 
 
+def _iteration_limit(n: int, eps: Fraction) -> int:
+    """Iteration cap of a matching run on n vertices.
+
+    Edge weights grow geometrically from 1/n, so a run ends within
+    ceil(log_{1/(1-eps)} n) + 1 iterations; the slack of 8 only guards
+    against an implementation bug.
+    """
+    return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
+
+
 def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
     """Run the multiplicative-boost fractional matching to completion.
 
@@ -285,10 +295,7 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
 
     phases: list[Phase] = []
     load_history: list[Fraction] = []
-    # x grows geometrically from 1/n, so the loop ends within
-    # ceil(log_{1/(1-eps)} n) + 1 iterations; the slack below only guards
-    # against an implementation bug.
-    limit = math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
+    limit = _iteration_limit(n, eps)
     iteration = 0
     while not all(edge_frozen):
         iteration += 1
@@ -346,7 +353,7 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
                 if u not in frozen_vertices and v not in frozen_vertices]
 
     phases: list[Phase] = []
-    limit = math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
+    limit = _iteration_limit(n, eps)
     iteration = 0
     while len(frozen_pairs) < graph.n_edges:
         iteration += 1

@@ -2,16 +2,16 @@
 
 Both solvers share one tie-break rule: among all minimum-cost assignments
 they return the lexicographically smallest mapping, so equivalence tests can
-compare mappings and not just costs. The polynomial solver enforces the rule
-by folding a base-p positional code into the integer weights, which makes the
-optimum unique before the Hungarian machinery runs.
+compare mappings and not just costs. The polynomial solver runs the Hungarian
+method once on the plain integer weights, then enforces the rule from the
+optimal duals: every optimal assignment uses only tight edges, and a column-
+by-column pass over them picks the lexicographically smallest one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
@@ -55,81 +55,132 @@ def assignment_cost(prob: AssignmentProblem, assignment: Assignment) -> Rational
                         for j in range(prob.p)))
 
 
-def _integer_weights(weights: Sequence[Sequence[Rational]]) -> list[list[int]]:
+def _integer_weights(weights: Sequence[Sequence[Rational]]) -> Sequence[Sequence[int]]:
     """Scale a rational matrix by the LCM of denominators to integers."""
-    scale = 1
-    for row in weights:
-        for value in row:
-            if isinstance(value, Fraction):
-                scale = scale * value.denominator // math.gcd(scale, value.denominator)
+    scale = math.lcm(*{value.denominator for row in weights for value in row})
+    if scale == 1:
+        return weights
     return [[int(value * scale) for value in row] for row in weights]
 
 
-def _hungarian(cost: list[list[int]]) -> list[int]:
-    """Column-potential Hungarian method; returns the row matched to each column.
+def _hungarian(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Shortest-augmenting-path Hungarian method on an integer matrix.
 
-    Works on arbitrary Python integers, so callers may pre-scale rationals
-    however they like without overflow concerns. O(p^3) arithmetic steps.
+    Returns ``(col_to_row, u, v)``: the row matched to each column (0-based)
+    and optimal duals with ``cost[i][j] >= u[i] + v[j]`` everywhere and
+    equality on every matched edge. O(p^3) steps on plain Python integers.
+
+    Each phase adds one row and grows a Dijkstra tree over the columns. The
+    dual updates of a phase are deferred: ``minv`` holds reduced distances
+    offset by ``dist``, the length of the tree so far, and every column that
+    joins the tree records ``dist`` at that moment, so only the free columns
+    are scanned per step and the tree's duals are settled once at the end.
     """
     n = len(cost)
-    big = 1 + sum(sum(row) for row in cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row currently assigned to column j
+    inf = math.inf
+    u = [0] * n
+    v = [0] * (n + 1)  # column n is each phase's root
+    match = [-1] * (n + 1)  # match[j] = row currently assigned to column j
     way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [big] * (n + 1)
-        used = [False] * (n + 1)
+    for i in range(n):
+        match[n] = i
+        j0 = n
+        dist = 0
+        minv = [inf] * n
+        free = list(range(n))
+        tree: list[tuple[int, int]] = []
         while True:
-            used[j0] = True
+            tree.append((j0, dist))
             i0 = match[j0]
-            delta = big
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+            row = cost[i0]
+            base = dist - u[i0]
+            low = inf
+            j1 = -1
+            for j in free:
+                m = minv[j]
+                cur = row[j] - v[j] + base
+                if cur < m:
+                    minv[j] = m = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if m < low:
+                    low = m
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            dist = low
+            free.remove(j1)
             j0 = j1
-            if match[j0] == 0:
+            if match[j0] < 0:
                 break
-        while j0:
+        for j, joined in tree:
+            u[match[j]] += dist - joined
+            v[j] -= dist - joined
+        while j0 != n:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return [match[j] for j in range(1, n + 1)]
+    return match[:n], u, v[:n]
+
+
+def _lex_smallest(cost: Sequence[Sequence[int]], col_to_row: list[int],
+                  u: list[int], v: list[int]) -> list[int]:
+    """The lexicographically smallest optimal matching, from one optimal one.
+
+    By complementary slackness the optimal matchings are exactly the perfect
+    matchings on the tight edges, ``cost[r][c] == u[r] + v[c]``. Columns are
+    fixed in order; column j trades its row r0 for a smaller tight row r held
+    by a later column when that column can reach r0 by an alternating path
+    of tight edges through later columns. One reverse search from r0 finds
+    every row that can be freed this way.
+    """
+    n = len(cost)
+    row_of = list(col_to_row)
+    col_of = [0] * n
+    for c, r in enumerate(row_of):
+        col_of[r] = c
+    takers: list[list[int]] | None = None  # takers[r]: columns tight on row r
+    for j in range(n):
+        r0 = row_of[j]
+        vj = v[j]
+        wanted = [r for r in range(r0)
+                  if col_of[r] > j and cost[r][j] == u[r] + vj]
+        if not wanted:
+            continue
+        if takers is None:
+            takers = [[c for c in range(n) if row[c] == ur + v[c]]
+                      for row, ur in zip(cost, u)]
+        first = wanted[0]
+        freed = {r0: r0}  # freed[r] = the row r's column takes instead
+        queue = [r0]
+        for r_taken in queue:
+            for c in takers[r_taken]:
+                r = row_of[c]
+                if c > j and r not in freed:
+                    freed[r] = r_taken
+                    queue.append(r)
+            if first in freed:
+                break
+        best = next((r for r in wanted if r in freed), r0)
+        # j takes best; each column on the path takes the row that freed its
+        # own, and the last one takes r0
+        c, r = j, best
+        while c != -1:
+            nxt = col_of[r] if r != r0 else -1
+            row_of[c] = r
+            col_of[r] = c
+            c, r = nxt, freed[r]
+    return row_of
 
 
 def lap_solve(prob: AssignmentProblem) -> tuple[Assignment, Rational]:
     """Minimum-cost assignment with the lexicographically smallest mapping.
 
-    The weights are scaled to integers, multiplied by p^p, and offset by the
-    positional code sum_j (row-1) * p^(p-1-j). Distinct assignments then have
-    distinct encoded costs, and the unique encoded optimum is exactly the
-    lexicographically smallest optimum of the original problem.
+    The weights are scaled to integers and solved once by the Hungarian
+    method. Its optimal duals mark the tight edges, on which every optimal
+    assignment lies, and ``_lex_smallest`` walks the columns in order to
+    pick the smallest row each can keep among them.
     """
-    p = prob.p
     ints = _integer_weights(prob.weights)
-    radix = p ** p
-    place = [p ** (p - 1 - j) for j in range(p)]
-    encoded = [[ints[i][j] * radix + i * place[j] for j in range(p)]
-               for i in range(p)]
-    col_to_row = _hungarian(encoded)
-    assignment = Assignment(tuple(col_to_row))
+    col_to_row = _lex_smallest(ints, *_hungarian(ints))
+    assignment = Assignment(tuple(r + 1 for r in col_to_row))
     return assignment, assignment_cost(prob, assignment)
 
 

@@ -99,6 +99,10 @@ class TestSweeps:
         for guard in (0, -1):
             with pytest.raises(ParameterError):
                 SweepSpec(kind="gop-ratio", sizes=(4,), guard=guard)
+        for kind in ("terasort-io", "mst-io"):
+            for memory in (1, 0, -3):
+                with pytest.raises(ParameterError, match="must be >= 2"):
+                    SweepSpec(kind=kind, sizes=(64,), memory=memory)
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),

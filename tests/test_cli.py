@@ -85,6 +85,14 @@ class TestSolverCommands:
             assert (code, out) == (2, "")
             assert "positive integer" in err
 
+    def test_sweep_memory_below_two_is_bad_input(self, capsys):
+        for kind in ("terasort-io", "mst-io"):
+            for memory in ("0", "1"):
+                code, out, err = run_cli(capsys, "sweep", "--kind", kind,
+                                         "--sizes", "64", "--memory", memory)
+                assert (code, out) == (2, "")
+                assert f"memory must be >= 2, got {memory}" in err
+
 
 class TestSimCommands:
     def test_sim_terasort(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -12,6 +13,76 @@ from parcost import (Assignment, AssignmentProblem, GuardError, InstanceError,
 def random_problem(rng, p, top=15):
     return AssignmentProblem([[rng.randint(0, top) for _ in range(p)]
                               for _ in range(p)])
+
+
+# Reference oracle: the former solver, which made the optimum unique before
+# the Hungarian method ran by folding a base-p positional code into weights
+# scaled by p^p. Independent of lap_solve's tight-edge tie-break, and fast
+# enough for p in the hundreds where lap_brute cannot go.
+
+def _oracle_integer_weights(weights):
+    scale = 1
+    for row in weights:
+        for value in row:
+            if isinstance(value, Fraction):
+                scale = scale * value.denominator // math.gcd(scale, value.denominator)
+    return [[int(value * scale) for value in row] for row in weights]
+
+
+def _oracle_hungarian(cost):
+    n = len(cost)
+    big = 1 + sum(sum(row) for row in cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row currently assigned to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [big] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = big
+            j1 = 0
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return [match[j] for j in range(1, n + 1)]
+
+
+def encoded_lap_solve(prob):
+    p = prob.p
+    ints = _oracle_integer_weights(prob.weights)
+    radix = p ** p
+    place = [p ** (p - 1 - j) for j in range(p)]
+    encoded = [[ints[i][j] * radix + i * place[j] for j in range(p)]
+               for i in range(p)]
+    col_to_row = _oracle_hungarian(encoded)
+    assignment = Assignment(tuple(col_to_row))
+    return assignment, assignment_cost(prob, assignment)
 
 
 class TestLapSolve:
@@ -47,6 +118,37 @@ class TestLapSolve:
         a, cost = lap_solve(prob)
         assert a.mapping == (1, 2)
         assert cost == 2
+
+
+class TestTieBreakAtScale:
+    """lap_solve against the encoded oracle on tie-heavy matrices too large
+    for lap_brute: the tight-edge pass must pick the same optimum."""
+
+    @pytest.mark.parametrize("p", [20, 60, 120])
+    @pytest.mark.parametrize("top", [1, 2])
+    def test_small_range_weights(self, p, top):
+        rng = random.Random(p * 10 + top)
+        prob = random_problem(rng, p, top=top)
+        assert lap_solve(prob) == encoded_lap_solve(prob)
+
+    @pytest.mark.parametrize("p", [20, 60, 120])
+    def test_all_equal_matrix_gives_identity(self, p):
+        prob = AssignmentProblem([[3] * p for _ in range(p)])
+        identity = (Assignment(tuple(range(1, p + 1))), 3 * p)
+        assert lap_solve(prob) == identity == encoded_lap_solve(prob)
+
+    @pytest.mark.parametrize("p", [20, 60, 120])
+    def test_mixed_denominator_fractions(self, p):
+        rng = random.Random(p)
+        prob = AssignmentProblem([[Fraction(rng.randint(0, 3), rng.choice((1, 2, 3, 4)))
+                                   for _ in range(p)] for _ in range(p)])
+        assert lap_solve(prob) == encoded_lap_solve(prob)
+
+    def test_oracle_agrees_with_brute(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            prob = random_problem(rng, rng.randint(1, 6), top=rng.choice((0, 1, 3)))
+            assert encoded_lap_solve(prob) == lap_brute(prob)
 
 
 class TestLapBrute:

@@ -1,4 +1,7 @@
-"""Property-based checks of the exact redistribution solver against its oracle."""
+"""Property-based checks of the assignment and exact redistribution solvers
+against their brute-force oracles."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +9,28 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parcost import (CostMatrix, DrpInstance, TransferMatrix, drp_brute,  # noqa: E402
-                     drp_cost, drp_solve_approx, drp_solve_exact, ratio_bound)
+from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
+                     TransferMatrix, drp_brute, drp_cost, drp_solve_approx,
+                     drp_solve_exact, lap_brute, lap_solve, ratio_bound)
+
+
+@st.composite
+def assignment_problems(draw, max_p=7):
+    """Square matrices with many tied optima: integer weights in a range of
+    0 to 3 (so all-zero matrices too) or fractions with mixed denominators."""
+    p = draw(st.integers(1, max_p))
+    top = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        weight = st.integers(0, top)
+    else:
+        weight = st.builds(Fraction, st.integers(0, top), st.sampled_from((1, 2, 3)))
+    return AssignmentProblem([[draw(weight) for _ in range(p)] for _ in range(p)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignment_problems())
+def test_lap_solve_matches_brute_mapping_and_cost(prob):
+    assert lap_solve(prob) == lap_brute(prob)
 
 
 @st.composite
