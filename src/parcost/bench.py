@@ -233,6 +233,8 @@ class SweepSpec:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.guard is not None and self.guard < 1:
             raise ParameterError(f"guard must be >= 1, got {self.guard}")
+        if self.p is not None and self.p < 2:
+            raise ParameterError(f"p must be >= 2, got {self.p}")
         if self.memory is not None and self.memory < 2:
             raise ParameterError(f"memory must be >= 2, got {self.memory}")
         Seed(self.seed)

@@ -88,7 +88,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n_vertices < 1:
             raise InstanceError(f"n_vertices must be >= 1, got {self.n_vertices}")
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, int]] = set()
         edges = []
         for k, (u, v, w) in enumerate(self.edges):
             if not (1 <= u <= self.n_vertices) or not (1 <= v <= self.n_vertices):
@@ -96,7 +96,7 @@ class Graph:
                     f"edge {k + 1} endpoints ({u},{v}) out of range 1..{self.n_vertices}")
             if u == v:
                 raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
             seen.add(key)
@@ -277,6 +277,15 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     which is how an adjacency-list layout on external memory behaves. The
     final weights satisfy y_v <= 1 at every vertex, and the per-iteration
     maximum load is recorded in ``extras``.
+
+    All active edges share one weight ``w``, (1/n) * boost^t after t
+    iterations. So the run keeps, per vertex, the sum of its frozen edges'
+    weights and its count of active edges, and a vertex's load is
+    ``frozen_sum + degree * w``, exact. Both values change only when an edge
+    freezes, O(m) Fraction additions over the whole run. After each boost
+    the loads of the vertices not yet frozen are computed once, one
+    multiply-add each, and serve both the iteration's maximum load and the
+    next freeze test. An edge's final weight is ``w`` at the moment it froze.
     """
     eps = _as_epsilon(epsilon)
     if graph.n_edges == 0:
@@ -285,43 +294,51 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     m = graph.n_edges
     threshold = 1 - 2 * eps
     boost = Fraction(1, 1) / (1 - eps)
-    x: list[Fraction] = [Fraction(1, n)] * m
-    edge_frozen = [False] * m
-    frozen_vertices: set[int] = set()
-    incident: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    w = Fraction(1, n)
+    x: list[Fraction | None] = [None] * m
+    frozen_sum: list[Rational] = [0] * (n + 1)
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
     for k, (u, v, _) in enumerate(graph.edges):
         incident[u].append(k)
         incident[v].append(k)
+    degree = [len(edges) for edges in incident]
+    frozen_vertices: set[int] = set()
+    live = list(range(1, n + 1))
+    loads = [degree[v] * w for v in live]
+    # a frozen vertex has no active edge left, so its load stays put
+    frozen_max: Rational = 0
 
     phases: list[Phase] = []
-    load_history: list[Fraction] = []
+    load_history: list[Rational] = []
     limit = _iteration_limit(n, eps)
-    iteration = 0
-    while not all(edge_frozen):
-        iteration += 1
-        if iteration > limit:
+    active = m
+    while active:
+        if len(phases) == limit:
             raise RuntimeError("matching run failed to terminate within its bound")
-        active_now = m - sum(edge_frozen)
+        phases.append((f"iteration {len(phases) + 1}", active, 0))
         # freeze pass, on the weights as they stand at the scan
-        newly = [v for v in range(1, n + 1)
-                 if v not in frozen_vertices
-                 and sum(x[k] for k in incident[v]) >= threshold]
+        newly = [v for v, load in zip(live, loads) if load >= threshold]
         for v in newly:
-            frozen_vertices.add(v)
             for k in incident[v]:
-                edge_frozen[k] = True
-        # boost pass on the survivors
-        for k in range(m):
-            if not edge_frozen[k]:
-                x[k] *= boost
-        phases.append((f"iteration {iteration}", active_now, 0))
-        load_history.append(max(sum(x[k] for k in incident[v])
-                                for v in range(1, n + 1)))
+                if x[k] is None:
+                    x[k] = w
+                    active -= 1
+                    for end in graph.edges[k][:2]:
+                        frozen_sum[end] += w
+                        degree[end] -= 1
+            frozen_max = max(frozen_max, frozen_sum[v])
+        if newly:
+            frozen_vertices.update(newly)
+            live = [v for v in live if v not in frozen_vertices]
+        w *= boost
+        # the next freeze pass sees the same weights, so it reuses these loads
+        loads = [frozen_sum[v] + degree[v] * w for v in live]
+        load_history.append(max([frozen_max, *loads]))
 
     state = FractionalMatchingState(
         x=tuple(as_exact(v) for v in x),
         frozen_vertices=frozenset(frozen_vertices),
-        frozen_edges=frozenset(k for k in range(m) if edge_frozen[k]),
+        frozen_edges=frozenset(range(m)),
         epsilon=eps,
     )
     extras = {"max_vertex_load_per_iteration": tuple(load_history)}
@@ -335,45 +352,48 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
     the set of active edges, so the parallel IO sequence equals the serial
     one. This model replays the same freeze/boost dynamics but recomputes the
     active-edge count each iteration by scanning the edge list against the
-    frozen-vertex set, independently of the serial run's edge bookkeeping.
+    frozen-vertex set, independently of the serial run's edge bookkeeping;
+    it stays a separate replay so that comparing the two (acceptance
+    criterion 08) checks one against the other.
+
+    Its arithmetic is plain integers. With epsilon = a/b and L the iteration
+    cap, every weight is a multiple of 1/D, D = n * (b - a)^L: an edge
+    boosted c times weighs (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D.
+    Each iteration sums these numerators per vertex over the whole edge
+    list, and load >= 1 - 2*epsilon becomes load_numerator * b >=
+    (b - 2a) * D, still exact.
     """
     eps = _as_epsilon(epsilon)
     if graph.n_edges == 0:
         raise InstanceError("graph has no edges")
     n = graph.n_vertices
-    threshold = 1 - 2 * eps
-    boost = Fraction(1, 1) / (1 - eps)
-    weight: dict[frozenset[int], Fraction] = {
-        frozenset((u, v)): Fraction(1, n) for u, v, _ in graph.edges}
-    frozen_vertices: set[int] = set()
-    frozen_pairs: set[frozenset[int]] = set()
-
-    def active_pairs() -> list[frozenset[int]]:
-        return [frozenset((u, v)) for u, v, _ in graph.edges
-                if u not in frozen_vertices and v not in frozen_vertices]
+    a, b = eps.numerator, eps.denominator
+    limit = _iteration_limit(n, eps)
+    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
+    bar = (b - 2 * a) * n * (b - a) ** limit
+    ends = [(u, v) for u, v, _ in graph.edges]
+    boosts = [0] * len(ends)
+    frozen = [False] * (n + 1)
 
     phases: list[Phase] = []
-    limit = _iteration_limit(n, eps)
-    iteration = 0
-    while len(frozen_pairs) < graph.n_edges:
-        iteration += 1
-        if iteration > limit:
+    while True:
+        active = [k for k, (u, v) in enumerate(ends) if not (frozen[u] or frozen[v])]
+        if not active:
+            break
+        if len(phases) == limit:
             raise RuntimeError("matching model failed to terminate within its bound")
-        phases.append((f"iteration {iteration}", len(active_pairs()), 0))
-        loads = {v: Fraction(0) for v in range(1, n + 1)}
-        for u, v, _ in graph.edges:
-            w = weight[frozenset((u, v))]
-            loads[u] += w
-            loads[v] += w
+        phases.append((f"iteration {len(phases) + 1}", len(active), 0))
+        loads = [0] * (n + 1)
+        for (u, v), c in zip(ends, boosts):
+            loads[u] += scaled[c]
+            loads[v] += scaled[c]
         for v in range(1, n + 1):
-            if v not in frozen_vertices and loads[v] >= threshold:
-                frozen_vertices.add(v)
-        for u, v, _ in graph.edges:
-            pair = frozenset((u, v))
-            if pair not in frozen_pairs and (u in frozen_vertices or v in frozen_vertices):
-                frozen_pairs.add(pair)
-        for pair in active_pairs():
-            weight[pair] *= boost
+            if loads[v] * b >= bar:
+                frozen[v] = True
+        for k in active:
+            u, v = ends[k]
+            if not (frozen[u] or frozen[v]):
+                boosts[k] += 1
     return IoReport.from_phases(phases)
 
 

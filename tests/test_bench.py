@@ -103,6 +103,10 @@ class TestSweeps:
             for memory in (1, 0, -3):
                 with pytest.raises(ParameterError, match="must be >= 2"):
                     SweepSpec(kind=kind, sizes=(64,), memory=memory)
+        for kind in ("gop-ratio", "terasort-io"):
+            for p in (1, 0, -2):
+                with pytest.raises(ParameterError, match="p must be >= 2"):
+                    SweepSpec(kind=kind, sizes=(64,), p=p)
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),

@@ -93,6 +93,14 @@ class TestSolverCommands:
                 assert (code, out) == (2, "")
                 assert f"memory must be >= 2, got {memory}" in err
 
+    def test_sweep_p_below_two_is_bad_input(self, capsys):
+        for kind in ("gop-ratio", "terasort-io"):
+            for p in ("0", "1"):
+                code, out, err = run_cli(capsys, "sweep", "--kind", kind,
+                                         "--sizes", "1000", "--p", p)
+                assert (code, out) == (2, "")
+                assert f"p must be >= 2, got {p}" in err
+
 
 class TestSimCommands:
     def test_sim_terasort(self, tmp_path, capsys):

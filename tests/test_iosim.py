@@ -9,7 +9,148 @@ from parcost import (CostMatrix, ExternalMemoryConfig, Graph, InstanceError,
                      mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
                      terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
+from parcost.core import as_exact
 from parcost.errors import GuardError
+from parcost.iosim import (FractionalMatchingState, Phase, _as_epsilon,
+                           _iteration_limit)
+
+
+# Test-only oracles: the matching runs as first written, summing every
+# vertex's incident Fraction weights afresh on each iteration.
+
+def fraction_mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
+    eps = _as_epsilon(epsilon)
+    if graph.n_edges == 0:
+        raise InstanceError("graph has no edges")
+    n = graph.n_vertices
+    m = graph.n_edges
+    threshold = 1 - 2 * eps
+    boost = Fraction(1, 1) / (1 - eps)
+    x: list[Fraction] = [Fraction(1, n)] * m
+    edge_frozen = [False] * m
+    frozen_vertices: set[int] = set()
+    incident: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for k, (u, v, _) in enumerate(graph.edges):
+        incident[u].append(k)
+        incident[v].append(k)
+
+    phases: list[Phase] = []
+    load_history: list[Fraction] = []
+    limit = _iteration_limit(n, eps)
+    iteration = 0
+    while not all(edge_frozen):
+        iteration += 1
+        if iteration > limit:
+            raise RuntimeError("matching run failed to terminate within its bound")
+        active_now = m - sum(edge_frozen)
+        # freeze pass, on the weights as they stand at the scan
+        newly = [v for v in range(1, n + 1)
+                 if v not in frozen_vertices
+                 and sum(x[k] for k in incident[v]) >= threshold]
+        for v in newly:
+            frozen_vertices.add(v)
+            for k in incident[v]:
+                edge_frozen[k] = True
+        # boost pass on the survivors
+        for k in range(m):
+            if not edge_frozen[k]:
+                x[k] *= boost
+        phases.append((f"iteration {iteration}", active_now, 0))
+        load_history.append(max(sum(x[k] for k in incident[v])
+                                for v in range(1, n + 1)))
+
+    state = FractionalMatchingState(
+        x=tuple(as_exact(v) for v in x),
+        frozen_vertices=frozenset(frozen_vertices),
+        frozen_edges=frozenset(k for k in range(m) if edge_frozen[k]),
+        epsilon=eps,
+    )
+    extras = {"max_vertex_load_per_iteration": tuple(load_history)}
+    return state, IoReport.from_phases(phases, extras)
+
+
+def fraction_mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
+    eps = _as_epsilon(epsilon)
+    if graph.n_edges == 0:
+        raise InstanceError("graph has no edges")
+    n = graph.n_vertices
+    threshold = 1 - 2 * eps
+    boost = Fraction(1, 1) / (1 - eps)
+    weight: dict[frozenset[int], Fraction] = {
+        frozenset((u, v)): Fraction(1, n) for u, v, _ in graph.edges}
+    frozen_vertices: set[int] = set()
+    frozen_pairs: set[frozenset[int]] = set()
+
+    def active_pairs() -> list[frozenset[int]]:
+        return [frozenset((u, v)) for u, v, _ in graph.edges
+                if u not in frozen_vertices and v not in frozen_vertices]
+
+    phases: list[Phase] = []
+    limit = _iteration_limit(n, eps)
+    iteration = 0
+    while len(frozen_pairs) < graph.n_edges:
+        iteration += 1
+        if iteration > limit:
+            raise RuntimeError("matching model failed to terminate within its bound")
+        phases.append((f"iteration {iteration}", len(active_pairs()), 0))
+        loads = {v: Fraction(0) for v in range(1, n + 1)}
+        for u, v, _ in graph.edges:
+            w = weight[frozenset((u, v))]
+            loads[u] += w
+            loads[v] += w
+        for v in range(1, n + 1):
+            if v not in frozen_vertices and loads[v] >= threshold:
+                frozen_vertices.add(v)
+        for u, v, _ in graph.edges:
+            pair = frozenset((u, v))
+            if pair not in frozen_pairs and (u in frozen_vertices or v in frozen_vertices):
+                frozen_pairs.add(pair)
+        for pair in active_pairs():
+            weight[pair] *= boost
+    return IoReport.from_phases(phases)
+
+
+def assert_matching_runs_match_oracles(graph: Graph, epsilon) -> None:
+    state, report = mm_serial_run(graph, epsilon)
+    expected_state, expected = fraction_mm_serial_run(graph, epsilon)
+    assert state.x == expected_state.x
+    assert state.frozen_vertices == expected_state.frozen_vertices
+    assert state.frozen_edges == expected_state.frozen_edges
+    assert report.phases == expected.phases
+    assert report.extras == expected.extras
+    assert (mm_parallel_io_model(graph, epsilon).phases
+            == fraction_mm_parallel_io_model(graph, epsilon).phases)
+
+
+def oracle_graphs() -> list[Graph]:
+    """Single edge, stars, paths, complete graphs, graphs with isolated
+    vertices and random graphs up to n = 200."""
+    graphs = [Graph(2, ((1, 2, 1),))]
+    for n in range(3, 11):
+        graphs.append(Graph(n, tuple((1, v, 1) for v in range(2, n + 1))))
+        graphs.append(Graph(n, tuple((v, v + 1, 1) for v in range(1, n))))
+    for n in range(3, 9):
+        graphs.append(Graph(n, tuple((u, v, 1) for u in range(1, n + 1)
+                                     for v in range(u + 1, n + 1))))
+        # the same complete graph and a path, each beside isolated vertices
+        graphs.append(Graph(n + 3, tuple((u, v, 1) for u in range(2, n + 1)
+                                         for v in range(u + 1, n + 1))))
+        graphs.append(Graph(2 * n, tuple((v, v + 2, 1) for v in range(1, n, 2))))
+    for seed in range(75):
+        n = 2 + seed % 39
+        graphs.append(gen_graph(n, min(n * (n - 1) // 2, 1 + seed % 3 * n), seed))
+    for n in (100, 200):
+        graphs.append(gen_graph(n, 2 * n, n))
+    return graphs
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 10), Fraction(1, 7),
+                                     Fraction(3, 10), Fraction(49, 100)])
+def test_matching_runs_match_fraction_oracles(epsilon):
+    graphs = oracle_graphs()
+    assert len(graphs) >= 100
+    for graph in graphs:
+        assert_matching_runs_match_oracles(graph, epsilon)
 
 
 class TestIoSortCount:

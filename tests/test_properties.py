@@ -1,5 +1,6 @@
 """Property-based checks of the assignment and exact redistribution solvers
-against their brute-force oracles."""
+against their brute-force oracles, of the matching runs against their
+Fraction oracles, and of the IO simulators' invariants."""
 
 from fractions import Fraction
 
@@ -10,8 +11,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
+                     ExternalMemoryConfig, Graph, IoReport, SortInstance,
                      TransferMatrix, drp_brute, drp_cost, drp_solve_approx,
-                     drp_solve_exact, lap_brute, lap_solve, ratio_bound)
+                     drp_solve_exact, lap_brute, lap_solve, ratio_bound,
+                     terasort_simulate)
+from test_iosim import assert_matching_runs_match_oracles  # noqa: E402
 
 
 @st.composite
@@ -70,3 +74,60 @@ def test_exact_le_approx_le_bound_times_exact(inst):
     _, exact = drp_solve_exact(inst)
     _, approx = drp_solve_approx(inst)
     assert exact <= approx <= ratio_bound(inst.cost) * exact
+
+
+@st.composite
+def graphs(draw, max_n=9):
+    """Small simple graphs with at least one edge, possibly with isolated
+    vertices."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph(n, tuple((u, v, 1) for u, v in chosen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 49).map(lambda a: Fraction(a, 100)))
+def test_matching_runs_match_fraction_oracles(graph, epsilon):
+    assert_matching_runs_match_oracles(graph, epsilon)
+
+
+@st.composite
+def terasort_runs(draw):
+    """Distinct values spread over p machines, some possibly empty, with a
+    main memory from the smallest allowed (p records) up to more than n."""
+    p = draw(st.integers(2, 5))
+    values = draw(st.lists(st.integers(-500, 500), min_size=p, max_size=80,
+                           unique=True))
+    owners = draw(st.lists(st.integers(0, p - 1), min_size=len(values),
+                           max_size=len(values)))
+    subsets = tuple(tuple(v for v, o in zip(values, owners) if o == i)
+                    for i in range(p))
+    memory = draw(st.integers(max(p, 2), len(values) + 5))
+    cost = [[0 if i == j else draw(st.integers(1, 9)) for j in range(p)]
+            for i in range(p)]
+    return SortInstance(subsets), ExternalMemoryConfig(memory, p), CostMatrix(cost)
+
+
+@settings(deadline=None)
+@given(terasort_runs())
+def test_terasort_output_is_a_sorted_permutation(run):
+    inst, cfg, cost = run
+    outputs, _ = terasort_simulate(inst, cfg, cost)
+    flat = [v for out in outputs for v in out]
+    assert flat == sorted(flat)
+    assert sorted(flat) == sorted(v for s in inst.subsets for v in s)
+
+
+phase_lists = st.lists(st.tuples(
+    st.text(max_size=3), st.integers(0, 10 ** 6),
+    st.one_of(st.integers(0, 10 ** 6),
+              st.fractions(min_value=0, max_denominator=12))), max_size=8)
+
+
+@given(phase_lists)
+def test_io_report_totals_are_the_phase_sums(phases):
+    report = IoReport.from_phases(phases)
+    assert report.total_io == sum(io for _, io, _ in phases)
+    assert report.total_comm == sum(comm for _, _, comm in phases)
+    assert report.phases == tuple(phases)
