@@ -14,11 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import bench
-from .bench import (SweepSpec, drp_from_json, drp_to_json, dumps_canonical,
-                    gen_drp, gen_gop, gen_graph, gen_tspfb, gop_from_json,
-                    gop_to_json, graph_from_json, graph_to_json, run_sweep,
-                    sweep_to_csv, tspfb_from_json, tspfb_to_json)
-from .core import as_exact
+from .bench import (SweepSpec, _num_out, drp_from_json, drp_to_json,
+                    dumps_canonical, gen_drp, gen_gop, gen_graph, gen_tspfb,
+                    gop_from_json, gop_to_json, graph_from_json, graph_to_json,
+                    run_sweep, sweep_to_csv, tspfb_from_json, tspfb_to_json)
 from .drp import drp_solve_approx, drp_solve_exact, ratio_bound, tspfb_to_drp
 from .errors import GuardError, InstanceError, ParameterError
 from .gopsort import DEFAULT_WORK_GUARD, gop_solve_approx, gop_solve_exact
@@ -48,16 +47,11 @@ def _emit_json(args, data: object) -> None:
     _write(args, dumps_canonical(data))
 
 
-def _num(value) -> int | float:
-    value = as_exact(value)
-    return value if isinstance(value, int) else float(value)
-
-
 def _solution_json(solution) -> dict:
     return {
         "splitters": list(solution.splitters),
         "mapping": list(solution.assignment.mapping),
-        "comm_cost": _num(solution.comm_cost),
+        "comm_cost": _num_out(solution.comm_cost),
         "io_cost": solution.io_cost,
         "total_cost": solution.total_cost,
     }
@@ -65,25 +59,25 @@ def _solution_json(solution) -> dict:
 
 def _report_json(report) -> dict:
     return {
-        "phases": [{"label": label, "io_ops": io, "comm_amount": _num(comm)}
+        "phases": [{"label": label, "io_ops": io, "comm_amount": _num_out(comm)}
                    for label, io, comm in report.phases],
         "total_io": report.total_io,
-        "total_comm": _num(report.total_comm),
+        "total_comm": _num_out(report.total_comm),
     }
 
 
 def _cmd_drp_exact(args) -> int:
     inst = drp_from_json(_read_json(args))
     assignment, cost = drp_solve_exact(inst)
-    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num(cost)})
+    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost)})
     return 0
 
 
 def _cmd_drp_approx(args) -> int:
     inst = drp_from_json(_read_json(args))
     assignment, cost = drp_solve_approx(inst)
-    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num(cost),
-                      "ratio_bound": _num(ratio_bound(inst.cost))})
+    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost),
+                      "ratio_bound": _num_out(ratio_bound(inst.cost))})
     return 0
 
 

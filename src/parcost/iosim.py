@@ -1,5 +1,5 @@
-"""Executable IO-accounting models for sorting, spanning forests, and
-fractional matching, plus the optimality classifier.
+"""IO-counting models for sorting, spanning forests, and fractional
+matching, plus the optimality classifier.
 
 Counting conventions, applied identically on both sides of every comparison
 so classifications stay model-fair:
@@ -9,18 +9,21 @@ so classifications stay model-fair:
 * ``io_sort_count(N, M)`` is the serial external-sort model: free for empty
   input, a single scan when the data fits in memory, and N * ceil(log_M N)
   otherwise.
-* Simulators are deterministic state machines; two runs on equal inputs
-  produce equal reports.
+* The simulators count; they do no work that the counters do not need. The
+  TeraSort and edge-partition counters have closed forms in the per-receiver
+  and per-bucket record counts. The matching runs iterate, because each
+  iteration's active-edge count depends on the freezes before it.
+* Simulators are deterministic; two runs on equal inputs produce equal
+  reports.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 from .core import (CostMatrix, Rational, SortInstance, as_exact,
@@ -160,50 +163,21 @@ def kruskal_serial_io(m: int, memory: int) -> int:
     return io_sort_count(m, memory) + m
 
 
-class _UnionFind:
-    def __init__(self, vertices):
-        self.parent = {v: v for v in vertices}
-
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _spanning_forest(vertices: Sequence[int],
-                     edges: Sequence[tuple[int, int, Rational]]) -> list[tuple[int, int, Rational]]:
-    """Kruskal on an in-memory subproblem; deterministic edge order."""
-    uf = _UnionFind(vertices)
-    forest = []
-    for u, v, w in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
-        if uf.union(u, v):
-            forest.append((u, v, w))
-    return forest
-
-
 def nowicki_partition_io(graph: Graph, memory: int) -> IoReport:
-    """Desk-scale replay of the edge-partition phase of the constant-round
-    spanning-forest algorithm, with exact read counting.
+    """Read count of the edge-partition phase of the constant-round
+    spanning-forest algorithm.
 
     Vertices are split into ceil(m/n) equal groups. The edge list lives on
     external memory bucketed by the smaller endpoint group, so assembling the
-    subproblem for a group pair (i, j) scans bucket i in full; an edge in
-    bucket i is therefore read once per pair (i, j), j >= i. Each pair's
-    spanning forest is actually computed in memory (the group sizing, not
-    ``memory``, keeps subproblems small). ``extras['analytic_io']`` carries
-    the closed-form ceiling m * ceil(m/n) for cross-checking; the measured
-    total is m when there is a single group and grows toward the analytic
-    value as the group count rises.
+    subproblem for a group pair (i, j), i <= j, scans bucket i in full: the
+    phase ``scan[i,j]`` reads bucket i's size, and an edge in bucket i is read
+    once per pair (i, j), j >= i. The model counts these reads and builds no
+    per-pair forest; ``memory`` is only validated, since the group sizing,
+    not memory, keeps each pair's subproblem small. One pass over the edges
+    gives every bucket's size. ``extras['analytic_io']`` carries the
+    closed-form ceiling m * ceil(m/n) for cross-checking; the counted total
+    is m when there is a single group and grows toward the analytic value as
+    the group count rises.
     """
     if memory < 2:
         raise ParameterError(f"memory must be >= 2, got {memory}")
@@ -212,41 +186,14 @@ def nowicki_partition_io(graph: Graph, memory: int) -> IoReport:
     if m == 0:
         raise InstanceError("graph has no edges")
     groups = -(-m // n)
-
-    def group_of(v: int) -> int:
-        return (v - 1) * groups // n
-
-    group_vertices: list[list[int]] = [[] for _ in range(groups)]
-    for v in range(1, n + 1):
-        group_vertices[group_of(v)].append(v)
-    # sub-bucketed by endpoint groups: pair (i, j) scans all of bucket row i
-    # but only E[i][j] participates in that pair's forest
-    buckets: list[dict[int, list[int]]] = [{} for _ in range(groups)]
+    # the group of a vertex is monotone in it, so the smaller endpoint's
+    # group is the smaller group
     bucket_sizes = [0] * groups
-    for k, (u, v, _) in enumerate(graph.edges):
-        gu, gv = group_of(u), group_of(v)
-        lo, hi = (gu, gv) if gu <= gv else (gv, gu)
-        buckets[lo].setdefault(hi, []).append(k)
-        bucket_sizes[lo] += 1
-
-    phases: list[Phase] = []
-    forest_edges: set[int] = set()
-    for i in range(groups):
-        for j in range(i, groups):
-            phases.append((f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0))
-            sub = buckets[i].get(j, [])
-            vertices = (group_vertices[i] if i == j
-                        else group_vertices[i] + group_vertices[j])
-            forest = _spanning_forest(vertices, [graph.edges[k] for k in sub])
-            kept = {(u, v) for u, v, _ in forest}
-            forest_edges.update(k for k in sub
-                                if (graph.edges[k][0], graph.edges[k][1]) in kept)
-    extras = {
-        "analytic_io": m * groups,
-        "groups": groups,
-        "reduced_edge_count": len(forest_edges),
-    }
-    return IoReport.from_phases(phases, extras)
+    for u, v, _ in graph.edges:
+        bucket_sizes[(min(u, v) - 1) * groups // n] += 1
+    phases = [(f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0)
+              for i in range(groups) for j in range(i, groups)]
+    return IoReport.from_phases(phases, {"analytic_io": m * groups, "groups": groups})
 
 
 def _as_epsilon(epsilon) -> Fraction:
@@ -423,13 +370,18 @@ def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
 
     Phase 2 (redistribute): every record goes to the machine owning its
     splitter interval (identity placement), priced by the cost matrix.
-    Receivers buffer arrivals in main memory; a full buffer is flushed to
-    external memory as one sorted run, one IO per spilled record. The final
-    partial buffer stays in memory.
+    Receivers buffer arrivals in main memory and flush a full buffer to
+    external memory as one sorted run, one IO per spilled record; the final
+    partial buffer stays in memory. A receiver of c >= 1 records flushes when
+    record M+1, 2M+1, ... arrives, so it spills M * floor((c-1)/M) records.
 
     Phase 3 (local-merge): each machine merges its sorted runs with the
-    in-memory remainder, one IO per spilled record reread. The returned
-    per-machine outputs concatenate to the globally sorted data.
+    in-memory remainder, one IO per spilled record reread, so the phase
+    counts the same records as phase 2.
+
+    No record is pushed through a buffer: the receivers' record counts are
+    the splitter intervals' loads, and the per-machine outputs are the
+    globally sorted data cut at those loads.
     """
     p = inst.p
     if cfg.machines != p or cost.p != p:
@@ -461,35 +413,23 @@ def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
     phase1: Phase = ("sample-and-split", io_sample,
                      as_exact(comm_sample + comm_broadcast))
 
-    transfer, _ = derive_transfer_and_load(inst, splitters)
+    transfer, loads = derive_transfer_and_load(inst, splitters)
     comm_shuffle = sum(transfer.amount(i, j) * cost.cost(i, j)
                        for i in range(1, p + 1) for j in range(1, p + 1))
-    spills = 0
-    buffers: list[list[int]] = [[] for _ in range(p)]
-    runs: list[list[tuple[int, ...]]] = [[] for _ in range(p)]
-    for src in range(p):
-        for value in local[src]:
-            dest = bisect_left(splitters, value)
-            buf = buffers[dest]
-            if len(buf) == memory:
-                runs[dest].append(tuple(sorted(buf)))
-                spills += memory
-                buf.clear()
-            buf.append(value)
+    spills = sum(memory * ((c - 1) // memory) for c in loads if c)
     phase2: Phase = ("redistribute", spills, as_exact(comm_shuffle))
+    phase3: Phase = ("local-merge", spills, 0)
 
-    io_merge = 0
-    outputs: list[tuple[int, ...]] = []
-    for j in range(p):
-        io_merge += sum(len(run) for run in runs[j])
-        outputs.append(tuple(heapq.merge(*runs[j], sorted(buffers[j]))))
-    phase3: Phase = ("local-merge", io_merge, 0)
+    # each machine's data is already sorted, so this sort only merges p runs
+    values = tuple(sorted(chain.from_iterable(local)))
+    cuts = (0, *accumulate(loads))
+    outputs = tuple(values[a:b] for a, b in zip(cuts, cuts[1:]))
 
     report = IoReport.from_phases(
         (phase1, phase2, phase3),
         extras={"splitters": splitters, "sample_size": sample_size},
     )
-    return tuple(outputs), report
+    return outputs, report
 
 
 class IoOptimality(str, Enum):

@@ -1,4 +1,6 @@
+import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,10 @@ from parcost import (CostMatrix, ExternalMemoryConfig, Graph, InstanceError,
                      mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
                      terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
-from parcost.core import as_exact
+from parcost.core import as_exact, derive_transfer_and_load
 from parcost.errors import GuardError
-from parcost.iosim import (FractionalMatchingState, Phase, _as_epsilon,
-                           _iteration_limit)
+from parcost.iosim import (FractionalMatchingState, Phase, _apportion,
+                           _as_epsilon, _iteration_limit)
 
 
 # Test-only oracles: the matching runs as first written, summing every
@@ -108,6 +110,73 @@ def fraction_mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
         for pair in active_pairs():
             weight[pair] *= boost
     return IoReport.from_phases(phases)
+
+
+# Test-only oracle: TeraSort as first written, pushing every record through
+# its receiver's buffer, sorting each spilled run and heap-merging the runs.
+
+def buffer_terasort_simulate(
+        inst: SortInstance, cfg: ExternalMemoryConfig,
+        cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], IoReport]:
+    p = inst.p
+    if cfg.machines != p or cost.p != p:
+        raise InstanceError(
+            f"dimension mismatch: instance p={p}, config machines={cfg.machines}, "
+            f"cost p={cost.p}")
+    n = inst.n
+    if n == 0:
+        raise InstanceError("no records to sort")
+    memory = cfg.main_memory
+    sample_size = min(memory, n)
+    if sample_size < p:
+        raise InstanceError(
+            f"main memory {memory} cannot hold one sample record per machine (p={p})")
+
+    local = [tuple(sorted(s)) for s in inst.subsets]
+    quotas = _apportion(sample_size, [len(s) for s in local])
+    sample: list[int] = []
+    for data, quota in zip(local, quotas):
+        if quota:
+            sample.extend(data[(2 * k + 1) * len(data) // (2 * quota)]
+                          for k in range(quota))
+    sample.sort()
+    splitters = tuple(sample[(k * sample_size) // p - 1] for k in range(1, p))
+
+    io_sample = sample_size
+    comm_sample = sum(quotas[i] * cost.cost(i + 1, 1) for i in range(p) if i != 0)
+    comm_broadcast = sum((p - 1) * cost.cost(1, j) for j in range(2, p + 1))
+    phase1: Phase = ("sample-and-split", io_sample,
+                     as_exact(comm_sample + comm_broadcast))
+
+    transfer, _ = derive_transfer_and_load(inst, splitters)
+    comm_shuffle = sum(transfer.amount(i, j) * cost.cost(i, j)
+                       for i in range(1, p + 1) for j in range(1, p + 1))
+    spills = 0
+    buffers: list[list[int]] = [[] for _ in range(p)]
+    runs: list[list[tuple[int, ...]]] = [[] for _ in range(p)]
+    for src in range(p):
+        for value in local[src]:
+            dest = bisect_left(splitters, value)
+            buf = buffers[dest]
+            if len(buf) == memory:
+                runs[dest].append(tuple(sorted(buf)))
+                spills += memory
+                buf.clear()
+            buf.append(value)
+    phase2: Phase = ("redistribute", spills, as_exact(comm_shuffle))
+
+    io_merge = 0
+    outputs: list[tuple[int, ...]] = []
+    for j in range(p):
+        io_merge += sum(len(run) for run in runs[j])
+        outputs.append(tuple(heapq.merge(*runs[j], sorted(buffers[j]))))
+    phase3: Phase = ("local-merge", io_merge, 0)
+
+    report = IoReport.from_phases(
+        (phase1, phase2, phase3),
+        extras={"splitters": splitters, "sample_size": sample_size},
+    )
+    return tuple(outputs), report
 
 
 def assert_matching_runs_match_oracles(graph: Graph, epsilon) -> None:
@@ -230,21 +299,33 @@ class TestNowickiPartition:
         assert analytic / 4 <= report.total_io <= 4 * analytic
 
     def test_bucket_accounting(self):
-        # total reads = sum over buckets of bucket size times the number of
-        # group pairs that scan it; recomputed here from scratch
-        g = gen_graph(30, 120, seed=9)
-        report = nowicki_partition_io(g, 30)
-        groups = report.extras["groups"]
-
-        def group_of(v):
-            return (v - 1) * groups // g.n_vertices
-
-        bucket_sizes = [0] * groups
-        for u, v, _ in g.edges:
-            bucket_sizes[min(group_of(u), group_of(v))] += 1
-        expected = sum(size * (groups - i) for i, size in enumerate(bucket_sizes))
-        assert report.total_io == expected
-        assert len(report.phases) == groups * (groups + 1) // 2
+        # the phase list recomputed from scratch: pair (i, j), i <= j, scans
+        # every edge whose smaller endpoint group is i
+        graphs = [
+            gen_graph(10, 10, seed=4),                             # m <= n
+            Graph(12, tuple((1, v, 1) for v in range(2, 13))),      # a star
+            Graph(12, tuple((u, v, 1) for u in range(1, 13)         # K_12 less an edge
+                            for v in range(u + 1, 13) if (u, v) != (3, 7))),
+            *(gen_graph(n, m, seed=9)
+              for n, m in ((30, 120), (64, 512), (100, 1500), (256, 2048))),
+        ]
+        group_counts = []
+        for g in graphs:
+            groups = math.ceil(g.n_edges / g.n_vertices)
+            group = {v: (v - 1) * groups // g.n_vertices
+                     for v in range(1, g.n_vertices + 1)}
+            bucket_sizes = [sum(min(group[u], group[v]) == i for u, v, _ in g.edges)
+                            for i in range(groups)]
+            report = nowicki_partition_io(g, g.n_vertices)
+            assert report.phases == tuple(
+                (f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0)
+                for i in range(groups) for j in range(i, groups))
+            assert report.total_io == sum(size * (groups - i)
+                                          for i, size in enumerate(bucket_sizes))
+            assert report.extras == {"analytic_io": g.n_edges * groups,
+                                     "groups": groups}
+            group_counts.append(groups)
+        assert group_counts == [1, 1, 6, 4, 8, 15, 8]
 
     def test_rejects_empty_graph_and_bad_memory(self):
         with pytest.raises(ParameterError):
@@ -365,6 +446,43 @@ class TestTerasort:
         inst = SortInstance(((1, 2), (3, 4), (5, 6), (7, 8)))
         with pytest.raises(InstanceError, match="sample"):
             terasort_simulate(inst, ExternalMemoryConfig(3, 4), uniform_cost(4))
+
+
+def terasort_oracle_cases():
+    """A grid of n, M and p on random instances and on the same records all
+    held by machine 1: M = 2, M = p (the smallest memory that holds the
+    sample), M < n, M = n and M > n."""
+    for p in (2, 3, 4, 5):
+        for n in (p, 9, 40, 150, 500):
+            g = gen_gop(n, p, seed=10 * n + p)
+            lopsided = SortInstance((g.inst.values(), *((),) * (p - 1)))
+            for memory in sorted({2, p, 3, 8, n // 4, n - 1, n, n + 1, 3 * n}):
+                if memory >= p:
+                    cfg = ExternalMemoryConfig(memory, p)
+                    yield g.inst, cfg, g.cost
+                    yield lopsided, cfg, g.cost
+
+
+def test_terasort_matches_buffer_oracle():
+    covered = set()
+    for inst, cfg, cost in terasort_oracle_cases():
+        outputs, report = terasort_simulate(inst, cfg, cost)
+        assert (outputs, report) == buffer_terasort_simulate(inst, cfg, cost)
+        memory = cfg.main_memory
+        received = [len(out) for out in outputs]
+        # each splitter interval holds its splitter and the last one holds
+        # the top sample record, so no receiver ever gets 0 records
+        assert min(received) >= 1
+        covered.update(
+            name for name, hit in (
+                ("M = 2", memory == 2), ("M = p", memory == inst.p),
+                ("M = n", memory == inst.n), ("M > n", memory > inst.n),
+                ("an empty machine", not all(inst.subsets)),
+                ("c = kM", any(c >= memory and c % memory == 0 for c in received)),
+                ("c = kM + 1", any(c > memory and c % memory == 1 for c in received)),
+            ) if hit)
+    assert covered == {"M = 2", "M = p", "M = n", "M > n", "an empty machine",
+                       "c = kM", "c = kM + 1"}
 
 
 class TestIoReport:

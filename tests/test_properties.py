@@ -15,7 +15,8 @@ from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      TransferMatrix, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, lap_brute, lap_solve, ratio_bound,
                      terasort_simulate)
-from test_iosim import assert_matching_runs_match_oracles  # noqa: E402
+from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
+                        buffer_terasort_simulate)
 
 
 @st.composite
@@ -113,10 +114,11 @@ def terasort_runs(draw):
 @given(terasort_runs())
 def test_terasort_output_is_a_sorted_permutation(run):
     inst, cfg, cost = run
-    outputs, _ = terasort_simulate(inst, cfg, cost)
+    outputs, report = terasort_simulate(inst, cfg, cost)
     flat = [v for out in outputs for v in out]
     assert flat == sorted(flat)
     assert sorted(flat) == sorted(v for s in inst.subsets for v in s)
+    assert (outputs, report) == buffer_terasort_simulate(inst, cfg, cost)
 
 
 phase_lists = st.lists(st.tuples(
