@@ -9,37 +9,34 @@ the run.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import (FLOAT_TOLERANCE, CostMatrix, Rational, SortInstance,
-                   TransferMatrix, as_exact)
-from .drp import DrpInstance, TspFbInstance, drp_solve_approx, drp_solve_exact, ratio_bound
+from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
+from .core import (FLOAT_TOLERANCE, CostMatrix, GopInstance, Rational,
+                   SortInstance, TransferMatrix, Value, _set, as_exact)
 from .errors import GuardError, InstanceError, ParameterError
-from .gopsort import GopInstance, gop_solve_approx, gop_solve_exact
-from .iosim import (ExternalMemoryConfig, Graph, IoOptimality,
-                    classify_io_optimality, io_sort_count, kruskal_serial_io,
-                    mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
-                    terasort_simulate)
 
-SWEEP_KINDS = ("drp-ratio", "gop-ratio", "terasort-io", "mst-io", "mm-io")
+# The solvers, simulators and the drp and iosim instance types are imported
+# where they are used, so that a process loads only what its command runs.
+if TYPE_CHECKING:
+    from .drp import DrpInstance, TspFbInstance
+    from .iosim import Graph
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Value):
     """A 64-bit unsigned RNG seed."""
 
-    value: int
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.value}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value < 2 ** 64:
+            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {value}")
+        _set(self, "value", value)
 
 
 def _rng(seed: int | Seed) -> random.Random:
@@ -53,6 +50,8 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
             seed: int | Seed) -> DrpInstance:
     """Random instance: integer off-diagonal costs in [cost_low, cost_high],
     integer transfer volumes in [0, mass_max]."""
+    from .drp import DrpInstance
+
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
     if not 0 < cost_low <= cost_high:
@@ -86,6 +85,8 @@ def gen_gop(n: int, p: int, seed: int | Seed, cost_low: int = 1,
 
 def gen_graph(n: int, m: int, seed: int | Seed, weight_max: int = 100) -> Graph:
     """Simple random graph with m edges and positive integer weights."""
+    from .iosim import Graph
+
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     limit = n * (n - 1) // 2
@@ -114,6 +115,8 @@ def gen_graph(n: int, m: int, seed: int | Seed, weight_max: int = 100) -> Graph:
 
 def gen_tspfb(n: int, seed: int | Seed, weight_max: int = 20) -> TspFbInstance:
     """Random bipartite tour instance with positive integer weights."""
+    from .drp import TspFbInstance
+
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if weight_max < 1:
@@ -141,6 +144,8 @@ def drp_to_json(inst: DrpInstance) -> dict:
 
 
 def drp_from_json(data: Mapping) -> DrpInstance:
+    from .drp import DrpInstance
+
     _require(data, ("p", "transfer", "cost"), "redistribution instance")
     # the loader tolerates positive diagonals so that reduced tour instances
     # (whose weights land on the diagonal too) survive a JSON round trip
@@ -173,6 +178,8 @@ def graph_to_json(graph: Graph) -> dict:
 
 
 def graph_from_json(data: Mapping) -> Graph:
+    from .iosim import Graph
+
     _require(data, ("n", "edges"), "graph")
     return Graph(data["n"], tuple((u, v, w) for u, v, w in data["edges"]))
 
@@ -182,6 +189,8 @@ def tspfb_to_json(tour: TspFbInstance) -> dict:
 
 
 def tspfb_from_json(data: Mapping) -> TspFbInstance:
+    from .drp import TspFbInstance
+
     _require(data, ("n", "weights"), "bipartite tour instance")
     tour = TspFbInstance(tuple(map(tuple, data["weights"])))
     if tour.n != data["n"]:
@@ -204,41 +213,47 @@ def dumps_canonical(data: object) -> str:
 
 # --- sweeps ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """What to sweep and how: kind, ascending sizes, trials per size, seed,
-    and the model knobs the kind needs."""
+    and the model knobs the kind needs. ``guard`` is gop-ratio's work guard;
+    None means the default."""
 
-    kind: str
-    sizes: tuple[int, ...]
-    trials: int = 1
-    seed: int = 0
-    cost_low: int = 1
-    cost_high: int = 10
-    mass_max: int = 20
-    p: int | None = None
-    memory: int | None = None
-    epsilon: Fraction = Fraction(1, 10)
-    edge_factor: int = 4
-    guard: int | None = None  # gop-ratio's work guard; None means the default
+    __slots__ = _fields = ("kind", "sizes", "trials", "seed", "cost_low",
+                           "cost_high", "mass_max", "p", "memory", "epsilon",
+                           "edge_factor", "guard")
 
-    def __post_init__(self) -> None:
-        if self.kind not in SWEEP_KINDS:
+    def __init__(self, kind: str, sizes: Sequence[int], trials: int = 1,
+                 seed: int = 0, cost_low: int = 1, cost_high: int = 10,
+                 mass_max: int = 20, p: int | None = None,
+                 memory: int | None = None, epsilon: Fraction = Fraction(1, 10),
+                 edge_factor: int = 4, guard: int | None = None) -> None:
+        if kind not in SWEEP_KINDS:
             raise ParameterError(
-                f"unknown sweep kind {self.kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
-        sizes = tuple(self.sizes)
+                f"unknown sweep kind {kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
+        sizes = tuple(sizes)
         if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ParameterError(f"sizes must be non-empty and ascending, got {sizes}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.guard is not None and self.guard < 1:
-            raise ParameterError(f"guard must be >= 1, got {self.guard}")
-        if self.p is not None and self.p < 2:
-            raise ParameterError(f"p must be >= 2, got {self.p}")
-        if self.memory is not None and self.memory < 2:
-            raise ParameterError(f"memory must be >= 2, got {self.memory}")
-        Seed(self.seed)
-        object.__setattr__(self, "sizes", sizes)
+        if trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {trials}")
+        if guard is not None and guard < 1:
+            raise ParameterError(f"guard must be >= 1, got {guard}")
+        if p is not None and p < 2:
+            raise ParameterError(f"p must be >= 2, got {p}")
+        if memory is not None and memory < 2:
+            raise ParameterError(f"memory must be >= 2, got {memory}")
+        Seed(seed)
+        _set(self, "kind", kind)
+        _set(self, "sizes", sizes)
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
+        _set(self, "cost_low", cost_low)
+        _set(self, "cost_high", cost_high)
+        _set(self, "mass_max", mass_max)
+        _set(self, "p", p)
+        _set(self, "memory", memory)
+        _set(self, "epsilon", epsilon)
+        _set(self, "edge_factor", edge_factor)
+        _set(self, "guard", guard)
 
 
 def _fmt(value) -> str:
@@ -276,6 +291,8 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
 
 
 def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -284,6 +301,8 @@ def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _sweep_drp_ratio(spec: SweepSpec):
+    from .drp import drp_solve_approx, drp_solve_exact, ratio_bound
+
     header = ("p", "trial", "status", "exact_cost", "approx_cost",
               "ratio", "bound", "within_bound")
     rows = []
@@ -304,6 +323,9 @@ def _sweep_drp_ratio(spec: SweepSpec):
 
 
 def _sweep_gop_ratio(spec: SweepSpec):
+    from .drp import ratio_bound
+    from .gopsort import gop_solve_approx, gop_solve_exact
+
     header = ("n", "p", "trial", "status", "exact_total", "approx_total",
               "ratio", "bound", "within_bound")
     p = spec.p or 2
@@ -314,7 +336,7 @@ def _sweep_gop_ratio(spec: SweepSpec):
             seed = _trial_seed(spec, n, trial)
             try:
                 g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-                exact = gop_solve_exact(g, work_guard=spec.guard or 1000)
+                exact = gop_solve_exact(g, work_guard=spec.guard or DEFAULT_WORK_GUARD)
                 approx = gop_solve_approx(g)
             except GuardError:
                 rows.append((_fmt(n), _fmt(p), _fmt(trial), "skipped",
@@ -332,6 +354,8 @@ def _sweep_gop_ratio(spec: SweepSpec):
 
 
 def _sweep_terasort(spec: SweepSpec):
+    from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
+
     header = ("n", "trial", "status", "parallel_io", "serial_io", "ratio",
               "classification")
     p = spec.p or 4
@@ -358,6 +382,8 @@ def _sweep_terasort(spec: SweepSpec):
 
 
 def _sweep_mst(spec: SweepSpec):
+    from .iosim import kruskal_serial_io, nowicki_partition_io
+
     header = ("n", "m", "trial", "status", "parallel_io", "analytic_io",
               "serial_io", "ratio", "classification")
     rows = []
@@ -384,6 +410,8 @@ def _sweep_mst(spec: SweepSpec):
 
 
 def _sweep_mm(spec: SweepSpec):
+    from .iosim import mm_parallel_io_model, mm_serial_run
+
     header = ("n", "m", "trial", "status", "iterations", "parallel_io",
               "serial_io", "ratio", "classification")
     rows = []
@@ -412,6 +440,8 @@ def _sweep_mm(spec: SweepSpec):
 
 
 def _classify_label(per_size: Sequence[tuple[int, int, int]]) -> str:
+    from .iosim import IoOptimality, classify_io_optimality
+
     try:
         return classify_io_optimality(per_size).value
     except (GuardError, ParameterError):

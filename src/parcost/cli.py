@@ -11,19 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import bench
-from .bench import (SweepSpec, _num_out, drp_from_json, drp_to_json,
-                    dumps_canonical, gen_drp, gen_gop, gen_graph, gen_tspfb,
-                    gop_from_json, gop_to_json, graph_from_json, graph_to_json,
-                    run_sweep, sweep_to_csv, tspfb_from_json, tspfb_to_json)
-from .drp import drp_solve_approx, drp_solve_exact, ratio_bound, tspfb_to_drp
+from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .errors import GuardError, InstanceError, ParameterError
-from .gopsort import DEFAULT_WORK_GUARD, gop_solve_approx, gop_solve_exact
-from .iosim import (ExternalMemoryConfig, io_sort_count, kruskal_serial_io,
-                    mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
-                    terasort_simulate)
+
+# Handlers import the codecs, solvers and simulators they use in their
+# bodies, so a process loads only its own command's modules.
 
 
 def _read_json(args) -> object:
@@ -44,10 +37,14 @@ def _write(args, text: str) -> None:
 
 
 def _emit_json(args, data: object) -> None:
+    from .bench import dumps_canonical
+
     _write(args, dumps_canonical(data))
 
 
 def _solution_json(solution) -> dict:
+    from .bench import _num_out
+
     return {
         "splitters": list(solution.splitters),
         "mapping": list(solution.assignment.mapping),
@@ -58,6 +55,8 @@ def _solution_json(solution) -> dict:
 
 
 def _report_json(report) -> dict:
+    from .bench import _num_out
+
     return {
         "phases": [{"label": label, "io_ops": io, "comm_amount": _num_out(comm)}
                    for label, io, comm in report.phases],
@@ -67,6 +66,9 @@ def _report_json(report) -> dict:
 
 
 def _cmd_drp_exact(args) -> int:
+    from .bench import _num_out, drp_from_json
+    from .drp import drp_solve_exact
+
     inst = drp_from_json(_read_json(args))
     assignment, cost = drp_solve_exact(inst)
     _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost)})
@@ -74,6 +76,9 @@ def _cmd_drp_exact(args) -> int:
 
 
 def _cmd_drp_approx(args) -> int:
+    from .bench import _num_out, drp_from_json
+    from .drp import drp_solve_approx, ratio_bound
+
     inst = drp_from_json(_read_json(args))
     assignment, cost = drp_solve_approx(inst)
     _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost),
@@ -82,6 +87,9 @@ def _cmd_drp_approx(args) -> int:
 
 
 def _cmd_gop_exact(args) -> int:
+    from .bench import gop_from_json
+    from .gopsort import gop_solve_exact
+
     g = gop_from_json(_read_json(args))
     solution = gop_solve_exact(g, work_guard=args.guard)
     _emit_json(args, _solution_json(solution))
@@ -89,6 +97,9 @@ def _cmd_gop_exact(args) -> int:
 
 
 def _cmd_gop_approx(args) -> int:
+    from .bench import gop_from_json
+    from .gopsort import gop_solve_approx
+
     g = gop_from_json(_read_json(args))
     solution = gop_solve_approx(g, exact_assignment=args.exact_assignment)
     _emit_json(args, _solution_json(solution))
@@ -96,12 +107,18 @@ def _cmd_gop_approx(args) -> int:
 
 
 def _cmd_reduce_tspfb(args) -> int:
+    from .bench import drp_to_json, tspfb_from_json
+    from .drp import tspfb_to_drp
+
     tour = tspfb_from_json(_read_json(args))
     _emit_json(args, drp_to_json(tspfb_to_drp(tour)))
     return 0
 
 
 def _cmd_sim_terasort(args) -> int:
+    from .bench import gop_from_json
+    from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
+
     g = gop_from_json(_read_json(args))
     cfg = ExternalMemoryConfig(args.memory, g.p)
     outputs, report = terasort_simulate(g.inst, cfg, g.cost)
@@ -116,6 +133,11 @@ def _cmd_sim_terasort(args) -> int:
 
 
 def _cmd_sim_mm(args) -> int:
+    from fractions import Fraction
+
+    from .bench import graph_from_json
+    from .iosim import mm_parallel_io_model, mm_serial_run
+
     graph = graph_from_json(_read_json(args))
     epsilon = Fraction(args.epsilon)
     state, serial_report = mm_serial_run(graph, epsilon)
@@ -136,6 +158,9 @@ def _cmd_sim_mm(args) -> int:
 
 
 def _cmd_sim_mst_io(args) -> int:
+    from .bench import graph_from_json
+    from .iosim import kruskal_serial_io, nowicki_partition_io
+
     graph = graph_from_json(_read_json(args))
     memory = args.memory if args.memory is not None else graph.n_vertices
     report = nowicki_partition_io(graph, memory)
@@ -150,6 +175,10 @@ def _cmd_sim_mst_io(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from fractions import Fraction
+
+    from .bench import SweepSpec, run_sweep, sweep_to_csv
+
     spec = SweepSpec(
         kind=args.kind,
         sizes=tuple(int(s) for s in args.sizes.split(",")),
@@ -173,35 +202,40 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import bench
+
     if args.kind == "drp":
-        data = drp_to_json(gen_drp(args.p, args.cost_low, args.cost_high,
-                                   args.mass_max, args.seed))
+        data = bench.drp_to_json(bench.gen_drp(args.p, args.cost_low, args.cost_high,
+                                               args.mass_max, args.seed))
     elif args.kind == "gop":
-        data = gop_to_json(gen_gop(args.n, args.p, args.seed,
-                                   args.cost_low, args.cost_high))
+        data = bench.gop_to_json(bench.gen_gop(args.n, args.p, args.seed,
+                                               args.cost_low, args.cost_high))
     elif args.kind == "graph":
-        data = graph_to_json(gen_graph(args.n, args.m, args.seed))
+        data = bench.graph_to_json(bench.gen_graph(args.n, args.m, args.seed))
     else:
-        data = tspfb_to_json(gen_tspfb(args.n, args.seed))
+        data = bench.tspfb_to_json(bench.gen_tspfb(args.n, args.seed))
     _emit_json(args, data)
     return 0
 
 
+# each loader imports only the instance type of its own layout
 _SNIFFERS = (
-    ("drp", ("transfer", "cost"), drp_from_json),
-    ("gop", ("subsets", "cost"), gop_from_json),
-    ("graph", ("edges", "n"), graph_from_json),
-    ("tspfb", ("weights", "n"), tspfb_from_json),
+    ("drp", ("transfer", "cost"), "drp_from_json"),
+    ("gop", ("subsets", "cost"), "gop_from_json"),
+    ("graph", ("edges", "n"), "graph_from_json"),
+    ("tspfb", ("weights", "n"), "tspfb_from_json"),
 )
 
 
 def _cmd_validate(args) -> int:
+    from . import bench
+
     data = _read_json(args)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     for kind, keys, loader in _SNIFFERS:
         if args.kind in (None, kind) and all(k in data for k in keys):
-            loader(data)
+            getattr(bench, loader)(data)
             _emit_json(args, {"valid": True, "kind": kind})
             return 0
     raise InstanceError(
@@ -277,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_sim_mst_io)
 
     sub = subs.add_parser("sweep", help="cost/ratio tables over a size sweep")
-    sub.add_argument("--kind", required=True, choices=bench.SWEEP_KINDS)
+    sub.add_argument("--kind", required=True, choices=SWEEP_KINDS)
     sub.add_argument("--sizes", required=True,
                      help="comma-separated ascending sizes, e.g. 64,256,1024")
     sub.add_argument("--trials", type=int, default=1)
@@ -290,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon", default="1/10")
     sub.add_argument("--edge-factor", type=int, default=4)
     sub.add_argument("--guard", type=_positive_int,
-                     help="gop-ratio work cap on C(n,p-1)*p! (default 1000)")
+                     help=f"gop-ratio work cap on C(n,p-1)*p! (default {DEFAULT_WORK_GUARD})")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--csv", dest="format", action="store_const", const="csv",
                      help="force CSV output (the default)")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -64,8 +63,49 @@ def _exact_square(rows: Sequence[Sequence[object]], what: str,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types.
+
+    Each subclass names its fields in ``_fields`` and stores them in
+    ``__slots__`` from an explicit ``__init__``. Equality and hashing
+    compare the fields within one class only, ``repr`` shows them as keyword
+    arguments, and assigning or deleting any attribute raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the slots list the constructor's arguments in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class CostMatrix(Value):
     """Per-unit communication costs between the p physical machines.
 
     ``entries[i-1][j-1]`` is the cost of moving one unit of data from
@@ -78,15 +118,16 @@ class CostMatrix:
     diagonal as well. Ordinary instances should never set it.
     """
 
-    entries: tuple[tuple[Rational, ...], ...]
-    allow_nonzero_diagonal: bool = field(default=False, compare=False, repr=False)
+    __slots__ = ("entries", "allow_nonzero_diagonal")
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = _exact_square(self.entries, "cost matrix", min_p=2)
+    def __init__(self, entries: Sequence[Sequence[Rational]],
+                 allow_nonzero_diagonal: bool = False) -> None:
+        entries = _exact_square(entries, "cost matrix", min_p=2)
         for i, row in enumerate(entries):
             for j, value in enumerate(row):
                 if i == j:
-                    if value != 0 and not self.allow_nonzero_diagonal:
+                    if value != 0 and not allow_nonzero_diagonal:
                         raise InstanceError(
                             f"cost[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}")
                     if value < 0:
@@ -95,7 +136,8 @@ class CostMatrix:
                 elif value <= 0:
                     raise InstanceError(
                         f"cost[{i + 1}][{j + 1}] must be positive off the diagonal, got {value}")
-        object.__setattr__(self, "entries", entries)
+        _set(self, "entries", entries)
+        _set(self, "allow_nonzero_diagonal", allow_nonzero_diagonal)
 
     @property
     def p(self) -> int:
@@ -118,24 +160,23 @@ class CostMatrix:
         return min(self.off_diagonal())
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(Value):
     """Data volumes keyed by (physical source, virtual destination).
 
     ``entries[i-1][j-1]`` is the amount of data sitting on physical machine
     i that belongs to virtual machine j. All entries are non-negative.
     """
 
-    entries: tuple[tuple[Rational, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = _exact_square(self.entries, "transfer matrix", min_p=1)
+    def __init__(self, entries: Sequence[Sequence[Rational]]) -> None:
+        entries = _exact_square(entries, "transfer matrix", min_p=1)
         for i, row in enumerate(entries):
             for j, value in enumerate(row):
                 if value < 0:
                     raise InstanceError(
                         f"transfer[{i + 1}][{j + 1}] is negative: {value}")
-        object.__setattr__(self, "entries", entries)
+        _set(self, "entries", entries)
 
     @property
     def p(self) -> int:
@@ -154,25 +195,24 @@ class TransferMatrix:
         return sum(sum(row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Value):
     """A bijection from virtual machines to physical machines.
 
     ``mapping[j-1]`` is the 1-based physical machine hosting virtual
     machine j.
     """
 
-    mapping: tuple[int, ...]
+    __slots__ = _fields = ("mapping",)
 
-    def __post_init__(self) -> None:
-        mapping = tuple(self.mapping)
+    def __init__(self, mapping: Sequence[int]) -> None:
+        mapping = tuple(mapping)
         p = len(mapping)
         if p < 1:
             raise InstanceError("assignment must cover at least one machine")
         if sorted(mapping) != list(range(1, p + 1)):
             raise InstanceError(
                 f"mapping {mapping} is not a permutation of 1..{p}")
-        object.__setattr__(self, "mapping", mapping)
+        _set(self, "mapping", mapping)
 
     @property
     def p(self) -> int:
@@ -187,8 +227,7 @@ class Assignment:
         return Assignment(tuple(range(1, p + 1)))
 
 
-@dataclass(frozen=True)
-class SortInstance:
+class SortInstance(Value):
     """n distinct integers spread over p machines.
 
     ``subsets[i-1]`` is machine i's local data. Elements must be distinct
@@ -196,10 +235,10 @@ class SortInstance:
     so duplicates are rejected at construction.
     """
 
-    subsets: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("subsets",)
 
-    def __post_init__(self) -> None:
-        subsets = tuple(tuple(s) for s in self.subsets)
+    def __init__(self, subsets: Sequence[Sequence[int]]) -> None:
+        subsets = tuple(tuple(s) for s in subsets)
         if len(subsets) < 2:
             raise InstanceError("a sort instance needs p > 1 machines")
         seen: set[int] = set()
@@ -212,7 +251,7 @@ class SortInstance:
                     raise InstanceError(
                         f"duplicate element {value} (subset {i + 1}); elements must be distinct")
                 seen.add(value)
-        object.__setattr__(self, "subsets", subsets)
+        _set(self, "subsets", subsets)
 
     @property
     def p(self) -> int:
@@ -227,27 +266,49 @@ class SortInstance:
         return tuple(sorted(v for s in self.subsets for v in s))
 
 
-@dataclass(frozen=True)
-class GopSolution:
+class GopInstance(Value):
+    """A sort instance plus the communication cost matrix of its cluster."""
+
+    __slots__ = _fields = ("inst", "cost")
+
+    def __init__(self, inst: SortInstance, cost: CostMatrix) -> None:
+        if inst.p != cost.p:
+            raise InstanceError(
+                f"dimension mismatch: instance p={inst.p}, cost p={cost.p}")
+        _set(self, "inst", inst)
+        _set(self, "cost", cost)
+
+    @property
+    def p(self) -> int:
+        return self.inst.p
+
+    @property
+    def n(self) -> int:
+        return self.inst.n
+
+
+class GopSolution(Value):
     """A splitter choice plus machine assignment with its cost breakdown.
 
     ``total_cost`` is always ``float(comm_cost) + io_cost``; the redundancy
     is kept so results can be logged and compared without recomputation.
     """
 
-    splitters: tuple[int, ...]
-    assignment: Assignment
-    comm_cost: Rational
-    io_cost: float
-    total_cost: float
+    __slots__ = _fields = ("splitters", "assignment", "comm_cost", "io_cost",
+                           "total_cost")
 
-    def __post_init__(self) -> None:
-        splitters = tuple(self.splitters)
+    def __init__(self, splitters: Sequence[int], assignment: Assignment,
+                 comm_cost: Rational, io_cost: float, total_cost: float) -> None:
+        splitters = tuple(splitters)
         if any(a >= b for a, b in zip(splitters, splitters[1:])):
             raise InstanceError(f"splitters {splitters} are not strictly ascending")
-        if self.total_cost != float(self.comm_cost) + self.io_cost:
+        if total_cost != float(comm_cost) + io_cost:
             raise InstanceError("total_cost must equal comm_cost + io_cost")
-        object.__setattr__(self, "splitters", splitters)
+        _set(self, "splitters", splitters)
+        _set(self, "assignment", assignment)
+        _set(self, "comm_cost", comm_cost)
+        _set(self, "io_cost", io_cost)
+        _set(self, "total_cost", total_cost)
 
 
 def drp_cost(transfer: TransferMatrix, cost: CostMatrix, assignment: Assignment) -> Rational:

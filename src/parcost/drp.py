@@ -12,12 +12,12 @@ the optimum and never less than the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
-from .core import (Assignment, CostMatrix, Rational, TransferMatrix,
-                   _exact_square, as_exact, drp_cost)
+from .core import (Assignment, CostMatrix, Rational, TransferMatrix, Value,
+                   _exact_square, _set, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
 from .lap import AssignmentProblem, drp_to_lap, lap_solve
 
@@ -25,25 +25,24 @@ DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class DrpInstance:
+class DrpInstance(Value):
     """A transfer matrix and a cost matrix of matching size."""
 
-    transfer: TransferMatrix
-    cost: CostMatrix
+    __slots__ = _fields = ("transfer", "cost")
 
-    def __post_init__(self) -> None:
-        if self.transfer.p != self.cost.p:
+    def __init__(self, transfer: TransferMatrix, cost: CostMatrix) -> None:
+        if transfer.p != cost.p:
             raise InstanceError(
-                f"dimension mismatch: transfer p={self.transfer.p}, cost p={self.cost.p}")
+                f"dimension mismatch: transfer p={transfer.p}, cost p={cost.p}")
+        _set(self, "transfer", transfer)
+        _set(self, "cost", cost)
 
     @property
     def p(self) -> int:
         return self.transfer.p
 
 
-@dataclass(frozen=True)
-class TspFbInstance:
+class TspFbInstance(Value):
     """Edge weights of a complete bipartite graph K_{n,n}.
 
     ``weights[i-1][j-1]`` is the weight of the edge between left vertex i and
@@ -51,10 +50,10 @@ class TspFbInstance:
     may be zero (they map onto free local transfers under the reduction).
     """
 
-    weights: tuple[tuple[Rational, ...], ...]
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self) -> None:
-        weights = _exact_square(self.weights, "bipartite tour instance", min_p=2)
+    def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
+        weights = _exact_square(weights, "bipartite tour instance", min_p=2)
         for i, row in enumerate(weights):
             for j, value in enumerate(row):
                 if i != j and value <= 0:
@@ -63,7 +62,7 @@ class TspFbInstance:
                 if value < 0:
                     raise InstanceError(
                         f"weights[{i + 1}][{j + 1}] is negative: {value}")
-        object.__setattr__(self, "weights", weights)
+        _set(self, "weights", weights)
 
     @property
     def n(self) -> int:

@@ -7,38 +7,13 @@ redistribution subproblem with the unit-cost assignment surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 
-from .core import (Assignment, CostMatrix, GopSolution, SortInstance,
+from .constants import DEFAULT_WORK_GUARD
+from .core import (Assignment, GopInstance, GopSolution, SortInstance,
                    derive_transfer_and_load, sort_io_term)
-from .drp import DrpInstance, drp_solve_approx, drp_solve_exact
 from .errors import GuardError, InstanceError
-
-#: Default cap on C(n, p-1) * p!; sized for n <= 14 with p <= 3.
-DEFAULT_WORK_GUARD = 1000
-
-
-@dataclass(frozen=True)
-class GopInstance:
-    """A sort instance plus the communication cost matrix of its cluster."""
-
-    inst: SortInstance
-    cost: CostMatrix
-
-    def __post_init__(self) -> None:
-        if self.inst.p != self.cost.p:
-            raise InstanceError(
-                f"dimension mismatch: instance p={self.inst.p}, cost p={self.cost.p}")
-
-    @property
-    def p(self) -> int:
-        return self.inst.p
-
-    @property
-    def n(self) -> int:
-        return self.inst.n
 
 
 def gop_solve_exact(g: GopInstance,
@@ -105,6 +80,9 @@ def gop_solve_approx(g: GopInstance, exact_assignment: bool = False) -> GopSolut
     matches the plain approximation). Polynomial time either way: both
     subproblem solvers are O(p^3) assignment solves.
     """
+    # imported here, so that gop-exact loads neither drp nor lap
+    from .drp import DrpInstance, drp_solve_approx, drp_solve_exact
+
     inst, cost = g.inst, g.cost
     splitters = equal_splitters(inst)
     transfer, loads = derive_transfer_and_load(inst, splitters)

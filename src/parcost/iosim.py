@@ -20,57 +20,56 @@ so classifications stay model-fair:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
-from .core import (CostMatrix, Rational, SortInstance, as_exact,
+from .core import (CostMatrix, Rational, SortInstance, Value, _set, as_exact,
                    derive_transfer_and_load)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
 
 
-@dataclass(frozen=True)
-class ExternalMemoryConfig:
+class ExternalMemoryConfig(Value):
     """Main-memory capacity in records per machine; external memory is unbounded."""
 
-    main_memory: int
-    machines: int
+    __slots__ = _fields = ("main_memory", "machines")
 
-    def __post_init__(self) -> None:
-        if self.main_memory < 2:
-            raise ParameterError(f"main_memory must be >= 2, got {self.main_memory}")
-        if self.machines < 1:
-            raise ParameterError(f"machines must be >= 1, got {self.machines}")
+    def __init__(self, main_memory: int, machines: int) -> None:
+        if main_memory < 2:
+            raise ParameterError(f"main_memory must be >= 2, got {main_memory}")
+        if machines < 1:
+            raise ParameterError(f"machines must be >= 1, got {machines}")
+        _set(self, "main_memory", main_memory)
+        _set(self, "machines", machines)
 
 
-@dataclass(frozen=True)
-class IoReport:
+class IoReport(Value):
     """Per-phase IO and communication counters from one simulation run.
 
     ``extras`` carries auxiliary read-only figures (analytic cross-checks,
     per-iteration vertex loads) that are not part of the totals.
     """
 
-    phases: tuple[Phase, ...]
-    total_io: int
-    total_comm: Rational
-    extras: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = _fields = ("phases", "total_io", "total_comm", "extras")
 
-    def __post_init__(self) -> None:
+    def __init__(self, phases: Sequence[Phase], total_io: int, total_comm: Rational,
+                 extras: Mapping[str, object] | None = None) -> None:
         phases = tuple((str(label), int(io), as_exact(comm))
-                       for label, io, comm in self.phases)
+                       for label, io, comm in phases)
         for label, io, comm in phases:
             if io < 0 or comm < 0:
                 raise InstanceError(f"phase {label!r} has a negative counter")
-        if self.total_io != sum(io for _, io, _ in phases):
+        if total_io != sum(io for _, io, _ in phases):
             raise InstanceError("total_io must equal the sum of phase IO counters")
-        if self.total_comm != sum(comm for _, _, comm in phases):
+        if total_comm != sum(comm for _, _, comm in phases):
             raise InstanceError("total_comm must equal the sum of phase communication")
-        object.__setattr__(self, "phases", phases)
+        _set(self, "phases", phases)
+        _set(self, "total_io", total_io)
+        _set(self, "total_comm", total_comm)
+        _set(self, "extras", {} if extras is None else extras)
 
     @staticmethod
     def from_phases(phases: Sequence[Phase],
@@ -81,38 +80,37 @@ class IoReport:
         return IoReport(phases, total_io, total_comm, extras or {})
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """An undirected weighted graph on vertices 1..n_vertices."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, Rational], ...]
+    __slots__ = _fields = ("n_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 1:
-            raise InstanceError(f"n_vertices must be >= 1, got {self.n_vertices}")
+    def __init__(self, n_vertices: int,
+                 edges: Sequence[tuple[int, int, Rational]]) -> None:
+        if n_vertices < 1:
+            raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
         seen: set[tuple[int, int]] = set()
-        edges = []
-        for k, (u, v, w) in enumerate(self.edges):
-            if not (1 <= u <= self.n_vertices) or not (1 <= v <= self.n_vertices):
+        checked = []
+        for k, (u, v, w) in enumerate(edges):
+            if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
                 raise InstanceError(
-                    f"edge {k + 1} endpoints ({u},{v}) out of range 1..{self.n_vertices}")
+                    f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}")
             if u == v:
                 raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
             seen.add(key)
-            edges.append((u, v, as_exact(w)))
-        object.__setattr__(self, "edges", tuple(edges))
+            checked.append((u, v, as_exact(w)))
+        _set(self, "n_vertices", n_vertices)
+        _set(self, "edges", tuple(checked))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class FractionalMatchingState:
+class FractionalMatchingState(Value):
     """Final state of the multiplicative-boost fractional matching run.
 
     ``x`` is the per-edge weight, indexed like ``Graph.edges``; the frozen
@@ -120,15 +118,16 @@ class FractionalMatchingState:
     freeze decisions are reproducible bit for bit.
     """
 
-    x: tuple[Rational, ...]
-    frozen_vertices: frozenset[int]
-    frozen_edges: frozenset[int]
-    epsilon: Fraction
+    __slots__ = _fields = ("x", "frozen_vertices", "frozen_edges", "epsilon")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < Fraction(1, 2):
-            raise ParameterError(
-                f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+    def __init__(self, x: tuple[Rational, ...], frozen_vertices: frozenset[int],
+                 frozen_edges: frozenset[int], epsilon: Fraction) -> None:
+        if not 0 < epsilon < Fraction(1, 2):
+            raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+        _set(self, "x", x)
+        _set(self, "frozen_vertices", frozen_vertices)
+        _set(self, "frozen_edges", frozen_edges)
+        _set(self, "epsilon", epsilon)
 
     def vertex_load(self, graph: Graph, v: int) -> Rational:
         """y_v: sum of x over edges incident to v."""

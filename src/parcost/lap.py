@@ -11,18 +11,17 @@ by-column pass over them picks the lexicographically smallest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import Assignment, Rational, TransferMatrix, _exact_square, as_exact
+from .core import (Assignment, Rational, TransferMatrix, Value, _exact_square,
+                   _set, as_exact)
 from .errors import GuardError, InstanceError
 
 DEFAULT_BRUTE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class AssignmentProblem:
+class AssignmentProblem(Value):
     """A p-by-p matrix of non-negative weights.
 
     ``weights[i-1][j-1]`` is the cost of hosting virtual machine j on
@@ -30,16 +29,16 @@ class AssignmentProblem:
     entries, one per column.
     """
 
-    weights: tuple[tuple[Rational, ...], ...]
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self) -> None:
-        weights = _exact_square(self.weights, "assignment problem", min_p=1)
+    def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
+        weights = _exact_square(weights, "assignment problem", min_p=1)
         for i, row in enumerate(weights):
             for j, value in enumerate(row):
                 if value < 0:
                     raise InstanceError(
                         f"weights[{i + 1}][{j + 1}] is negative: {value}")
-        object.__setattr__(self, "weights", weights)
+        _set(self, "weights", weights)
 
     @property
     def p(self) -> int:
