@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -54,17 +55,13 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
 
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
-    if not 0 < cost_low <= cost_high:
-        raise ParameterError(
-            f"need 0 < cost_low <= cost_high, got [{cost_low}, {cost_high}]")
+    _check_cost_range(cost_low, cost_high)
     if mass_max < 1:
         raise ParameterError(f"mass_max must be >= 1, got {mass_max}")
     rng = _rng(seed)
-    cost = [[0 if i == j else rng.randint(cost_low, cost_high)
-             for j in range(p)] for i in range(p)]
+    cost = _random_costs(rng, p, cost_low, cost_high)
     transfer = [[rng.randint(0, mass_max) for _ in range(p)] for _ in range(p)]
-    return DrpInstance(TransferMatrix(tuple(map(tuple, transfer))),
-                       CostMatrix(tuple(map(tuple, cost))))
+    return DrpInstance(TransferMatrix(tuple(map(tuple, transfer))), cost)
 
 
 def gen_gop(n: int, p: int, seed: int | Seed, cost_low: int = 1,
@@ -72,15 +69,26 @@ def gen_gop(n: int, p: int, seed: int | Seed, cost_low: int = 1,
     """n distinct integers spread uniformly over p machines, random cluster costs."""
     if p < 2 or n < p:
         raise ParameterError(f"need n >= p >= 2, got n={n}, p={p}")
+    _check_cost_range(cost_low, cost_high)
     rng = _rng(seed)
     values = rng.sample(range(1, value_span * n + 1), n)
     subsets: list[list[int]] = [[] for _ in range(p)]
     for value in values:
         subsets[rng.randrange(p)].append(value)
-    cost = [[0 if i == j else rng.randint(cost_low, cost_high)
-             for j in range(p)] for i in range(p)]
     return GopInstance(SortInstance(tuple(map(tuple, subsets))),
-                       CostMatrix(tuple(map(tuple, cost))))
+                       _random_costs(rng, p, cost_low, cost_high))
+
+
+def _check_cost_range(cost_low: int, cost_high: int) -> None:
+    if not 0 < cost_low <= cost_high:
+        raise ParameterError(
+            f"need 0 < cost_low <= cost_high, got [{cost_low}, {cost_high}]")
+
+
+def _random_costs(rng: random.Random, p: int, cost_low: int, cost_high: int) -> CostMatrix:
+    """Zero diagonal, integer off-diagonal link costs in [cost_low, cost_high]."""
+    return CostMatrix(tuple(tuple(0 if i == j else rng.randint(cost_low, cost_high)
+                                  for j in range(p)) for i in range(p)))
 
 
 def gen_graph(n: int, m: int, seed: int | Seed, weight_max: int = 100) -> Graph:
@@ -133,8 +141,38 @@ def _num_out(value: Rational) -> int | float:
     return value if isinstance(value, int) else float(value)
 
 
-def _matrix_out(entries) -> list[list[int | float]]:
-    return [[_num_out(v) for v in row] for row in entries]
+def _exact_out(value: Rational) -> int | float | str:
+    """An instance entry as JSON that reads back as the same number: an int,
+    a float when it equals the value exactly, or else the string "num/den"."""
+    value = as_exact(value)
+    if isinstance(value, int):
+        return value
+    try:
+        if float(value) == value:
+            return float(value)
+    except OverflowError:
+        pass
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _exact_in(value: object) -> object:
+    """The inverse of _exact_out: a "num/den" string becomes its Fraction; any
+    other string is refused, and numbers pass on to the instance checks."""
+    if not isinstance(value, str):
+        return value
+    if re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", value) is None:
+        raise InstanceError(f"a numeric string must read \"num/den\", got {value!r}")
+    return Fraction(value)
+
+
+def _matrix_out(entries) -> list[list[int | float | str]]:
+    return [[_exact_out(v) for v in row] for row in entries]
+
+
+def _matrix_in(rows) -> tuple[tuple[object, ...], ...]:
+    # a row without strings is copied as is, which keeps large loads cheap
+    return tuple(tuple(map(_exact_in, row)) if str in map(type, row) else tuple(row)
+                 for row in rows)
 
 
 def drp_to_json(inst: DrpInstance) -> dict:
@@ -149,9 +187,8 @@ def drp_from_json(data: Mapping) -> DrpInstance:
     _require(data, ("p", "transfer", "cost"), "redistribution instance")
     # the loader tolerates positive diagonals so that reduced tour instances
     # (whose weights land on the diagonal too) survive a JSON round trip
-    inst = DrpInstance(TransferMatrix(tuple(map(tuple, data["transfer"]))),
-                       CostMatrix(tuple(map(tuple, data["cost"])),
-                                  allow_nonzero_diagonal=True))
+    inst = DrpInstance(TransferMatrix(_matrix_in(data["transfer"])),
+                       CostMatrix(_matrix_in(data["cost"]), allow_nonzero_diagonal=True))
     if inst.p != data["p"]:
         raise InstanceError(f"field p={data['p']} disagrees with matrix size {inst.p}")
     return inst
@@ -166,7 +203,7 @@ def gop_to_json(g: GopInstance) -> dict:
 def gop_from_json(data: Mapping) -> GopInstance:
     _require(data, ("p", "subsets", "cost"), "sorting instance")
     g = GopInstance(SortInstance(tuple(tuple(s) for s in data["subsets"])),
-                    CostMatrix(tuple(map(tuple, data["cost"]))))
+                    CostMatrix(_matrix_in(data["cost"])))
     if g.p != data["p"]:
         raise InstanceError(f"field p={data['p']} disagrees with subset count {g.p}")
     return g
@@ -174,14 +211,14 @@ def gop_from_json(data: Mapping) -> GopInstance:
 
 def graph_to_json(graph: Graph) -> dict:
     return {"n": graph.n_vertices,
-            "edges": [[u, v, _num_out(w)] for u, v, w in graph.edges]}
+            "edges": [[u, v, _exact_out(w)] for u, v, w in graph.edges]}
 
 
 def graph_from_json(data: Mapping) -> Graph:
     from .iosim import Graph
 
     _require(data, ("n", "edges"), "graph")
-    return Graph(data["n"], tuple((u, v, w) for u, v, w in data["edges"]))
+    return Graph(data["n"], tuple((u, v, _exact_in(w)) for u, v, w in data["edges"]))
 
 
 def tspfb_to_json(tour: TspFbInstance) -> dict:
@@ -192,7 +229,7 @@ def tspfb_from_json(data: Mapping) -> TspFbInstance:
     from .drp import TspFbInstance
 
     _require(data, ("n", "weights"), "bipartite tour instance")
-    tour = TspFbInstance(tuple(map(tuple, data["weights"])))
+    tour = TspFbInstance(_matrix_in(data["weights"]))
     if tour.n != data["n"]:
         raise InstanceError(f"field n={data['n']} disagrees with matrix size {tour.n}")
     return tour
@@ -268,10 +305,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trial_seed(spec: SweepSpec, size: int, trial: int) -> int:
-    return (spec.seed * 1_000_003 + size * 1009 + trial) % (2 ** 64)
-
-
 def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """Run the sweep and return (header, rows) of stringified cells.
 
@@ -280,14 +313,43 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
     A gop-ratio row over the work guard is marked ``skipped`` and the sweep
     continues.
     """
-    runner = {
-        "drp-ratio": _sweep_drp_ratio,
-        "gop-ratio": _sweep_gop_ratio,
-        "terasort-io": _sweep_terasort,
-        "mst-io": _sweep_mst,
-        "mm-io": _sweep_mm,
-    }[spec.kind]
-    return runner(spec)
+    header, defaults, measure = _SWEEPS[spec.kind]
+    settings = {name: default if getattr(spec, name) is None else getattr(spec, name)
+                for name, default in defaults.items()}
+    io_sweep = "classification" in header
+    rows = []
+    max_ratio = 0.0
+    per_size: list[tuple[int, int, int]] = []
+    for size in spec.sizes:
+        par_total = ser_total = 0
+        for trial in range(spec.trials):
+            row = {**settings, header[0]: size, "trial": trial}
+            seed = (spec.seed * 1_000_003 + size * 1009 + trial) % (2 ** 64)
+            try:
+                row.update(measure(spec, size, seed, **settings))
+            except GuardError:
+                row["status"] = "skipped"
+            else:
+                row["status"] = "ok"
+                if io_sweep:
+                    par_total += row["parallel_io"]
+                    ser_total += row["serial_io"]
+                    row["ratio"] = Fraction(row["parallel_io"], row["serial_io"])
+                max_ratio = max(max_ratio, row["ratio"])
+            rows.append(tuple(_fmt(row.get(column)) for column in header))
+        per_size.append((size, par_total, ser_total))
+    summary = {**settings, header[0]: "all", "trial": "summary", "status": "ok",
+               "ratio": max_ratio}
+    if io_sweep:
+        from .iosim import IoOptimality, classify_io_optimality
+
+        summary["ratio"] = max(Fraction(a, b) for _, a, b in per_size)
+        try:
+            summary["classification"] = classify_io_optimality(per_size).value
+        except (GuardError, ParameterError):
+            summary["classification"] = IoOptimality.INCONCLUSIVE.value
+    rows.append(tuple(_fmt(summary.get(column)) for column in header))
+    return header, tuple(rows)
 
 
 def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -300,149 +362,82 @@ def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return out.getvalue()
 
 
-def _sweep_drp_ratio(spec: SweepSpec):
+# A sweep kind's measure function builds one instance for a size and trial
+# seed and returns its cells by column name; run_sweep adds the size, trial,
+# status and summary cells, and for IO kinds each row's ratio. The spec
+# fields a kind defaults are resolved once per sweep and passed to every
+# measure call; one named like a column is printed in every row.
+
+def _measure_drp_ratio(spec: SweepSpec, p: int, seed: int) -> dict:
     from .drp import drp_solve_approx, drp_solve_exact, ratio_bound
 
-    header = ("p", "trial", "status", "exact_cost", "approx_cost",
-              "ratio", "bound", "within_bound")
-    rows = []
-    max_ratio = Fraction(0)
-    for p in spec.sizes:
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec, p, trial)
-            inst = gen_drp(p, spec.cost_low, spec.cost_high, spec.mass_max, seed)
-            _, exact = drp_solve_exact(inst)
-            _, approx = drp_solve_approx(inst)
-            bound = ratio_bound(inst.cost)
-            ratio = Fraction(1) if exact == 0 else Fraction(approx) / Fraction(exact)
-            max_ratio = max(max_ratio, ratio)
-            rows.append((_fmt(p), _fmt(trial), "ok", _fmt(exact), _fmt(approx),
-                         _fmt(ratio), _fmt(bound), _fmt(ratio <= bound)))
-    rows.append(("all", "summary", "ok", "", "", _fmt(max_ratio), "", ""))
-    return header, tuple(rows)
+    inst = gen_drp(p, spec.cost_low, spec.cost_high, spec.mass_max, seed)
+    _, exact = drp_solve_exact(inst)
+    _, approx = drp_solve_approx(inst)
+    bound = ratio_bound(inst.cost)
+    ratio = Fraction(1) if exact == 0 else Fraction(approx) / Fraction(exact)
+    return {"exact_cost": exact, "approx_cost": approx, "ratio": ratio,
+            "bound": bound, "within_bound": ratio <= bound}
 
 
-def _sweep_gop_ratio(spec: SweepSpec):
+def _measure_gop_ratio(spec: SweepSpec, n: int, seed: int, p: int, guard: int) -> dict:
     from .drp import ratio_bound
     from .gopsort import gop_solve_approx, gop_solve_exact
 
-    header = ("n", "p", "trial", "status", "exact_total", "approx_total",
-              "ratio", "bound", "within_bound")
-    p = spec.p or 2
-    rows = []
-    max_ratio = 0.0
-    for n in spec.sizes:
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec, n, trial)
-            try:
-                g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-                exact = gop_solve_exact(g, work_guard=spec.guard or DEFAULT_WORK_GUARD)
-                approx = gop_solve_approx(g)
-            except GuardError:
-                rows.append((_fmt(n), _fmt(p), _fmt(trial), "skipped",
-                             "", "", "", "", ""))
-                continue
-            bound = max(float(ratio_bound(g.cost)), 2.0)
-            ratio = (1.0 if exact.total_cost == 0
-                     else approx.total_cost / exact.total_cost)
-            max_ratio = max(max_ratio, ratio)
-            rows.append((_fmt(n), _fmt(p), _fmt(trial), "ok",
-                         _fmt(exact.total_cost), _fmt(approx.total_cost),
-                         _fmt(ratio), _fmt(bound), _fmt(ratio <= bound + FLOAT_TOLERANCE)))
-    rows.append(("all", _fmt(p), "summary", "ok", "", "", _fmt(max_ratio), "", ""))
-    return header, tuple(rows)
+    g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
+    exact = gop_solve_exact(g, work_guard=guard).total_cost
+    approx = gop_solve_approx(g).total_cost
+    bound = max(float(ratio_bound(g.cost)), 2.0)
+    ratio = 1.0 if exact == 0 else approx / exact
+    return {"exact_total": exact, "approx_total": approx, "ratio": ratio,
+            "bound": bound, "within_bound": ratio <= bound + FLOAT_TOLERANCE}
 
 
-def _sweep_terasort(spec: SweepSpec):
+def _measure_terasort(spec: SweepSpec, n: int, seed: int, p: int, memory: int) -> dict:
     from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
 
-    header = ("n", "trial", "status", "parallel_io", "serial_io", "ratio",
-              "classification")
-    p = spec.p or 4
-    memory = 1000 if spec.memory is None else spec.memory
-    rows = []
-    per_size: list[tuple[int, int, int]] = []
-    for n in spec.sizes:
-        par_total = ser_total = 0
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec, n, trial)
-            g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-            _, report = terasort_simulate(
-                g.inst, ExternalMemoryConfig(memory, p), g.cost)
-            serial = io_sort_count(n, memory)
-            par_total += report.total_io
-            ser_total += serial
-            rows.append((_fmt(n), _fmt(trial), "ok", _fmt(report.total_io),
-                         _fmt(serial), _fmt(Fraction(report.total_io, serial)), ""))
-        per_size.append((n, par_total, ser_total))
-    label = _classify_label(per_size)
-    rows.append(("all", "summary", "ok", "", "",
-                 _fmt(max(Fraction(a, b) for _, a, b in per_size)), label))
-    return header, tuple(rows)
+    g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
+    _, report = terasort_simulate(g.inst, ExternalMemoryConfig(memory, p), g.cost)
+    return {"parallel_io": report.total_io, "serial_io": io_sort_count(n, memory)}
 
 
-def _sweep_mst(spec: SweepSpec):
+def _measure_mst(spec: SweepSpec, n: int, seed: int) -> dict:
     from .iosim import kruskal_serial_io, nowicki_partition_io
 
-    header = ("n", "m", "trial", "status", "parallel_io", "analytic_io",
-              "serial_io", "ratio", "classification")
-    rows = []
-    per_size: list[tuple[int, int, int]] = []
-    for n in spec.sizes:
-        m = math.isqrt(n ** 3)  # floor(n^1.5)
-        memory = n if spec.memory is None else spec.memory
-        par_total = ser_total = 0
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec, n, trial)
-            graph = gen_graph(n, m, seed)
-            report = nowicki_partition_io(graph, memory)
-            serial = kruskal_serial_io(m, memory)
-            par_total += report.total_io
-            ser_total += serial
-            rows.append((_fmt(n), _fmt(m), _fmt(trial), "ok",
-                         _fmt(report.total_io), _fmt(report.extras["analytic_io"]),
-                         _fmt(serial), _fmt(Fraction(report.total_io, serial)), ""))
-        per_size.append((n, par_total, ser_total))
-    label = _classify_label(per_size)
-    rows.append(("all", "", "summary", "ok", "", "", "",
-                 _fmt(max(Fraction(a, b) for _, a, b in per_size)), label))
-    return header, tuple(rows)
+    m = math.isqrt(n ** 3)  # floor(n^1.5)
+    memory = n if spec.memory is None else spec.memory
+    report = nowicki_partition_io(gen_graph(n, m, seed), memory)
+    return {"m": m, "parallel_io": report.total_io,
+            "analytic_io": report.extras["analytic_io"],
+            "serial_io": kruskal_serial_io(m, memory)}
 
 
-def _sweep_mm(spec: SweepSpec):
+def _measure_mm(spec: SweepSpec, n: int, seed: int) -> dict:
     from .iosim import mm_parallel_io_model, mm_serial_run
 
-    header = ("n", "m", "trial", "status", "iterations", "parallel_io",
-              "serial_io", "ratio", "classification")
-    rows = []
-    per_size: list[tuple[int, int, int]] = []
-    for n in spec.sizes:
-        m = min(n * (n - 1) // 2, spec.edge_factor * n)
-        par_total = ser_total = 0
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec, n, trial)
-            graph = gen_graph(n, m, seed)
-            _, serial_report = mm_serial_run(graph, spec.epsilon)
-            parallel_report = mm_parallel_io_model(graph, spec.epsilon)
-            par_total += parallel_report.total_io
-            ser_total += serial_report.total_io
-            rows.append((_fmt(n), _fmt(m), _fmt(trial), "ok",
-                         _fmt(len(serial_report.phases)),
-                         _fmt(parallel_report.total_io),
-                         _fmt(serial_report.total_io),
-                         _fmt(Fraction(parallel_report.total_io,
-                                       serial_report.total_io)), ""))
-        per_size.append((n, par_total, ser_total))
-    label = _classify_label(per_size)
-    rows.append(("all", "", "summary", "ok", "", "", "",
-                 _fmt(max(Fraction(a, b) for _, a, b in per_size)), label))
-    return header, tuple(rows)
+    m = min(n * (n - 1) // 2, spec.edge_factor * n)
+    graph = gen_graph(n, m, seed)
+    _, serial_report = mm_serial_run(graph, spec.epsilon)
+    return {"m": m, "iterations": len(serial_report.phases),
+            "parallel_io": mm_parallel_io_model(graph, spec.epsilon).total_io,
+            "serial_io": serial_report.total_io}
 
 
-def _classify_label(per_size: Sequence[tuple[int, int, int]]) -> str:
-    from .iosim import IoOptimality, classify_io_optimality
-
-    try:
-        return classify_io_optimality(per_size).value
-    except (GuardError, ParameterError):
-        return IoOptimality.INCONCLUSIVE.value
+# kind -> (header, spec field defaults, measure), in constants.SWEEP_KINDS order
+_SWEEPS = {
+    "drp-ratio": (("p", "trial", "status", "exact_cost", "approx_cost",
+                   "ratio", "bound", "within_bound"),
+                  {}, _measure_drp_ratio),
+    "gop-ratio": (("n", "p", "trial", "status", "exact_total", "approx_total",
+                   "ratio", "bound", "within_bound"),
+                  {"p": 2, "guard": DEFAULT_WORK_GUARD}, _measure_gop_ratio),
+    "terasort-io": (("n", "trial", "status", "parallel_io", "serial_io", "ratio",
+                     "classification"),
+                    {"p": 4, "memory": 1000}, _measure_terasort),
+    "mst-io": (("n", "m", "trial", "status", "parallel_io", "analytic_io",
+                "serial_io", "ratio", "classification"),
+               {}, _measure_mst),
+    "mm-io": (("n", "m", "trial", "status", "iterations", "parallel_io",
+               "serial_io", "ratio", "classification"),
+              {}, _measure_mm),
+}

@@ -1,6 +1,12 @@
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 
-from parcost import ParameterError
+from parcost import (CostMatrix, DrpInstance, ParameterError, TransferMatrix,
+                     bench)
+from parcost.constants import SWEEP_KINDS
 from parcost.bench import (Seed, SweepSpec, drp_from_json, drp_to_json,
                            dumps_canonical, gen_drp, gen_gop, gen_graph,
                            gen_tspfb, gop_from_json, gop_to_json,
@@ -87,6 +93,23 @@ class TestRoundTrips:
             drp_from_json({"p": 3, "transfer": [[0, 1], [1, 0]],
                            "cost": [[0, 1], [1, 0]]})
 
+    def test_non_float_rationals_are_num_den_strings(self):
+        inst = DrpInstance(TransferMatrix([[0, Fraction(1, 3)], [0.5, 3]]),
+                           CostMatrix([[0, 0.1], [Fraction(10 ** 400, 3), 0]]))
+        data = json.loads(dumps_canonical(drp_to_json(inst)))
+        assert data["transfer"] == [[0, "1/3"], [0.5, 3]]
+        assert data["cost"] == [[0, 0.1], [f"{10 ** 400}/3", 0]]
+        assert drp_from_json(data) == inst
+
+    @pytest.mark.parametrize("text", ["0.5", "1/0", "1/-3", "+1/3", " 1/3", "1/3 ",
+                                      "1.0/3", "1e3", "", "one"])
+    def test_other_strings_are_refused(self, text):
+        with pytest.raises(InstanceError, match="num/den"):
+            drp_from_json({"p": 2, "transfer": [[0, text], [1, 0]],
+                           "cost": [[0, 1], [1, 0]]})
+        with pytest.raises(InstanceError, match="num/den"):
+            graph_from_json({"n": 2, "edges": [[1, 2, text]]})
+
 
 class TestSweeps:
     def test_spec_validation(self):
@@ -156,6 +179,9 @@ class TestSweeps:
                                            seed=3, memory=1000))
         assert rows[-1][header.index("classification")] == "super-io-optimal"
 
+    def test_table_kinds_are_the_parser_choices(self):
+        assert tuple(bench._SWEEPS) == SWEEP_KINDS
+
     def test_reproducible_csv_bytes(self):
         spec = SweepSpec(kind="terasort-io", sizes=(1000, 2000, 4000),
                          seed=11, memory=100)
@@ -163,3 +189,52 @@ class TestSweeps:
         b = sweep_to_csv(*run_sweep(spec))
         assert a == b
         assert a.splitlines()[0] == "n,trial,status,parallel_io,serial_io,ratio,classification"
+
+
+# SHA-256 of each case's CSV bytes, so that no change to the sweep loop can
+# alter a table unnoticed. The cases cover every kind, trials > 1, skipped
+# gop-ratio rows, an all-skipped gop-ratio summary and each classification
+# label.
+SWEEP_PINS = [
+    (dict(kind="drp-ratio", sizes=(2, 3, 4), trials=2, seed=5),
+     "f11d1717b8e60a06104953c58ecdcdd83ed54172154b9da94b58658d07f7160f"),
+    (dict(kind="drp-ratio", sizes=(3, 5), seed=1, cost_low=2, cost_high=4, mass_max=7),
+     "c3ebac1c813200677d65e1139ea364a18c84e853a4de8b16c8fccb1c5a3a6f6a"),
+    (dict(kind="gop-ratio", sizes=(4, 30), seed=5, p=3),
+     "0aa6b479d046f1b602fcf5f6e48dd3faff117bb317c4ab1f55bd9120277629a4"),
+    (dict(kind="gop-ratio", sizes=(30, 40), seed=5, p=3),
+     "29022edb22327c4a3b5c68ffaf07c9995279ce661074a1a849dead106eb98c82"),
+    (dict(kind="gop-ratio", sizes=(6, 8), trials=2, seed=9, guard=10 ** 4),
+     "b1213c8ed53c89cd559e1ba49f1a4db6a42b54b7546b5c98e5a502e8e28777e4"),
+    (dict(kind="terasort-io", sizes=(1000, 2000, 4000), trials=2, seed=11, memory=100),
+     "a135004ed67582686c0c598da0e35e9fa99200a36adfc4afdb7034b4f139f04e"),
+    (dict(kind="terasort-io", sizes=(1000, 2000), seed=0),
+     "9bb81d6cff3d308605943d85db8a9f878c3a0f6e0bd2e94305f4d16de9ce19cb"),
+    (dict(kind="terasort-io", sizes=(500, 1000), seed=2, p=3, memory=50),
+     "5a8e603a0704594b12f5280811d3be8f1b7f6b05f9985e28469f1f4f055560f5"),
+    (dict(kind="mst-io", sizes=(32, 64, 128), trials=2, seed=3),
+     "27e50e603e21de0b9c3f144eba301ddd728f1c697fb8502347504c9b5398b243"),
+    (dict(kind="mst-io", sizes=(32, 64), seed=3, memory=16),
+     "109ea9f74554c866558b9df3caae64da26ed1fce4ee074708c3c73ef9580a8a8"),
+    (dict(kind="mm-io", sizes=(12, 24, 48), trials=2, seed=3),
+     "433636082d4683fcf08853cc471c2cbddcc90969ff96cf0ed525d10943259521"),
+    (dict(kind="mm-io", sizes=(10, 20), seed=4, edge_factor=2, epsilon=Fraction(1, 5)),
+     "e5c0618b9d92c661067f16e151d1f7ce2b98dc3e071635f3a717c04b1f5e35dd"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", SWEEP_PINS,
+                         ids=[f"{s['kind']}-{i}" for i, (s, _) in enumerate(SWEEP_PINS)])
+def test_sweep_csv_bytes_are_pinned(spec, digest):
+    csv = sweep_to_csv(*run_sweep(SweepSpec(**spec)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_sweep_json_bytes_are_pinned(capsys):
+    from parcost.cli import main
+
+    assert main(["sweep", "--kind", "gop-ratio", "--sizes", "4,30", "--p", "3",
+                 "--seed", "5", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7860b9c02f2d031b064498178acf77b42a239620d0561a868ec0a23c113d1574")

@@ -32,6 +32,16 @@ class TestSolverCommands:
         assert code == 0
         assert json.loads(out) == {"mapping": [2, 1], "cost": 0, "ratio_bound": 9}
 
+    def test_result_numbers_stay_floats(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json",
+                          {"p": 2, "transfer": [["1/3", 1], [2, "2/3"]],
+                           "cost": [[0, 10], [3, 0]]})
+        code, out, _ = run_cli(capsys, "drp-approx", "--input", path)
+        assert code == 0
+        # result fields are plain JSON numbers: 16/3 and 10/3 print as floats
+        assert out == ('{"cost":5.333333333333333,"mapping":[2,1],'
+                       '"ratio_bound":3.3333333333333335}\n')
+
     def test_gop_exact(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json",
                           {"p": 2, "subsets": [[3, 4], [1, 2]],
@@ -164,6 +174,18 @@ class TestSweepAndGen:
             assert code == 0
             assert json.loads(out) == {"valid": True, "kind": kind}
 
+    def test_gen_rejects_bad_cost_ranges(self, capsys):
+        # a [0, 1] range draws only 1s on some seeds (3 and 6 for gop), so
+        # the range itself is refused, whatever the seed
+        for kind, size in (("drp", ()), ("gop", ("--n", "4"))):
+            for low, high in (("0", "1"), ("5", "2")):
+                for seed in range(8):
+                    code, out, err = run_cli(capsys, "gen", "--kind", kind, "--p", "2",
+                                             *size, "--cost-low", low,
+                                             "--cost-high", high, "--seed", str(seed))
+                    assert (code, out) == (2, "")
+                    assert f"need 0 < cost_low <= cost_high, got [{low}, {high}]" in err
+
     def test_gen_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "gen", "--kind", "drp", "--seed", "9")
         _, second, _ = run_cli(capsys, "gen", "--kind", "drp", "--seed", "9")
@@ -178,6 +200,13 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "validate", "--input", path)
         assert code == 2
         assert "cost[1][2]" in err
+
+    def test_numeric_strings_must_be_num_den(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {"p": 2, "transfer": [[0, "0.5"], [3, 0]],
+                                               "cost": [[0, 1], [1, 0]]})
+        code, out, err = run_cli(capsys, "validate", "--input", path)
+        assert (code, out) == (2, "")
+        assert "num/den" in err
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,7 +1,9 @@
 """Property-based checks of the assignment and exact redistribution solvers
 against their brute-force oracles, of the matching runs against their
-Fraction oracles, and of the IO simulators' invariants."""
+Fraction oracles, of the IO simulators' invariants, and of the instance JSON
+round trip."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
-                     ExternalMemoryConfig, Graph, IoReport, SortInstance,
-                     TransferMatrix, drp_brute, drp_cost, drp_solve_approx,
+                     ExternalMemoryConfig, GopInstance, Graph, IoReport,
+                     SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, lap_brute, lap_solve, ratio_bound,
                      terasort_simulate)
+from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
+                           dumps_canonical, gop_from_json, gop_to_json,
+                           graph_from_json, graph_to_json, tspfb_from_json,
+                           tspfb_to_json)
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
                         buffer_terasort_simulate)
 
@@ -133,3 +139,43 @@ def test_io_report_totals_are_the_phase_sums(phases):
     assert report.total_io == sum(io for _, io, _ in phases)
     assert report.total_comm == sum(comm for _, _, comm in phases)
     assert report.phases == tuple(phases)
+
+
+# Entries that JSON cannot hold as a number without loss (1/3), that it can
+# (0.5, 0.1 as the binary fraction it denotes), subnormal and integral floats,
+# and fractions too large for a float.
+non_negative = st.one_of(
+    st.integers(0, 10 ** 20),
+    st.fractions(min_value=0, max_denominator=10 ** 6),
+    st.floats(min_value=0, allow_infinity=False),
+    st.builds(Fraction, st.integers(10 ** 320, 10 ** 330), st.integers(1, 99)))
+positive = non_negative.filter(lambda x: x > 0)
+
+
+@st.composite
+def json_instances(draw, max_p=4):
+    """One instance of each of the four kinds, with mixed numeric entries."""
+    p = draw(st.integers(2, max_p))
+    square = [[draw(non_negative if i == j else positive) for j in range(p)]
+              for i in range(p)]
+    cost = CostMatrix([[0 if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(square)])
+    transfer = TransferMatrix([[draw(non_negative) for _ in range(p)] for _ in range(p)])
+    values = draw(st.lists(st.integers(-50, 50), min_size=p, max_size=12, unique=True))
+    subsets = tuple(tuple(values[i::p]) for i in range(p))
+    pairs = [(u, v) for u in range(1, p + 2) for v in range(u + 1, p + 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return (
+        (DrpInstance(transfer, cost), drp_to_json, drp_from_json),
+        (GopInstance(SortInstance(subsets), cost), gop_to_json, gop_from_json),
+        (Graph(p + 1, tuple((u, v, draw(non_negative)) for u, v in edges)),
+         graph_to_json, graph_from_json),
+        (TspFbInstance(square), tspfb_to_json, tspfb_from_json),
+    )
+
+
+@settings(deadline=None)
+@given(json_instances())
+def test_instance_json_round_trip_is_exact(instances):
+    for inst, to_json, from_json in instances:
+        assert from_json(json.loads(dumps_canonical(to_json(inst)))) == inst
