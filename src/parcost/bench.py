@@ -169,10 +169,13 @@ def _matrix_out(entries) -> list[list[int | float | str]]:
     return [[_exact_out(v) for v in row] for row in entries]
 
 
-def _matrix_in(rows) -> tuple[tuple[object, ...], ...]:
-    # a row without strings is copied as is, which keeps large loads cheap
-    return tuple(tuple(map(_exact_in, row)) if str in map(type, row) else tuple(row)
-                 for row in rows)
+def _matrix_in(rows) -> object:
+    # a row without strings passes on as is, which keeps large loads cheap;
+    # the matrix constructors check the shape and name a bad row
+    if not isinstance(rows, list):
+        return rows
+    return [list(map(_exact_in, row)) if isinstance(row, list) and str in map(type, row)
+            else row for row in rows]
 
 
 def drp_to_json(inst: DrpInstance) -> dict:
@@ -202,7 +205,7 @@ def gop_to_json(g: GopInstance) -> dict:
 
 def gop_from_json(data: Mapping) -> GopInstance:
     _require(data, ("p", "subsets", "cost"), "sorting instance")
-    g = GopInstance(SortInstance(tuple(tuple(s) for s in data["subsets"])),
+    g = GopInstance(SortInstance(data["subsets"]),
                     CostMatrix(_matrix_in(data["cost"])))
     if g.p != data["p"]:
         raise InstanceError(f"field p={data['p']} disagrees with subset count {g.p}")

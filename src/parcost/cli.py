@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     except (InstanceError, ParameterError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .errors import InstanceError
@@ -50,17 +51,36 @@ def as_exact(value: object) -> Rational:
 
 def _exact_square(rows: Sequence[Sequence[object]], what: str,
                   min_p: int = 1) -> tuple[tuple[Rational, ...], ...]:
-    """Validate and convert a square matrix of numbers."""
+    """Validate and convert a square matrix of numbers.
+
+    A row of plain ``int`` entries (``bool`` excluded) is already exact and
+    is copied as it is; any other row goes through ``as_exact`` entry by entry.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceError(f"{what} must be a list of rows, got {rows!r}")
     p = len(rows)
     if p < min_p:
         raise InstanceError(f"{what} needs at least {min_p} machines, got {p}")
     out = []
     for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InstanceError(f"{what} row {i + 1} is not a list: {row!r}")
         if len(row) != p:
             raise InstanceError(
                 f"{what} row {i + 1} has {len(row)} entries, expected {p}")
-        out.append(tuple(as_exact(x) for x in row))
+        if set(map(type, row)) <= {int}:
+            out.append(tuple(row))
+        else:
+            out.append(tuple(as_exact(x) for x in row))
     return tuple(out)
+
+
+def _check_non_negative(entries: tuple[tuple[Rational, ...], ...], name: str) -> None:
+    """Raise on the first negative entry in row-major order."""
+    for i, row in enumerate(entries):
+        if min(row) < 0:
+            j = next(j for j, value in enumerate(row) if value < 0)
+            raise InstanceError(f"{name}[{i + 1}][{j + 1}] is negative: {row[j]}")
 
 
 _set = object.__setattr__
@@ -125,6 +145,10 @@ class CostMatrix(Value):
                  allow_nonzero_diagonal: bool = False) -> None:
         entries = _exact_square(entries, "cost matrix", min_p=2)
         for i, row in enumerate(entries):
+            diagonal = row[i]
+            if (min(row[:i] + row[i + 1:]) > 0
+                    and (diagonal == 0 or allow_nonzero_diagonal and diagonal > 0)):
+                continue  # the common case: one check per row, no entry loop
             for j, value in enumerate(row):
                 if i == j:
                     if value != 0 and not allow_nonzero_diagonal:
@@ -148,8 +172,8 @@ class CostMatrix(Value):
         return self.entries[i - 1][j - 1]
 
     def off_diagonal(self) -> tuple[Rational, ...]:
-        return tuple(v for i, row in enumerate(self.entries)
-                     for j, v in enumerate(row) if i != j)
+        return tuple(chain.from_iterable(row[:i] + row[i + 1:]
+                                         for i, row in enumerate(self.entries)))
 
     @property
     def max_off_diagonal(self) -> Rational:
@@ -171,11 +195,7 @@ class TransferMatrix(Value):
 
     def __init__(self, entries: Sequence[Sequence[Rational]]) -> None:
         entries = _exact_square(entries, "transfer matrix", min_p=1)
-        for i, row in enumerate(entries):
-            for j, value in enumerate(row):
-                if value < 0:
-                    raise InstanceError(
-                        f"transfer[{i + 1}][{j + 1}] is negative: {value}")
+        _check_non_negative(entries, "transfer")
         _set(self, "entries", entries)
 
     @property
@@ -187,8 +207,7 @@ class TransferMatrix(Value):
         return self.entries[i - 1][j - 1]
 
     def column_sums(self) -> tuple[Rational, ...]:
-        return tuple(sum(row[j] for row in self.entries)
-                     for j in range(self.p))
+        return tuple(map(sum, zip(*self.entries)))
 
     @property
     def total_mass(self) -> Rational:
@@ -238,19 +257,28 @@ class SortInstance(Value):
     __slots__ = _fields = ("subsets",)
 
     def __init__(self, subsets: Sequence[Sequence[int]]) -> None:
-        subsets = tuple(tuple(s) for s in subsets)
+        if not isinstance(subsets, (list, tuple)):
+            raise InstanceError(f"subsets must be a list of lists, got {subsets!r}")
+        for i, subset in enumerate(subsets):
+            if not isinstance(subset, (list, tuple)):
+                raise InstanceError(f"subset {i + 1} is not a list: {subset!r}")
+        subsets = tuple(map(tuple, subsets))
         if len(subsets) < 2:
             raise InstanceError("a sort instance needs p > 1 machines")
-        seen: set[int] = set()
-        for i, subset in enumerate(subsets):
-            for value in subset:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise InstanceError(
-                        f"subset {i + 1} holds a non-integer value: {value!r}")
-                if value in seen:
-                    raise InstanceError(
-                        f"duplicate element {value} (subset {i + 1}); elements must be distinct")
-                seen.add(value)
+        # set builtins check the common case; the loop below only names the
+        # first bad element, or passes int subclasses other than bool
+        if (not set(map(type, chain.from_iterable(subsets))) <= {int}
+                or len(set(chain.from_iterable(subsets))) != sum(map(len, subsets))):
+            seen: set[int] = set()
+            for i, subset in enumerate(subsets):
+                for value in subset:
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise InstanceError(
+                            f"subset {i + 1} holds a non-integer value: {value!r}")
+                    if value in seen:
+                        raise InstanceError(
+                            f"duplicate element {value} (subset {i + 1}); elements must be distinct")
+                    seen.add(value)
         _set(self, "subsets", subsets)
 
     @property

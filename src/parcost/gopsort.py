@@ -23,7 +23,9 @@ def gop_solve_exact(g: GopInstance,
     Splitter sets are drawn from the instance's elements in ascending
     lexicographic order and assignments in lexicographic mapping order;
     only strict improvements replace the incumbent, so ties resolve to the
-    smallest splitter sequence and then the smallest mapping.
+    smallest splitter sequence and then the smallest mapping. A splitter set
+    whose IO term plus its cheapest-host communication cannot beat the
+    incumbent is skipped without trying its assignments.
     """
     inst, cost = g.inst, g.cost
     n, p = inst.n, inst.p
@@ -46,7 +48,13 @@ def gop_solve_exact(g: GopInstance,
         cuts = (0, *(t + 1 for t in ranks), n)
         bounds = tuple(zip(cuts, cuts[1:]))
         io = sort_io_term([b - a for a, b in bounds])
+        # float() and + io are monotone, so no mapping beats the incumbent
+        # strictly when every interval on its cheapest host does not
+        if best is not None and io >= best.total_cost:
+            continue
         weights = [[w[b] - w[a] for w in prefix] for a, b in bounds]
+        if best is not None and float(sum(map(min, weights))) + io >= best.total_cost:
+            continue
         for perm in perms:
             comm = sum(map(list.__getitem__, weights, perm))
             total = float(comm) + io

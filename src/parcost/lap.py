@@ -14,8 +14,8 @@ import math
 from itertools import permutations
 from typing import Sequence
 
-from .core import (Assignment, Rational, TransferMatrix, Value, _exact_square,
-                   _set, as_exact)
+from .core import (Assignment, Rational, TransferMatrix, Value,
+                   _check_non_negative, _exact_square, _set, as_exact)
 from .errors import GuardError, InstanceError
 
 DEFAULT_BRUTE_LIMIT = 10
@@ -33,11 +33,7 @@ class AssignmentProblem(Value):
 
     def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
         weights = _exact_square(weights, "assignment problem", min_p=1)
-        for i, row in enumerate(weights):
-            for j, value in enumerate(row):
-                if value < 0:
-                    raise InstanceError(
-                        f"weights[{i + 1}][{j + 1}] is negative: {value}")
+        _check_non_negative(weights, "weights")
         _set(self, "weights", weights)
 
     @property
@@ -69,6 +65,13 @@ def _hungarian(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[int], lis
     and optimal duals with ``cost[i][j] >= u[i] + v[j]`` everywhere and
     equality on every matched edge. O(p^3) steps on plain Python integers.
 
+    The start is the reduction of Jonker and Volgenant (Computing, 1987):
+    ``v[j]`` is column j's minimum, and the column takes the first row that
+    attains it if that row is still free; each row left unmatched then gets
+    ``u[i]`` as its smallest reduced cost and takes the first free column
+    tight on it. The duals are feasible and every matched edge is tight, so
+    only the rows still unmatched need an augmenting phase.
+
     Each phase adds one row and grows a Dijkstra tree over the columns. The
     dual updates of a phase are deferred: ``minv`` holds reduced distances
     offset by ``dist``, the length of the tree so far, and every column that
@@ -81,7 +84,25 @@ def _hungarian(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[int], lis
     v = [0] * (n + 1)  # column n is each phase's root
     match = [-1] * (n + 1)  # match[j] = row currently assigned to column j
     way = [0] * (n + 1)
-    for i in range(n):
+    taken = [False] * n  # taken[i]: row i is matched
+    for j, column in enumerate(zip(*cost)):
+        v[j] = low = min(column)
+        i = column.index(low)
+        if not taken[i]:
+            taken[i] = True
+            match[j] = i
+    unmatched = []
+    for i, row in enumerate(cost):
+        if taken[i]:
+            continue
+        reduced = [c - w for c, w in zip(row, v)]
+        u[i] = low = min(reduced)
+        j = next((j for j, r in enumerate(reduced) if r == low and match[j] < 0), -1)
+        if j < 0:
+            unmatched.append(i)
+        else:
+            match[j] = i
+    for i in unmatched:
         match[n] = i
         j0 = n
         dist = 0
@@ -215,7 +236,5 @@ def drp_to_lap(transfer: TransferMatrix) -> AssignmentProblem:
     that has to move at all. Weights are non-negative by construction.
     """
     sums = transfer.column_sums()
-    p = transfer.p
-    weights = tuple(tuple(sums[j] - transfer.entries[i][j] for j in range(p))
-                    for i in range(p))
-    return AssignmentProblem(weights)
+    return AssignmentProblem([[s - t for s, t in zip(sums, row)]
+                              for row in transfer.entries])

@@ -208,6 +208,29 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert "num/den" in err
 
+    def test_result_too_large_for_a_float_is_bad_input(self, tmp_path, capsys):
+        # the ratio bound 3*10^400/7 is a fraction no JSON float can hold
+        path = write_json(tmp_path, "t.json", {"p": 2, "transfer": [[0, 1], [1, 0]],
+                                               "cost": [[0, 3 * 10 ** 400], [7, 0]]})
+        code, out, err = run_cli(capsys, "drp-approx", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: ")
+
+    def test_a_row_that_is_not_a_list_is_named(self, tmp_path, capsys):
+        for data, named in (
+                ({"p": 2, "transfer": [1, 2], "cost": [[0, 1], [1, 0]]},
+                 "transfer matrix row 1 is not a list"),
+                ({"p": 2, "transfer": [[0, 1], [1, 0]], "cost": [[0, 1], "10"]},
+                 "cost matrix row 2 is not a list"),
+                ({"p": 2, "transfer": 5, "cost": [[0, 1], [1, 0]]},
+                 "transfer matrix must be a list of rows"),
+                ({"p": 2, "subsets": [[1, 2], 3], "cost": [[0, 1], [1, 0]]},
+                 "subset 2 is not a list")):
+            path = write_json(tmp_path, "t.json", data)
+            code, out, err = run_cli(capsys, "validate", "--input", path)
+            assert (code, out) == (2, "")
+            assert f"invalid input: {named}" in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"p": 2,\n  "transfer": [[0, 1],\n}')

@@ -1,11 +1,13 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
-from parcost import (Assignment, CostMatrix, InstanceError, SortInstance,
-                     TransferMatrix, as_exact, derive_transfer_and_load,
-                     drp_cost, gop_objective, sort_io_term)
+from parcost import (Assignment, AssignmentProblem, CostMatrix, InstanceError,
+                     SortInstance, TransferMatrix, as_exact,
+                     derive_transfer_and_load, drp_cost, gop_objective,
+                     sort_io_term)
 
 
 def test_as_exact_variants():
@@ -78,6 +80,62 @@ class TestAssignment:
             Assignment(mapping)
 
 
+def first_error(make, *args):
+    try:
+        make(*args)
+    except InstanceError as exc:
+        return str(exc)
+    return None
+
+
+def entry_by_entry(rows, allow_nonzero_diagonal):
+    """The first cost-matrix error in row-major order, entry by entry."""
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if i == j and value != 0 and not allow_nonzero_diagonal:
+                return f"cost[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}"
+            if i == j and value < 0:
+                return f"cost[{i + 1}][{j + 1}] is negative: {value}"
+            if i != j and value <= 0:
+                return f"cost[{i + 1}][{j + 1}] must be positive off the diagonal, got {value}"
+    return None
+
+
+class TestFirstBadEntryIsNamed:
+    """The validators check whole rows at once; a failing row must still name
+    the first bad entry in row-major order, as an entry-by-entry scan does."""
+
+    def test_cost_matrix(self):
+        rng = random.Random(47)
+        for _ in range(400):
+            p = rng.randint(2, 5)
+            rows = [[rng.choice((0, 1, 2, -1, Fraction(1, 2))) for _ in range(p)]
+                    for _ in range(p)]
+            for allow in (False, True):
+                assert (first_error(CostMatrix, rows, allow)
+                        == entry_by_entry(rows, allow))
+
+    @pytest.mark.parametrize("make, name", [(TransferMatrix, "transfer"),
+                                            (AssignmentProblem, "weights")])
+    def test_negative_entries(self, make, name):
+        rng = random.Random(53)
+        for _ in range(200):
+            p = rng.randint(1, 5)
+            rows = [[rng.choice((0, 3, -1, Fraction(-1, 3))) for _ in range(p)]
+                    for _ in range(p)]
+            bad = [(i, j) for i in range(p) for j in range(p) if rows[i][j] < 0]
+            expected = (f"{name}[{bad[0][0] + 1}][{bad[0][1] + 1}] is negative: "
+                        f"{rows[bad[0][0]][bad[0][1]]}" if bad else None)
+            assert first_error(make, rows) == expected
+
+    def test_mixed_rows_convert_entry_by_entry(self):
+        m = TransferMatrix([[1, 0.5], [Fraction(4, 2), 3]])
+        assert m.entries == ((1, Fraction(1, 2)), (2, 3))
+        assert type(m.entries[1][0]) is int
+        with pytest.raises(InstanceError, match="booleans"):
+            TransferMatrix([[1, True], [0, 1]])
+
+
 class TestSortInstance:
     def test_basic(self):
         inst = SortInstance(((3, 1), (2,)))
@@ -96,6 +154,16 @@ class TestSortInstance:
     def test_rejects_non_integers(self):
         with pytest.raises(InstanceError):
             SortInstance(((1.5, 2), (3,)))
+
+    def test_names_the_first_bad_element(self):
+        assert (first_error(SortInstance, ((1, 2), (3, True), (2, "x")))
+                == "subset 2 holds a non-integer value: True")
+        assert (first_error(SortInstance, ((1, 2), (3, 4), (4, 1)))
+                == "duplicate element 4 (subset 3); elements must be distinct")
+
+    def test_int_subclasses_other_than_bool_pass(self):
+        Rank = IntEnum("Rank", "LOW HIGH")
+        assert SortInstance(((Rank.LOW, 5), (Rank.HIGH,))).n == 3
 
 
 UNIT_COST = CostMatrix([[0, 1], [1, 0]])

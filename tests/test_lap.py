@@ -8,6 +8,8 @@ import pytest
 from parcost import (Assignment, AssignmentProblem, GuardError, InstanceError,
                      TransferMatrix, assignment_cost, drp_to_lap, lap_brute,
                      lap_solve)
+from parcost.bench import gen_drp
+from parcost.lap import _hungarian, _integer_weights
 
 
 def random_problem(rng, p, top=15):
@@ -149,6 +151,66 @@ class TestTieBreakAtScale:
         for _ in range(100):
             prob = random_problem(rng, rng.randint(1, 6), top=rng.choice((0, 1, 3)))
             assert encoded_lap_solve(prob) == lap_brute(prob)
+
+
+def surrogate(p, seed):
+    return drp_to_lap(gen_drp(p, 1, 10, 20, seed).transfer)
+
+
+class TestDualCertificate:
+    """_hungarian's contract, whatever the start: a perfect matching and
+    duals with cost >= u + v everywhere and equality on every matched edge,
+    which together prove the matching optimal."""
+
+    @staticmethod
+    def assert_certified(cost):
+        n = len(cost)
+        col_to_row, u, v = _hungarian(cost)
+        assert sorted(col_to_row) == list(range(n))
+        for i, row in enumerate(cost):
+            for j, c in enumerate(row):
+                assert c >= u[i] + v[j]
+        for j, i in enumerate(col_to_row):
+            assert cost[i][j] == u[i] + v[j]
+
+    def test_single_machine(self):
+        self.assert_certified([[7]])
+
+    @pytest.mark.parametrize("p", [2, 5, 40])
+    def test_all_equal(self, p):
+        self.assert_certified([[3] * p for _ in range(p)])
+
+    @pytest.mark.parametrize("p", [2, 5, 40])
+    def test_column_minima_all_in_one_row(self, p):
+        # the column reduction can match one column only, so the row
+        # reduction and the augmenting phases do the rest
+        rng = random.Random(p)
+        cost = [[rng.randint(1, 9) for _ in range(p)] for _ in range(p)]
+        cost[p // 2] = [0] * p
+        self.assert_certified(cost)
+
+    @pytest.mark.parametrize("p", [3, 30])
+    def test_fraction_scaled_weights(self, p):
+        rng = random.Random(p)
+        weights = [[Fraction(rng.randint(0, 5), rng.choice((1, 2, 3, 7)))
+                    for _ in range(p)] for _ in range(p)]
+        self.assert_certified(_integer_weights(weights))
+
+    def test_random_small(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            p = rng.randint(1, 8)
+            top = rng.choice((0, 1, 3, 50))
+            self.assert_certified([[rng.randint(0, top) for _ in range(p)]
+                                   for _ in range(p)])
+
+    def test_surrogate_at_scale(self):
+        self.assert_certified(surrogate(150, 1).weights)
+
+
+def test_surrogate_at_scale_matches_encoded_oracle():
+    prob = surrogate(150, 1)
+    assert lap_solve(prob) == encoded_lap_solve(prob)
 
 
 class TestLapBrute:

@@ -1,5 +1,5 @@
-"""Property-based checks of the assignment and exact redistribution solvers
-against their brute-force oracles, of the matching runs against their
+"""Property-based checks of the assignment, exact redistribution and exact
+splitter solvers against their brute-force oracles, of the matching runs against their
 Fraction oracles, of the IO simulators' invariants, and of the instance JSON
 round trip."""
 
@@ -15,12 +15,13 @@ from hypothesis import strategies as st  # noqa: E402
 from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      ExternalMemoryConfig, GopInstance, Graph, IoReport,
                      SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
-                     drp_solve_exact, lap_brute, lap_solve, ratio_bound,
-                     terasort_simulate)
+                     drp_solve_exact, gop_solve_exact, lap_brute, lap_solve,
+                     ratio_bound, terasort_simulate)
 from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
                            dumps_canonical, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
+from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
                         buffer_terasort_simulate)
 
@@ -81,6 +82,33 @@ def test_exact_le_approx_le_bound_times_exact(inst):
     _, exact = drp_solve_exact(inst)
     _, approx = drp_solve_approx(inst)
     assert exact <= approx <= ratio_bound(inst.cost) * exact
+
+
+@st.composite
+def tied_gop_instances(draw):
+    """Sort instances whose splitter sets tie often: uniform link costs, or
+    costs of 1 and 2, and values that are consecutive or nearly so."""
+    p = draw(st.integers(2, 4))
+    n = draw(st.integers(p, 9))
+    values = draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n, unique=True))
+    owners = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    subsets = tuple(tuple(v for v, o in zip(values, owners) if o == i)
+                    for i in range(p))
+    if draw(st.booleans()):
+        link = st.just(draw(st.integers(1, 3)))
+    else:
+        link = st.integers(1, 2)
+    cost = [[0 if i == j else draw(link) for j in range(p)] for i in range(p)]
+    return GopInstance(SortInstance(subsets), CostMatrix(cost))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_gop_instances())
+def test_gop_exact_matches_oracle_under_ties(g):
+    # the skipped splitter sets must not change which tie wins
+    solution = gop_solve_exact(g, work_guard=10 ** 6)
+    assert ((solution.total_cost, solution.splitters, solution.assignment.mapping)
+            == _oracle_gop(g.inst, g.cost.entries))
 
 
 @st.composite
