@@ -136,11 +136,6 @@ def gen_tspfb(n: int, seed: int | Seed, weight_max: int = 20) -> TspFbInstance:
 
 # --- JSON serialization ---------------------------------------------------
 
-def _num_out(value: Rational) -> int | float:
-    value = as_exact(value)
-    return value if isinstance(value, int) else float(value)
-
-
 def _exact_out(value: Rational) -> int | float | str:
     """An instance entry as JSON that reads back as the same number: an int,
     a float when it equals the value exactly, or else the string "num/den"."""
@@ -221,7 +216,17 @@ def graph_from_json(data: Mapping) -> Graph:
     from .iosim import Graph
 
     _require(data, ("n", "edges"), "graph")
-    return Graph(data["n"], tuple((u, v, _exact_in(w)) for u, v, w in data["edges"]))
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise InstanceError(f"graph edges must be a list, got {edges!r}")
+    # only a string weight needs reading ("num/den"); Graph checks the rest
+    checked = []
+    for k, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 3:
+            raise InstanceError(f"edge {k + 1} is not a [u, v, weight] list: {edge!r}")
+        u, v, w = edge
+        checked.append((u, v, _exact_in(w) if type(w) is str else w))
+    return Graph(data["n"], checked)
 
 
 def tspfb_to_json(tour: TspFbInstance) -> dict:

@@ -13,10 +13,16 @@ import json
 import sys
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
-from .errors import GuardError, InstanceError, ParameterError
+from .errors import GuardError, InstanceError
 
-# Handlers import the codecs, solvers and simulators they use in their
-# bodies, so a process loads only its own command's modules.
+# A handler returns its result, a JSON value or CSV text, for main to write.
+# It imports the codecs, solvers and simulators it uses in its body, so a
+# process loads only its own command's modules.
+
+# instance kind -> the fields that tell its JSON layout apart; each kind has
+# a loader bench.{kind}_from_json and a writer bench.{kind}_to_json
+_KINDS = {"drp": ("transfer", "cost"), "gop": ("subsets", "cost"),
+          "graph": ("edges", "n"), "tspfb": ("weights", "n")}
 
 
 def _read_json(args) -> object:
@@ -28,23 +34,21 @@ def _read_json(args) -> object:
     return json.loads(text)
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "output", None) in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _load(args, kind: str) -> object:
+    # looked up on each call, so that a wrapped bench loader is the one run
+    from . import bench
+
+    return getattr(bench, f"{kind}_from_json")(_read_json(args))
 
 
-def _emit_json(args, data: object) -> None:
-    from .bench import dumps_canonical
+def _num_out(value) -> int | float:
+    from .core import as_exact
 
-    _write(args, dumps_canonical(data))
+    value = as_exact(value)
+    return value if isinstance(value, int) else float(value)
 
 
 def _solution_json(solution) -> dict:
-    from .bench import _num_out
-
     return {
         "splitters": list(solution.splitters),
         "mapping": list(solution.assignment.mapping),
@@ -55,8 +59,6 @@ def _solution_json(solution) -> dict:
 
 
 def _report_json(report) -> dict:
-    from .bench import _num_out
-
     return {
         "phases": [{"label": label, "io_ops": io, "comm_amount": _num_out(comm)}
                    for label, io, comm in report.phases],
@@ -65,61 +67,46 @@ def _report_json(report) -> dict:
     }
 
 
-def _cmd_drp_exact(args) -> int:
-    from .bench import _num_out, drp_from_json
+def _cmd_drp_exact(args) -> dict:
     from .drp import drp_solve_exact
 
-    inst = drp_from_json(_read_json(args))
-    assignment, cost = drp_solve_exact(inst)
-    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost)})
-    return 0
+    assignment, cost = drp_solve_exact(_load(args, "drp"))
+    return {"mapping": list(assignment.mapping), "cost": _num_out(cost)}
 
 
-def _cmd_drp_approx(args) -> int:
-    from .bench import _num_out, drp_from_json
+def _cmd_drp_approx(args) -> dict:
     from .drp import drp_solve_approx, ratio_bound
 
-    inst = drp_from_json(_read_json(args))
+    inst = _load(args, "drp")
     assignment, cost = drp_solve_approx(inst)
-    _emit_json(args, {"mapping": list(assignment.mapping), "cost": _num_out(cost),
-                      "ratio_bound": _num_out(ratio_bound(inst.cost))})
-    return 0
+    return {"mapping": list(assignment.mapping), "cost": _num_out(cost),
+            "ratio_bound": _num_out(ratio_bound(inst.cost))}
 
 
-def _cmd_gop_exact(args) -> int:
-    from .bench import gop_from_json
+def _cmd_gop_exact(args) -> dict:
     from .gopsort import gop_solve_exact
 
-    g = gop_from_json(_read_json(args))
-    solution = gop_solve_exact(g, work_guard=args.guard)
-    _emit_json(args, _solution_json(solution))
-    return 0
+    return _solution_json(gop_solve_exact(_load(args, "gop"), work_guard=args.guard))
 
 
-def _cmd_gop_approx(args) -> int:
-    from .bench import gop_from_json
+def _cmd_gop_approx(args) -> dict:
     from .gopsort import gop_solve_approx
 
-    g = gop_from_json(_read_json(args))
-    solution = gop_solve_approx(g, exact_assignment=args.exact_assignment)
-    _emit_json(args, _solution_json(solution))
-    return 0
+    return _solution_json(gop_solve_approx(_load(args, "gop"),
+                                           exact_assignment=args.exact_assignment))
 
 
-def _cmd_reduce_tspfb(args) -> int:
-    from .bench import drp_to_json, tspfb_from_json
+def _cmd_reduce_tspfb(args) -> dict:
+    from .bench import drp_to_json
     from .drp import tspfb_to_drp
 
-    tour = tspfb_from_json(_read_json(args))
-    _emit_json(args, drp_to_json(tspfb_to_drp(tour)))
-    return 0
+    return drp_to_json(tspfb_to_drp(_load(args, "tspfb")))
 
 
-def _cmd_sim_terasort(args) -> int:
-    from .bench import gop_from_json
+def _cmd_sim_terasort(args) -> dict:
     from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
 
-    g = gop_from_json(_read_json(args))
+    g = _load(args, "gop")
     cfg = ExternalMemoryConfig(args.memory, g.p)
     outputs, report = terasort_simulate(g.inst, cfg, g.cost)
     flat = [v for out in outputs for v in out]
@@ -128,116 +115,81 @@ def _cmd_sim_terasort(args) -> int:
     result["serial_io"] = io_sort_count(g.n, args.memory)
     if args.with_output:
         result["output"] = [list(out) for out in outputs]
-    _emit_json(args, result)
-    return 0
+    return result
 
 
-def _cmd_sim_mm(args) -> int:
+def _cmd_sim_mm(args) -> dict:
     from fractions import Fraction
 
-    from .bench import graph_from_json
     from .iosim import mm_parallel_io_model, mm_serial_run
 
-    graph = graph_from_json(_read_json(args))
+    graph = _load(args, "graph")
     epsilon = Fraction(args.epsilon)
     state, serial_report = mm_serial_run(graph, epsilon)
     parallel_report = mm_parallel_io_model(graph, epsilon)
-    loads = [0] * (graph.n_vertices + 1)
-    for (u, v, _), x in zip(graph.edges, state.x):
-        loads[u] += x
-        loads[v] += x
-    _emit_json(args, {
+    return {
         "iterations": len(serial_report.phases),
         "serial": _report_json(serial_report),
         "parallel": _report_json(parallel_report),
         "frozen_vertices": sorted(state.frozen_vertices),
-        # float is monotone, so this is the max of the per-vertex floats
-        "max_vertex_load": float(max(loads[1:])),
-    })
-    return 0
+        # the last entry is the maximum vertex load after the final iteration
+        "max_vertex_load": float(serial_report.extras["max_vertex_load_per_iteration"][-1]),
+    }
 
 
-def _cmd_sim_mst_io(args) -> int:
-    from .bench import graph_from_json
+def _cmd_sim_mst_io(args) -> dict:
     from .iosim import kruskal_serial_io, nowicki_partition_io
 
-    graph = graph_from_json(_read_json(args))
+    graph = _load(args, "graph")
     memory = args.memory if args.memory is not None else graph.n_vertices
     report = nowicki_partition_io(graph, memory)
     serial = kruskal_serial_io(graph.n_edges, memory)
-    _emit_json(args, {
+    return {
         "parallel_io": report.total_io,
         "analytic_io": report.extras["analytic_io"],
         "serial_io": serial,
         "ratio": report.total_io / serial,
-    })
-    return 0
+    }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict | str:
     from fractions import Fraction
 
     from .bench import SweepSpec, run_sweep, sweep_to_csv
 
-    spec = SweepSpec(
-        kind=args.kind,
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
-        trials=args.trials,
-        seed=args.seed,
-        cost_low=args.cost_low,
-        cost_high=args.cost_high,
-        mass_max=args.mass_max,
-        p=args.p,
-        memory=args.memory,
-        epsilon=Fraction(args.epsilon),
-        edge_factor=args.edge_factor,
-        guard=args.guard,
-    )
-    header, rows = run_sweep(spec)
+    spec = {name: getattr(args, name) for name in SweepSpec._fields}
+    spec["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+    spec["epsilon"] = Fraction(args.epsilon)
+    header, rows = run_sweep(SweepSpec(**spec))
     if args.format == "json":
-        _emit_json(args, {"header": list(header), "rows": [list(r) for r in rows]})
-    else:
-        _write(args, sweep_to_csv(header, rows))
-    return 0
+        return {"header": list(header), "rows": [list(r) for r in rows]}
+    return sweep_to_csv(header, rows)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     from . import bench
 
     if args.kind == "drp":
-        data = bench.drp_to_json(bench.gen_drp(args.p, args.cost_low, args.cost_high,
-                                               args.mass_max, args.seed))
+        inst = bench.gen_drp(args.p, args.cost_low, args.cost_high, args.mass_max, args.seed)
     elif args.kind == "gop":
-        data = bench.gop_to_json(bench.gen_gop(args.n, args.p, args.seed,
-                                               args.cost_low, args.cost_high))
+        inst = bench.gen_gop(args.n, args.p, args.seed, args.cost_low, args.cost_high)
     elif args.kind == "graph":
-        data = bench.graph_to_json(bench.gen_graph(args.n, args.m, args.seed))
+        inst = bench.gen_graph(args.n, args.m, args.seed)
     else:
-        data = bench.tspfb_to_json(bench.gen_tspfb(args.n, args.seed))
-    _emit_json(args, data)
-    return 0
+        inst = bench.gen_tspfb(args.n, args.seed)
+    return getattr(bench, f"{args.kind}_to_json")(inst)
 
 
-# each loader imports only the instance type of its own layout
-_SNIFFERS = (
-    ("drp", ("transfer", "cost"), "drp_from_json"),
-    ("gop", ("subsets", "cost"), "gop_from_json"),
-    ("graph", ("edges", "n"), "graph_from_json"),
-    ("tspfb", ("weights", "n"), "tspfb_from_json"),
-)
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     from . import bench
 
     data = _read_json(args)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
-    for kind, keys, loader in _SNIFFERS:
-        if args.kind in (None, kind) and all(k in data for k in keys):
-            getattr(bench, loader)(data)
-            _emit_json(args, {"valid": True, "kind": kind})
-            return 0
+    for kind, fields in _KINDS.items():
+        if args.kind in (None, kind) and all(k in data for k in fields):
+            getattr(bench, f"{kind}_from_json")(data)
+            return {"valid": True, "kind": kind}
     raise InstanceError(
         "unrecognized instance layout; expected transfer/cost, subsets/cost, "
         "n/edges, or n/weights fields")
@@ -250,10 +202,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_io_flags(sub, output=True) -> None:
-    sub.add_argument("--input", help="instance JSON file ('-' or omitted: stdin)")
-    if output:
+def _command(subs, name: str, handler, help: str, instance: bool = True):
+    """Add a subcommand run by `handler`, with --input and --output if `instance`."""
+    sub = subs.add_parser(name, help=help)
+    if instance:
+        sub.add_argument("--input", help="instance JSON file ('-' or omitted: stdin)")
         sub.add_argument("--output", help="result file ('-' or omitted: stdout)")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,54 +219,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "on clusters with non-uniform link costs.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("drp-exact",
-                          help="exact redistribution optimum (Hungarian method, O(p^3))")
-    _add_io_flags(sub)
-    sub.set_defaults(handler=_cmd_drp_exact)
+    _command(subs, "drp-exact", _cmd_drp_exact,
+             "exact redistribution optimum (Hungarian method, O(p^3))")
+    _command(subs, "drp-approx", _cmd_drp_approx, "assignment-surrogate approximation")
 
-    sub = subs.add_parser("drp-approx", help="assignment-surrogate approximation")
-    _add_io_flags(sub)
-    sub.set_defaults(handler=_cmd_drp_approx)
-
-    sub = subs.add_parser("gop-exact", help="exhaustive splitter+assignment optimum")
-    _add_io_flags(sub)
+    sub = _command(subs, "gop-exact", _cmd_gop_exact,
+                   "exhaustive splitter+assignment optimum")
     sub.add_argument("--guard", type=_positive_int, default=DEFAULT_WORK_GUARD,
                      help="work cap on C(n,p-1)*p! (default %(default)s)")
-    sub.set_defaults(handler=_cmd_gop_exact)
 
-    sub = subs.add_parser("gop-approx", help="equal splitters + surrogate assignment")
-    _add_io_flags(sub)
+    sub = _command(subs, "gop-approx", _cmd_gop_approx,
+                   "equal splitters + surrogate assignment")
     sub.add_argument("--exact-assignment", action="store_true",
                      help="solve the redistribution subproblem exactly (extension)")
-    sub.set_defaults(handler=_cmd_gop_approx)
 
-    sub = subs.add_parser("reduce-tspfb",
-                          help="encode a bipartite tour instance as a "
-                               "redistribution instance")
-    _add_io_flags(sub)
-    sub.set_defaults(handler=_cmd_reduce_tspfb)
+    _command(subs, "reduce-tspfb", _cmd_reduce_tspfb,
+             "encode a bipartite tour instance as a redistribution instance")
 
-    sub = subs.add_parser("sim-terasort", help="three-phase range-partition sort")
-    _add_io_flags(sub)
+    sub = _command(subs, "sim-terasort", _cmd_sim_terasort, "three-phase range-partition sort")
     sub.add_argument("--memory", type=int, default=1000,
                      help="main-memory records per machine (default 1000)")
     sub.add_argument("--with-output", action="store_true",
                      help="include the sorted records in the result")
-    sub.set_defaults(handler=_cmd_sim_terasort)
 
-    sub = subs.add_parser("sim-mm", help="fractional matching IO profile")
-    _add_io_flags(sub)
+    sub = _command(subs, "sim-mm", _cmd_sim_mm, "fractional matching IO profile")
     sub.add_argument("--epsilon", default="1/10",
                      help="boost parameter in (0, 1/2), e.g. 0.1 or 1/10")
-    sub.set_defaults(handler=_cmd_sim_mm)
 
-    sub = subs.add_parser("sim-mst-io", help="edge-partition spanning-forest IO")
-    _add_io_flags(sub)
+    sub = _command(subs, "sim-mst-io", _cmd_sim_mst_io, "edge-partition spanning-forest IO")
     sub.add_argument("--memory", type=int,
                      help="serial-model memory (default: vertex count)")
-    sub.set_defaults(handler=_cmd_sim_mst_io)
 
-    sub = subs.add_parser("sweep", help="cost/ratio tables over a size sweep")
+    sub = _command(subs, "sweep", _cmd_sweep, "cost/ratio tables over a size sweep",
+                   instance=False)
     sub.add_argument("--kind", required=True, choices=SWEEP_KINDS)
     sub.add_argument("--sizes", required=True,
                      help="comma-separated ascending sizes, e.g. 64,256,1024")
@@ -329,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--csv", dest="format", action="store_const", const="csv",
                      help="force CSV output (the default)")
     sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_sweep)
 
-    sub = subs.add_parser("gen", help="generate a random instance")
-    sub.add_argument("--kind", required=True, choices=("drp", "gop", "graph", "tspfb"))
+    sub = _command(subs, "gen", _cmd_gen, "generate a random instance", instance=False)
+    sub.add_argument("--kind", required=True, choices=tuple(_KINDS))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--p", type=int, default=4)
     sub.add_argument("--n", type=int, default=16)
@@ -341,13 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cost-high", type=int, default=10)
     sub.add_argument("--mass-max", type=int, default=20)
     sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_gen)
 
-    sub = subs.add_parser("validate", help="check an instance file's invariants")
-    _add_io_flags(sub)
-    sub.add_argument("--kind", choices=("drp", "gop", "graph", "tspfb"),
+    sub = _command(subs, "validate", _cmd_validate, "check an instance file's invariants")
+    sub.add_argument("--kind", choices=tuple(_KINDS),
                      help="expected instance kind (default: sniff by fields)")
-    sub.set_defaults(handler=_cmd_validate)
 
     return parser
 
@@ -359,7 +296,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if not isinstance(result, str):
+            # looked up here, so that a wrapped bench writer is the one run
+            from .bench import dumps_canonical
+
+            result = dumps_canonical(result)
+        if args.output in (None, "-"):
+            sys.stdout.write(result)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(result)
+        return 0
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 1
@@ -367,9 +315,7 @@ def main(argv=None) -> int:
         print(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except (InstanceError, ParameterError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+    # InstanceError and ParameterError are ValueErrors
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -87,11 +87,17 @@ class Graph(Value):
 
     def __init__(self, n_vertices: int,
                  edges: Sequence[tuple[int, int, Rational]]) -> None:
+        # vertices are plain ints, bool excluded
+        if type(n_vertices) is not int:
+            raise InstanceError(f"n_vertices must be an integer, got {n_vertices!r}")
         if n_vertices < 1:
             raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
         seen: set[tuple[int, int]] = set()
         checked = []
         for k, (u, v, w) in enumerate(edges):
+            if type(u) is not int or type(v) is not int:
+                raise InstanceError(
+                    f"edge {k + 1} endpoints ({u!r},{v!r}) must be integers")
             if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
                 raise InstanceError(
                     f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}")

@@ -222,6 +222,19 @@ def test_matching_runs_match_fraction_oracles(epsilon):
         assert_matching_runs_match_oracles(graph, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [Fraction(1, 10), Fraction(1, 7),
+                                     Fraction(3, 10), Fraction(49, 100)])
+def test_last_recorded_load_is_the_final_maximum_vertex_load(epsilon):
+    # sim-mm prints this entry as the run's max_vertex_load
+    for graph in oracle_graphs():
+        state, report = mm_serial_run(graph, epsilon)
+        loads = [Fraction(0)] * (graph.n_vertices + 1)
+        for (u, v, _), x in zip(graph.edges, state.x):
+            loads[u] += x
+            loads[v] += x
+        assert Fraction(report.extras["max_vertex_load_per_iteration"][-1]) == max(loads)
+
+
 class TestIoSortCount:
     def test_empty(self):
         assert io_sort_count(0, 16) == 0
@@ -276,6 +289,14 @@ class TestGraph:
             Graph(3, ((2, 2, 1),))
         with pytest.raises(InstanceError, match="out of range"):
             Graph(3, ((1, 4, 1),))
+
+    def test_vertices_must_be_ints(self):
+        for n in (3.0, "3", True):
+            with pytest.raises(InstanceError, match="n_vertices must be an integer"):
+                Graph(n, ((1, 2, 1),))
+        for edge in ((1.5, 2, 1), (1, 2.0, 1), (True, 2, 1), ("1", 2, 1)):
+            with pytest.raises(InstanceError, match="edge 2 endpoints .* integers"):
+                Graph(3, ((2, 3, 1), edge))
 
 
 class TestNowickiPartition:
