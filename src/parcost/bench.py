@@ -13,13 +13,12 @@ import io
 import json
 import math
 import random
-import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
-from .core import (FLOAT_TOLERANCE, CostMatrix, GopInstance, Rational,
-                   SortInstance, TransferMatrix, Value, _set, as_exact)
+from .core import (FLOAT_TOLERANCE, CostMatrix, GopInstance, SortInstance,
+                   TransferMatrix, Value, _exact_out, _set)
 from .errors import GuardError, InstanceError, ParameterError
 
 # The solvers, simulators and the drp and iosim instance types are imported
@@ -136,41 +135,8 @@ def gen_tspfb(n: int, seed: int | Seed, weight_max: int = 20) -> TspFbInstance:
 
 # --- JSON serialization ---------------------------------------------------
 
-def _exact_out(value: Rational) -> int | float | str:
-    """An instance entry as JSON that reads back as the same number: an int,
-    a float when it equals the value exactly, or else the string "num/den"."""
-    value = as_exact(value)
-    if isinstance(value, int):
-        return value
-    try:
-        if float(value) == value:
-            return float(value)
-    except OverflowError:
-        pass
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _exact_in(value: object) -> object:
-    """The inverse of _exact_out: a "num/den" string becomes its Fraction; any
-    other string is refused, and numbers pass on to the instance checks."""
-    if not isinstance(value, str):
-        return value
-    if re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", value) is None:
-        raise InstanceError(f"a numeric string must read \"num/den\", got {value!r}")
-    return Fraction(value)
-
-
 def _matrix_out(entries) -> list[list[int | float | str]]:
     return [[_exact_out(v) for v in row] for row in entries]
-
-
-def _matrix_in(rows) -> object:
-    # a row without strings passes on as is, which keeps large loads cheap;
-    # the matrix constructors check the shape and name a bad row
-    if not isinstance(rows, list):
-        return rows
-    return [list(map(_exact_in, row)) if isinstance(row, list) and str in map(type, row)
-            else row for row in rows]
 
 
 def drp_to_json(inst: DrpInstance) -> dict:
@@ -185,10 +151,9 @@ def drp_from_json(data: Mapping) -> DrpInstance:
     _require(data, ("p", "transfer", "cost"), "redistribution instance")
     # the loader tolerates positive diagonals so that reduced tour instances
     # (whose weights land on the diagonal too) survive a JSON round trip
-    inst = DrpInstance(TransferMatrix(_matrix_in(data["transfer"])),
-                       CostMatrix(_matrix_in(data["cost"]), allow_nonzero_diagonal=True))
-    if inst.p != data["p"]:
-        raise InstanceError(f"field p={data['p']} disagrees with matrix size {inst.p}")
+    inst = DrpInstance(TransferMatrix(data["transfer"]),
+                       CostMatrix(data["cost"], allow_nonzero_diagonal=True))
+    _check_size(data, "p", inst.p, "matrix size")
     return inst
 
 
@@ -200,10 +165,8 @@ def gop_to_json(g: GopInstance) -> dict:
 
 def gop_from_json(data: Mapping) -> GopInstance:
     _require(data, ("p", "subsets", "cost"), "sorting instance")
-    g = GopInstance(SortInstance(data["subsets"]),
-                    CostMatrix(_matrix_in(data["cost"])))
-    if g.p != data["p"]:
-        raise InstanceError(f"field p={data['p']} disagrees with subset count {g.p}")
+    g = GopInstance(SortInstance(data["subsets"]), CostMatrix(data["cost"]))
+    _check_size(data, "p", g.p, "subset count")
     return g
 
 
@@ -216,17 +179,7 @@ def graph_from_json(data: Mapping) -> Graph:
     from .iosim import Graph
 
     _require(data, ("n", "edges"), "graph")
-    edges = data["edges"]
-    if not isinstance(edges, list):
-        raise InstanceError(f"graph edges must be a list, got {edges!r}")
-    # only a string weight needs reading ("num/den"); Graph checks the rest
-    checked = []
-    for k, edge in enumerate(edges):
-        if type(edge) is not list or len(edge) != 3:
-            raise InstanceError(f"edge {k + 1} is not a [u, v, weight] list: {edge!r}")
-        u, v, w = edge
-        checked.append((u, v, _exact_in(w) if type(w) is str else w))
-    return Graph(data["n"], checked)
+    return Graph(data["n"], data["edges"])
 
 
 def tspfb_to_json(tour: TspFbInstance) -> dict:
@@ -237,9 +190,8 @@ def tspfb_from_json(data: Mapping) -> TspFbInstance:
     from .drp import TspFbInstance
 
     _require(data, ("n", "weights"), "bipartite tour instance")
-    tour = TspFbInstance(_matrix_in(data["weights"]))
-    if tour.n != data["n"]:
-        raise InstanceError(f"field n={data['n']} disagrees with matrix size {tour.n}")
+    tour = TspFbInstance(data["weights"])
+    _check_size(data, "n", tour.n, "matrix size")
     return tour
 
 
@@ -249,6 +201,15 @@ def _require(data: Mapping, keys: Sequence[str], what: str) -> None:
     for key in keys:
         if key not in data:
             raise InstanceError(f"{what} is missing the {key!r} field")
+
+
+def _check_size(data: Mapping, key: str, size: int, what: str) -> None:
+    """A size field must be a JSON integer equal to the size of the instance."""
+    value = data[key]
+    if type(value) is not int:
+        raise InstanceError(f"field {key} must be an integer, got {value!r}")
+    if value != size:
+        raise InstanceError(f"field {key}={value} disagrees with {what} {size}")
 
 
 def dumps_canonical(data: object) -> str:

@@ -16,6 +16,7 @@ Numeric conventions, fixed here so every module agrees:
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
@@ -33,12 +34,18 @@ def as_exact(value: object) -> Rational:
     """Convert a number to its exact rational representation.
 
     Integers pass through, fractions are reduced (and collapse to ``int``
-    when integral), and floats become the exact rational they denote.
+    when integral), floats become the exact rational they denote, and a
+    string must read "num/den", the spelling ``_exact_out`` gives a rational
+    that no float equals.
     """
     if isinstance(value, bool):
         raise InstanceError("booleans are not valid numeric entries")
     if isinstance(value, int):
         return value
+    if isinstance(value, str):
+        if re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", value) is None:
+            raise InstanceError(f"a numeric string must read \"num/den\", got {value!r}")
+        value = Fraction(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, float):
@@ -47,6 +54,20 @@ def as_exact(value: object) -> Rational:
         frac = Fraction(value)
         return int(frac) if frac.denominator == 1 else frac
     raise InstanceError(f"unsupported numeric type: {type(value).__name__}")
+
+
+def _exact_out(value: Rational) -> int | float | str:
+    """A number as JSON that ``as_exact`` reads back as the same number: an
+    int, a float when it equals the value exactly, or else "num/den"."""
+    value = as_exact(value)
+    if isinstance(value, int):
+        return value
+    try:
+        if float(value) == value:
+            return float(value)
+    except OverflowError:
+        pass
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _exact_square(rows: Sequence[Sequence[object]], what: str,
@@ -81,6 +102,28 @@ def _check_non_negative(entries: tuple[tuple[Rational, ...], ...], name: str) ->
         if min(row) < 0:
             j = next(j for j, value in enumerate(row) if value < 0)
             raise InstanceError(f"{name}[{i + 1}][{j + 1}] is negative: {row[j]}")
+
+
+def _check_costs(entries: tuple[tuple[Rational, ...], ...], name: str,
+                 allow_nonzero_diagonal: bool) -> None:
+    """Raise on the first entry, in row-major order, that is not positive off
+    the diagonal, or not zero on it (not negative, when relaxed)."""
+    for i, row in enumerate(entries):
+        diagonal = row[i]
+        if (min(row[:i] + row[i + 1:]) > 0
+                and (diagonal == 0 or allow_nonzero_diagonal and diagonal > 0)):
+            continue  # the common case: one check per row, no entry loop
+        for j, value in enumerate(row):
+            if i == j:
+                if value != 0 and not allow_nonzero_diagonal:
+                    raise InstanceError(
+                        f"{name}[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}")
+                if value < 0:
+                    raise InstanceError(
+                        f"{name}[{i + 1}][{j + 1}] is negative: {value}")
+            elif value <= 0:
+                raise InstanceError(
+                    f"{name}[{i + 1}][{j + 1}] must be positive off the diagonal, got {value}")
 
 
 _set = object.__setattr__
@@ -144,22 +187,7 @@ class CostMatrix(Value):
     def __init__(self, entries: Sequence[Sequence[Rational]],
                  allow_nonzero_diagonal: bool = False) -> None:
         entries = _exact_square(entries, "cost matrix", min_p=2)
-        for i, row in enumerate(entries):
-            diagonal = row[i]
-            if (min(row[:i] + row[i + 1:]) > 0
-                    and (diagonal == 0 or allow_nonzero_diagonal and diagonal > 0)):
-                continue  # the common case: one check per row, no entry loop
-            for j, value in enumerate(row):
-                if i == j:
-                    if value != 0 and not allow_nonzero_diagonal:
-                        raise InstanceError(
-                            f"cost[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}")
-                    if value < 0:
-                        raise InstanceError(
-                            f"cost[{i + 1}][{j + 1}] is negative: {value}")
-                elif value <= 0:
-                    raise InstanceError(
-                        f"cost[{i + 1}][{j + 1}] must be positive off the diagonal, got {value}")
+        _check_costs(entries, "cost", allow_nonzero_diagonal)
         _set(self, "entries", entries)
         _set(self, "allow_nonzero_diagonal", allow_nonzero_diagonal)
 

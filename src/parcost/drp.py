@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .core import (Assignment, CostMatrix, Rational, TransferMatrix, Value,
-                   _exact_square, _set, as_exact, drp_cost)
+                   _check_costs, _exact_square, _set, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
 from .lap import AssignmentProblem, drp_to_lap, lap_solve
 
@@ -54,14 +54,7 @@ class TspFbInstance(Value):
 
     def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
         weights = _exact_square(weights, "bipartite tour instance", min_p=2)
-        for i, row in enumerate(weights):
-            for j, value in enumerate(row):
-                if i != j and value <= 0:
-                    raise InstanceError(
-                        f"weights[{i + 1}][{j + 1}] must be positive, got {value}")
-                if value < 0:
-                    raise InstanceError(
-                        f"weights[{i + 1}][{j + 1}] is negative: {value}")
+        _check_costs(weights, "weights", allow_nonzero_diagonal=True)
         _set(self, "weights", weights)
 
     @property

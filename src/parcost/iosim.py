@@ -92,9 +92,14 @@ class Graph(Value):
             raise InstanceError(f"n_vertices must be an integer, got {n_vertices!r}")
         if n_vertices < 1:
             raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
+        if not isinstance(edges, (list, tuple)):
+            raise InstanceError(f"graph edges must be a list, got {edges!r}")
         seen: set[tuple[int, int]] = set()
         checked = []
-        for k, (u, v, w) in enumerate(edges):
+        for k, edge in enumerate(edges):
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+                raise InstanceError(f"edge {k + 1} is not a [u, v, weight] list: {edge!r}")
+            u, v, w = edge
             if type(u) is not int or type(v) is not int:
                 raise InstanceError(
                     f"edge {k + 1} endpoints ({u!r},{v!r}) must be integers")
@@ -444,25 +449,28 @@ class IoOptimality(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def classify_io_optimality(pairs: Sequence[tuple[int, int, int]],
-                           constant_bound: Rational = 8,
-                           growth_factor: Rational = Fraction(3, 2),
-                           min_points: int = 3) -> IoOptimality:
+#: The thresholds of ``classify_io_optimality``.
+IO_CONSTANT_BOUND = 8
+IO_GROWTH_FACTOR = Fraction(3, 2)
+IO_MIN_POINTS = 3
+
+
+def classify_io_optimality(pairs: Sequence[tuple[int, int, int]]) -> IoOptimality:
     """Classify a (size, parallel_io, serial_io) sweep.
 
     SUPER when parallel IO is strictly below serial IO at every size;
-    OPTIMAL when the parallel/serial ratio never exceeds ``constant_bound``
+    OPTIMAL when the parallel/serial ratio never exceeds ``IO_CONSTANT_BOUND``
     and does not grow end to end; NON when the ratio rises strictly at every
-    step and by at least ``growth_factor`` overall; INCONCLUSIVE otherwise.
+    step and by at least ``IO_GROWTH_FACTOR`` overall; INCONCLUSIVE otherwise.
 
     This is an empirical surrogate for an asymptotic property: finite sweeps
-    cannot decide asymptotics, so the thresholds are explicit configuration
-    and the sweep should be roughly geometric in size.
+    cannot decide asymptotics, so the thresholds are explicit module
+    constants and the sweep should be roughly geometric in size.
     """
     pairs = tuple(pairs)
-    if len(pairs) < min_points:
+    if len(pairs) < IO_MIN_POINTS:
         raise GuardError(
-            f"need at least {min_points} sweep points, got {len(pairs)}")
+            f"need at least {IO_MIN_POINTS} sweep points, got {len(pairs)}")
     sizes = [s for s, _, _ in pairs]
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ParameterError(f"sweep sizes must be strictly ascending, got {sizes}")
@@ -473,9 +481,9 @@ def classify_io_optimality(pairs: Sequence[tuple[int, int, int]],
     ratios = [Fraction(parallel, serial) for _, parallel, serial in pairs]
     if all(parallel < serial for _, parallel, serial in pairs):
         return IoOptimality.SUPER
-    if max(ratios) <= constant_bound and ratios[-1] <= ratios[0]:
+    if max(ratios) <= IO_CONSTANT_BOUND and ratios[-1] <= ratios[0]:
         return IoOptimality.OPTIMAL
     if (all(a < b for a, b in zip(ratios, ratios[1:]))
-            and ratios[-1] >= growth_factor * ratios[0]):
+            and ratios[-1] >= IO_GROWTH_FACTOR * ratios[0]):
         return IoOptimality.NON
     return IoOptimality.INCONCLUSIVE

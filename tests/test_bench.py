@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from parcost import (CostMatrix, DrpInstance, ParameterError, TransferMatrix,
-                     bench)
+                     as_exact, bench)
 from parcost.constants import SWEEP_KINDS
 from parcost.bench import (Seed, SweepSpec, drp_from_json, drp_to_json,
                            dumps_canonical, gen_drp, gen_gop, gen_graph,
@@ -109,6 +109,8 @@ class TestRoundTrips:
                            "cost": [[0, 1], [1, 0]]})
         with pytest.raises(InstanceError, match="num/den"):
             graph_from_json({"n": 2, "edges": [[1, 2, text]]})
+        with pytest.raises(InstanceError, match="num/den"):
+            as_exact(text)
 
 
 class TestSweeps:

@@ -474,7 +474,34 @@ BAD_GRAPHS = {
 @pytest.mark.parametrize("data, message", BAD_GRAPHS.values(), ids=BAD_GRAPHS)
 def test_bad_graph_is_refused_alike_by_every_graph_command(data, message, tmp_path,
                                                            capsys):
+    from parcost import Graph, InstanceError
+
     path = write_json(tmp_path, "g.json", data)
     for command in ("validate", "sim-mm", "sim-mst-io"):
         assert run_cli(capsys, command, "--input", path) == (
             2, "", f"invalid input: {message}\n"), command
+    # the loader only picks the fields; the constructor owns every rule
+    with pytest.raises(InstanceError) as refused:
+        Graph(data["n"], data["edges"])
+    assert str(refused.value) == message
+
+
+# Instances with a size field that is not a plain JSON integer, one per kind
+# whose size field only names the size its matrices or subsets already have.
+SIZED = {
+    "drp": ("p", {"transfer": [[0, 1], [1, 0]], "cost": [[0, 1], [1, 0]]}),
+    "gop": ("p", {"subsets": [[1], [2]], "cost": [[0, 1], [1, 0]]}),
+    "tspfb": ("n", {"weights": [[1, 2], [2, 1]]}),
+}
+
+
+@pytest.mark.parametrize("kind", SIZED)
+@pytest.mark.parametrize("size", [2.0, "2", True], ids=["float", "string", "bool"])
+def test_size_field_must_be_an_integer(kind, size, tmp_path, capsys):
+    key, fields = SIZED[kind]
+    path = write_json(tmp_path, "i.json", {key: size, **fields})
+    assert run_cli(capsys, "validate", "--input", path) == (
+        2, "", f"invalid input: field {key} must be an integer, got {size!r}\n")
+    path = write_json(tmp_path, "i.json", {key: 2, **fields})
+    assert run_cli(capsys, "validate", "--input", path) == (
+        0, '{"kind":"%s","valid":true}\n' % kind, "")

@@ -14,6 +14,8 @@ def test_as_exact_variants():
     assert as_exact(3) == 3 and isinstance(as_exact(3), int)
     assert as_exact(Fraction(4, 2)) == 2 and isinstance(as_exact(Fraction(4, 2)), int)
     assert as_exact(0.5) == Fraction(1, 2)
+    assert as_exact("1/3") == Fraction(1, 3)
+    assert as_exact("4/2") == 2 and isinstance(as_exact("4/2"), int)
     with pytest.raises(InstanceError):
         as_exact(float("inf"))
     with pytest.raises(InstanceError):

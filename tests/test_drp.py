@@ -171,6 +171,19 @@ class TestReduction:
         with pytest.raises(InstanceError, match="n >= 3"):
             tspfb_to_drp(TspFbInstance([[1, 2], [3, 4]]))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0], [2, 1]], "[1][2] must be positive off the diagonal, got 0"),
+        ([[1, 2], [-3, 1]], "[2][1] must be positive off the diagonal, got -3"),
+        ([[1, 2], [3, -1]], "[2][2] is negative: -1"),
+    ])
+    def test_weights_follow_the_relaxed_cost_rule(self, rows, message):
+        with pytest.raises(InstanceError) as tour:
+            TspFbInstance(rows)
+        assert str(tour.value) == "weights" + message
+        with pytest.raises(InstanceError) as cost:
+            CostMatrix(rows, allow_nonzero_diagonal=True)
+        assert str(cost.value) == "cost" + message
+
 
 class TestTourBrute:
     def test_k22_single_cycle(self):
