@@ -15,18 +15,18 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ("Assignment", "CostMatrix", "GopInstance", "GopSolution", "Rational",
-             "SortInstance", "TransferMatrix", "as_exact",
-             "derive_transfer_and_load", "drp_cost", "gop_objective",
+    "core": ("Assignment", "CostMatrix", "DrpInstance", "GopInstance", "GopSolution",
+             "Graph", "Rational", "SortInstance", "TransferMatrix", "TspFbInstance",
+             "as_exact", "derive_transfer_and_load", "drp_cost", "gop_objective",
              "sort_io_term"),
-    "drp": ("DrpInstance", "TspFbInstance", "drp_brute", "drp_solve_approx",
-            "drp_solve_exact", "ratio_bound", "tspfb_brute", "tspfb_to_drp"),
+    "drp": ("drp_brute", "drp_solve_approx", "drp_solve_exact", "ratio_bound",
+            "tspfb_brute", "tspfb_to_drp"),
     "errors": ("GuardError", "InstanceError", "ParameterError"),
     "gopsort": ("equal_splitters", "gop_solve_approx", "gop_solve_exact"),
-    "iosim": ("ExternalMemoryConfig", "FractionalMatchingState", "Graph",
-              "IoOptimality", "IoReport", "classify_io_optimality",
-              "io_sort_count", "kruskal_serial_io", "mm_parallel_io_model",
-              "mm_serial_run", "nowicki_partition_io", "terasort_simulate"),
+    "iosim": ("ExternalMemoryConfig", "FractionalMatchingState", "IoOptimality",
+              "IoReport", "classify_io_optimality", "io_sort_count",
+              "kruskal_serial_io", "mm_parallel_io_model", "mm_serial_run",
+              "nowicki_partition_io", "terasort_simulate"),
     "lap": ("AssignmentProblem", "assignment_cost", "drp_to_lap", "lap_brute",
             "lap_solve"),
 }

@@ -1,31 +1,35 @@
-"""Instance generators, JSON serialization, and the sweep harness.
+"""Instance generators and the sweep harness.
 
 Generators are deterministic per seed (Mersenne Twister with stable integer
-draws), JSON is the canonical on-disk instance format, and sweeps render CSV
-with '.' decimals, ',' separators, and a header row. A gop-ratio row whose
-exact solve exceeds the work guard is marked skipped instead of aborting
-the run.
+draws), and sweeps render CSV with '.' decimals, ',' separators, and a
+header row. A gop-ratio row whose exact solve exceeds the work guard is
+marked skipped instead of aborting the run. The instance JSON codecs are
+``core``'s, re-exported here under their names.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
-from .core import (FLOAT_TOLERANCE, CostMatrix, GopInstance, SortInstance,
-                   TransferMatrix, Value, _exact_out, _set)
-from .errors import GuardError, InstanceError, ParameterError
+from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
+                   SortInstance, TransferMatrix, TspFbInstance, Value, _set)
+from .core import (drp_from_json, drp_to_json, dumps_canonical, gop_from_json,
+                   gop_to_json, graph_from_json, graph_to_json, tspfb_from_json,
+                   tspfb_to_json)
+from .errors import GuardError, ParameterError
 
-# The solvers, simulators and the drp and iosim instance types are imported
-# where they are used, so that a process loads only what its command runs.
-if TYPE_CHECKING:
-    from .drp import DrpInstance, TspFbInstance
-    from .iosim import Graph
+# The solvers and simulators are imported where they are used, so that a
+# process loads only what its command runs.
+
+# generated values lie in 1..GOP_VALUE_SPAN * n, weights in 1..*_WEIGHT_MAX
+GOP_VALUE_SPAN = 10
+GRAPH_WEIGHT_MAX = 100
+TSPFB_WEIGHT_MAX = 20
 
 
 class Seed(Value):
@@ -50,8 +54,6 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
             seed: int | Seed) -> DrpInstance:
     """Random instance: integer off-diagonal costs in [cost_low, cost_high],
     integer transfer volumes in [0, mass_max]."""
-    from .drp import DrpInstance
-
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
     _check_cost_range(cost_low, cost_high)
@@ -64,13 +66,13 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
 
 
 def gen_gop(n: int, p: int, seed: int | Seed, cost_low: int = 1,
-            cost_high: int = 10, value_span: int = 10) -> GopInstance:
+            cost_high: int = 10) -> GopInstance:
     """n distinct integers spread uniformly over p machines, random cluster costs."""
     if p < 2 or n < p:
         raise ParameterError(f"need n >= p >= 2, got n={n}, p={p}")
     _check_cost_range(cost_low, cost_high)
     rng = _rng(seed)
-    values = rng.sample(range(1, value_span * n + 1), n)
+    values = rng.sample(range(1, GOP_VALUE_SPAN * n + 1), n)
     subsets: list[list[int]] = [[] for _ in range(p)]
     for value in values:
         subsets[rng.randrange(p)].append(value)
@@ -90,10 +92,8 @@ def _random_costs(rng: random.Random, p: int, cost_low: int, cost_high: int) -> 
                                   for j in range(p)) for i in range(p)))
 
 
-def gen_graph(n: int, m: int, seed: int | Seed, weight_max: int = 100) -> Graph:
+def gen_graph(n: int, m: int, seed: int | Seed) -> Graph:
     """Simple random graph with m edges and positive integer weights."""
-    from .iosim import Graph
-
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     limit = n * (n - 1) // 2
@@ -117,104 +117,16 @@ def gen_graph(n: int, m: int, seed: int | Seed, weight_max: int = 100) -> Graph:
     else:
         all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         chosen = rng.sample(all_pairs, m)
-    return Graph(n, tuple((u, v, rng.randint(1, weight_max)) for u, v in chosen))
+    return Graph(n, tuple((u, v, rng.randint(1, GRAPH_WEIGHT_MAX)) for u, v in chosen))
 
 
-def gen_tspfb(n: int, seed: int | Seed, weight_max: int = 20) -> TspFbInstance:
+def gen_tspfb(n: int, seed: int | Seed) -> TspFbInstance:
     """Random bipartite tour instance with positive integer weights."""
-    from .drp import TspFbInstance
-
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    if weight_max < 1:
-        raise ParameterError(f"weight_max must be >= 1, got {weight_max}")
     rng = _rng(seed)
-    return TspFbInstance(tuple(tuple(rng.randint(1, weight_max) for _ in range(n))
+    return TspFbInstance(tuple(tuple(rng.randint(1, TSPFB_WEIGHT_MAX) for _ in range(n))
                                for _ in range(n)))
-
-
-# --- JSON serialization ---------------------------------------------------
-
-def _matrix_out(entries) -> list[list[int | float | str]]:
-    return [[_exact_out(v) for v in row] for row in entries]
-
-
-def drp_to_json(inst: DrpInstance) -> dict:
-    return {"p": inst.p,
-            "transfer": _matrix_out(inst.transfer.entries),
-            "cost": _matrix_out(inst.cost.entries)}
-
-
-def drp_from_json(data: Mapping) -> DrpInstance:
-    from .drp import DrpInstance
-
-    _require(data, ("p", "transfer", "cost"), "redistribution instance")
-    # the loader tolerates positive diagonals so that reduced tour instances
-    # (whose weights land on the diagonal too) survive a JSON round trip
-    inst = DrpInstance(TransferMatrix(data["transfer"]),
-                       CostMatrix(data["cost"], allow_nonzero_diagonal=True))
-    _check_size(data, "p", inst.p, "matrix size")
-    return inst
-
-
-def gop_to_json(g: GopInstance) -> dict:
-    return {"p": g.p,
-            "subsets": [list(s) for s in g.inst.subsets],
-            "cost": _matrix_out(g.cost.entries)}
-
-
-def gop_from_json(data: Mapping) -> GopInstance:
-    _require(data, ("p", "subsets", "cost"), "sorting instance")
-    g = GopInstance(SortInstance(data["subsets"]), CostMatrix(data["cost"]))
-    _check_size(data, "p", g.p, "subset count")
-    return g
-
-
-def graph_to_json(graph: Graph) -> dict:
-    return {"n": graph.n_vertices,
-            "edges": [[u, v, _exact_out(w)] for u, v, w in graph.edges]}
-
-
-def graph_from_json(data: Mapping) -> Graph:
-    from .iosim import Graph
-
-    _require(data, ("n", "edges"), "graph")
-    return Graph(data["n"], data["edges"])
-
-
-def tspfb_to_json(tour: TspFbInstance) -> dict:
-    return {"n": tour.n, "weights": _matrix_out(tour.weights)}
-
-
-def tspfb_from_json(data: Mapping) -> TspFbInstance:
-    from .drp import TspFbInstance
-
-    _require(data, ("n", "weights"), "bipartite tour instance")
-    tour = TspFbInstance(data["weights"])
-    _check_size(data, "n", tour.n, "matrix size")
-    return tour
-
-
-def _require(data: Mapping, keys: Sequence[str], what: str) -> None:
-    if not isinstance(data, Mapping):
-        raise InstanceError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in data:
-            raise InstanceError(f"{what} is missing the {key!r} field")
-
-
-def _check_size(data: Mapping, key: str, size: int, what: str) -> None:
-    """A size field must be a JSON integer equal to the size of the instance."""
-    value = data[key]
-    if type(value) is not int:
-        raise InstanceError(f"field {key} must be an integer, got {value!r}")
-    if value != size:
-        raise InstanceError(f"field {key}={value} disagrees with {what} {size}")
-
-
-def dumps_canonical(data: object) -> str:
-    """Stable byte-for-byte JSON rendering (sorted keys, compact, newline)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # --- sweeps ----------------------------------------------------------------

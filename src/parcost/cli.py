@@ -20,7 +20,7 @@ from .errors import GuardError, InstanceError
 # process loads only its own command's modules.
 
 # instance kind -> the fields that tell its JSON layout apart; each kind has
-# a loader bench.{kind}_from_json and a writer bench.{kind}_to_json
+# a loader core.{kind}_from_json and a writer core.{kind}_to_json
 _KINDS = {"drp": ("transfer", "cost"), "gop": ("subsets", "cost"),
           "graph": ("edges", "n"), "tspfb": ("weights", "n")}
 
@@ -35,10 +35,10 @@ def _read_json(args) -> object:
 
 
 def _load(args, kind: str) -> object:
-    # looked up on each call, so that a wrapped bench loader is the one run
-    from . import bench
+    # looked up on each call, so that a wrapped loader is the one run
+    from . import core
 
-    return getattr(bench, f"{kind}_from_json")(_read_json(args))
+    return getattr(core, f"{kind}_from_json")(_read_json(args))
 
 
 def _num_out(value) -> int | float:
@@ -97,7 +97,7 @@ def _cmd_gop_approx(args) -> dict:
 
 
 def _cmd_reduce_tspfb(args) -> dict:
-    from .bench import drp_to_json
+    from .core import drp_to_json
     from .drp import tspfb_to_drp
 
     return drp_to_json(tspfb_to_drp(_load(args, "tspfb")))
@@ -167,7 +167,7 @@ def _cmd_sweep(args) -> dict | str:
 
 
 def _cmd_gen(args) -> dict:
-    from . import bench
+    from . import bench, core
 
     if args.kind == "drp":
         inst = bench.gen_drp(args.p, args.cost_low, args.cost_high, args.mass_max, args.seed)
@@ -177,18 +177,18 @@ def _cmd_gen(args) -> dict:
         inst = bench.gen_graph(args.n, args.m, args.seed)
     else:
         inst = bench.gen_tspfb(args.n, args.seed)
-    return getattr(bench, f"{args.kind}_to_json")(inst)
+    return getattr(core, f"{args.kind}_to_json")(inst)
 
 
 def _cmd_validate(args) -> dict:
-    from . import bench
+    from . import core
 
     data = _read_json(args)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     for kind, fields in _KINDS.items():
         if args.kind in (None, kind) and all(k in data for k in fields):
-            getattr(bench, f"{kind}_from_json")(data)
+            getattr(core, f"{kind}_from_json")(data)
             return {"valid": True, "kind": kind}
     raise InstanceError(
         "unrecognized instance layout; expected transfer/cost, subsets/cost, "
@@ -298,8 +298,8 @@ def main(argv=None) -> int:
     try:
         result = args.handler(args)
         if not isinstance(result, str):
-            # looked up here, so that a wrapped bench writer is the one run
-            from .bench import dumps_canonical
+            # looked up here, so that a wrapped writer is the one run
+            from .core import dumps_canonical
 
             result = dumps_canonical(result)
         if args.output in (None, "-"):

@@ -1,4 +1,4 @@
-"""Domain types and the two cost objectives shared by all solvers.
+"""The instance types, their JSON form, and the two shared cost objectives.
 
 Numeric conventions, fixed here so every module agrees:
 
@@ -15,12 +15,13 @@ Numeric conventions, fixed here so every module agrees:
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import InstanceError
 
@@ -68,6 +69,10 @@ def _exact_out(value: Rational) -> int | float | str:
     except OverflowError:
         pass
     return f"{value.numerator}/{value.denominator}"
+
+
+def _matrix_out(entries) -> list[list[int | float | str]]:
+    return [[_exact_out(v) for v in row] for row in entries]
 
 
 def _exact_square(rows: Sequence[Sequence[object]], what: str,
@@ -242,6 +247,43 @@ class TransferMatrix(Value):
         return sum(sum(row) for row in self.entries)
 
 
+class DrpInstance(Value):
+    """A transfer matrix and a cost matrix of matching size."""
+
+    __slots__ = _fields = ("transfer", "cost")
+
+    def __init__(self, transfer: TransferMatrix, cost: CostMatrix) -> None:
+        if transfer.p != cost.p:
+            raise InstanceError(
+                f"dimension mismatch: transfer p={transfer.p}, cost p={cost.p}")
+        _set(self, "transfer", transfer)
+        _set(self, "cost", cost)
+
+    @property
+    def p(self) -> int:
+        return self.transfer.p
+
+
+class TspFbInstance(Value):
+    """Edge weights of a complete bipartite graph K_{n,n}.
+
+    ``weights[i-1][j-1]`` is the weight of the edge between left vertex i and
+    right vertex j. Off-diagonal weights must be positive; diagonal weights
+    may be zero (they map onto free local transfers under the reduction).
+    """
+
+    __slots__ = _fields = ("weights",)
+
+    def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
+        weights = _exact_square(weights, "bipartite tour instance", min_p=2)
+        _check_costs(weights, "weights", allow_nonzero_diagonal=True)
+        _set(self, "weights", weights)
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+
 class Assignment(Value):
     """A bijection from virtual machines to physical machines.
 
@@ -341,6 +383,47 @@ class GopInstance(Value):
     @property
     def n(self) -> int:
         return self.inst.n
+
+
+class Graph(Value):
+    """An undirected weighted graph on vertices 1..n_vertices."""
+
+    __slots__ = _fields = ("n_vertices", "edges")
+
+    def __init__(self, n_vertices: int,
+                 edges: Sequence[tuple[int, int, Rational]]) -> None:
+        # vertices are plain ints, bool excluded
+        if type(n_vertices) is not int:
+            raise InstanceError(f"n_vertices must be an integer, got {n_vertices!r}")
+        if n_vertices < 1:
+            raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
+        if not isinstance(edges, (list, tuple)):
+            raise InstanceError(f"graph edges must be a list, got {edges!r}")
+        seen: set[tuple[int, int]] = set()
+        checked = []
+        for k, edge in enumerate(edges):
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+                raise InstanceError(f"edge {k + 1} is not a [u, v, weight] list: {edge!r}")
+            u, v, w = edge
+            if type(u) is not int or type(v) is not int:
+                raise InstanceError(
+                    f"edge {k + 1} endpoints ({u!r},{v!r}) must be integers")
+            if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
+                raise InstanceError(
+                    f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}")
+            if u == v:
+                raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise InstanceError(f"duplicate undirected edge ({u},{v})")
+            seen.add(key)
+            checked.append((u, v, as_exact(w)))
+        _set(self, "n_vertices", n_vertices)
+        _set(self, "edges", tuple(checked))
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
 
 
 class GopSolution(Value):
@@ -447,3 +530,77 @@ def gop_objective(inst: SortInstance, splitters: Sequence[int],
     comm = drp_cost(transfer, cost, assignment)
     io = sort_io_term(loads)
     return GopSolution(splitters, assignment, comm, io, float(comm) + io)
+
+
+# --- JSON form ------------------------------------------------------------
+
+def drp_to_json(inst: DrpInstance) -> dict:
+    return {"p": inst.p,
+            "transfer": _matrix_out(inst.transfer.entries),
+            "cost": _matrix_out(inst.cost.entries)}
+
+
+def drp_from_json(data: Mapping) -> DrpInstance:
+    _require(data, ("p", "transfer", "cost"), "redistribution instance")
+    # the loader tolerates positive diagonals so that reduced tour instances
+    # (whose weights land on the diagonal too) survive a JSON round trip
+    inst = DrpInstance(TransferMatrix(data["transfer"]),
+                       CostMatrix(data["cost"], allow_nonzero_diagonal=True))
+    _check_size(data, "p", inst.p, "matrix size")
+    return inst
+
+
+def gop_to_json(g: GopInstance) -> dict:
+    return {"p": g.p,
+            "subsets": [list(s) for s in g.inst.subsets],
+            "cost": _matrix_out(g.cost.entries)}
+
+
+def gop_from_json(data: Mapping) -> GopInstance:
+    _require(data, ("p", "subsets", "cost"), "sorting instance")
+    g = GopInstance(SortInstance(data["subsets"]), CostMatrix(data["cost"]))
+    _check_size(data, "p", g.p, "subset count")
+    return g
+
+
+def graph_to_json(graph: Graph) -> dict:
+    return {"n": graph.n_vertices,
+            "edges": [[u, v, _exact_out(w)] for u, v, w in graph.edges]}
+
+
+def graph_from_json(data: Mapping) -> Graph:
+    _require(data, ("n", "edges"), "graph")
+    return Graph(data["n"], data["edges"])
+
+
+def tspfb_to_json(tour: TspFbInstance) -> dict:
+    return {"n": tour.n, "weights": _matrix_out(tour.weights)}
+
+
+def tspfb_from_json(data: Mapping) -> TspFbInstance:
+    _require(data, ("n", "weights"), "bipartite tour instance")
+    tour = TspFbInstance(data["weights"])
+    _check_size(data, "n", tour.n, "matrix size")
+    return tour
+
+
+def _require(data: Mapping, keys: Sequence[str], what: str) -> None:
+    if not isinstance(data, Mapping):
+        raise InstanceError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise InstanceError(f"{what} is missing the {key!r} field")
+
+
+def _check_size(data: Mapping, key: str, size: int, what: str) -> None:
+    """A size field must be a JSON integer equal to the size of the instance."""
+    value = data[key]
+    if type(value) is not int:
+        raise InstanceError(f"field {key} must be an integer, got {value!r}")
+    if value != size:
+        raise InstanceError(f"field {key}={value} disagrees with {what} {size}")
+
+
+def dumps_canonical(data: object) -> str:
+    """Stable byte-for-byte JSON rendering (sorted keys, compact, newline)."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

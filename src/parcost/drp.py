@@ -14,52 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
 
-from .core import (Assignment, CostMatrix, Rational, TransferMatrix, Value,
-                   _check_costs, _exact_square, _set, as_exact, drp_cost)
+from .core import (Assignment, CostMatrix, DrpInstance, Rational, TransferMatrix,
+                   TspFbInstance, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
 from .lap import AssignmentProblem, drp_to_lap, lap_solve
 
 DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
-
-
-class DrpInstance(Value):
-    """A transfer matrix and a cost matrix of matching size."""
-
-    __slots__ = _fields = ("transfer", "cost")
-
-    def __init__(self, transfer: TransferMatrix, cost: CostMatrix) -> None:
-        if transfer.p != cost.p:
-            raise InstanceError(
-                f"dimension mismatch: transfer p={transfer.p}, cost p={cost.p}")
-        _set(self, "transfer", transfer)
-        _set(self, "cost", cost)
-
-    @property
-    def p(self) -> int:
-        return self.transfer.p
-
-
-class TspFbInstance(Value):
-    """Edge weights of a complete bipartite graph K_{n,n}.
-
-    ``weights[i-1][j-1]`` is the weight of the edge between left vertex i and
-    right vertex j. Off-diagonal weights must be positive; diagonal weights
-    may be zero (they map onto free local transfers under the reduction).
-    """
-
-    __slots__ = _fields = ("weights",)
-
-    def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
-        weights = _exact_square(weights, "bipartite tour instance", min_p=2)
-        _check_costs(weights, "weights", allow_nonzero_diagonal=True)
-        _set(self, "weights", weights)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
 
 def _assignment_weights(inst: DrpInstance) -> list[list[Rational]]:

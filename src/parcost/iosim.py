@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
-from .core import (CostMatrix, Rational, SortInstance, Value, _set, as_exact,
-                   derive_transfer_and_load)
+from .core import (Assignment, CostMatrix, Graph, Rational, SortInstance, Value,
+                   _set, as_exact, derive_transfer_and_load, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
@@ -46,6 +46,17 @@ class ExternalMemoryConfig(Value):
         _set(self, "machines", machines)
 
 
+def _phase(phase: Phase) -> Phase:
+    """A checked phase: str label, plain int IO (bool excluded), exact comm."""
+    label, io, comm = phase
+    label, comm = str(label), as_exact(comm)
+    if type(io) is not int:
+        raise InstanceError(f"phase {label!r} has a non-integer IO counter: {io!r}")
+    if io < 0 or comm < 0:
+        raise InstanceError(f"phase {label!r} has a negative counter")
+    return label, io, comm
+
+
 class IoReport(Value):
     """Per-phase IO and communication counters from one simulation run.
 
@@ -57,13 +68,10 @@ class IoReport(Value):
 
     def __init__(self, phases: Sequence[Phase], total_io: int, total_comm: Rational,
                  extras: Mapping[str, object] | None = None) -> None:
-        phases = tuple((str(label), int(io), as_exact(comm))
-                       for label, io, comm in phases)
-        for label, io, comm in phases:
-            if io < 0 or comm < 0:
-                raise InstanceError(f"phase {label!r} has a negative counter")
-        if total_io != sum(io for _, io, _ in phases):
-            raise InstanceError("total_io must equal the sum of phase IO counters")
+        phases = tuple(map(_phase, phases))
+        if type(total_io) is not int or total_io != sum(io for _, io, _ in phases):
+            raise InstanceError(
+                f"total_io must be the integer sum of the phase IO counters, got {total_io!r}")
         if total_comm != sum(comm for _, _, comm in phases):
             raise InstanceError("total_comm must equal the sum of phase communication")
         _set(self, "phases", phases)
@@ -74,51 +82,10 @@ class IoReport(Value):
     @staticmethod
     def from_phases(phases: Sequence[Phase],
                     extras: Mapping[str, object] | None = None) -> "IoReport":
-        phases = tuple(phases)
-        total_io = sum(int(io) for _, io, _ in phases)
-        total_comm = as_exact(sum(as_exact(c) for _, _, c in phases))
+        phases = tuple(map(_phase, phases))
+        total_io = sum(io for _, io, _ in phases)
+        total_comm = as_exact(sum(comm for _, _, comm in phases))
         return IoReport(phases, total_io, total_comm, extras or {})
-
-
-class Graph(Value):
-    """An undirected weighted graph on vertices 1..n_vertices."""
-
-    __slots__ = _fields = ("n_vertices", "edges")
-
-    def __init__(self, n_vertices: int,
-                 edges: Sequence[tuple[int, int, Rational]]) -> None:
-        # vertices are plain ints, bool excluded
-        if type(n_vertices) is not int:
-            raise InstanceError(f"n_vertices must be an integer, got {n_vertices!r}")
-        if n_vertices < 1:
-            raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
-        if not isinstance(edges, (list, tuple)):
-            raise InstanceError(f"graph edges must be a list, got {edges!r}")
-        seen: set[tuple[int, int]] = set()
-        checked = []
-        for k, edge in enumerate(edges):
-            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
-                raise InstanceError(f"edge {k + 1} is not a [u, v, weight] list: {edge!r}")
-            u, v, w = edge
-            if type(u) is not int or type(v) is not int:
-                raise InstanceError(
-                    f"edge {k + 1} endpoints ({u!r},{v!r}) must be integers")
-            if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
-                raise InstanceError(
-                    f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}")
-            if u == v:
-                raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InstanceError(f"duplicate undirected edge ({u},{v})")
-            seen.add(key)
-            checked.append((u, v, as_exact(w)))
-        _set(self, "n_vertices", n_vertices)
-        _set(self, "edges", tuple(checked))
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
 
 class FractionalMatchingState(Value):
@@ -424,10 +391,9 @@ def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
                      as_exact(comm_sample + comm_broadcast))
 
     transfer, loads = derive_transfer_and_load(inst, splitters)
-    comm_shuffle = sum(transfer.amount(i, j) * cost.cost(i, j)
-                       for i in range(1, p + 1) for j in range(1, p + 1))
+    comm_shuffle = drp_cost(transfer, cost, Assignment.identity(p))
     spills = sum(memory * ((c - 1) // memory) for c in loads if c)
-    phase2: Phase = ("redistribute", spills, as_exact(comm_shuffle))
+    phase2: Phase = ("redistribute", spills, comm_shuffle)
     phase3: Phase = ("local-merge", spills, 0)
 
     # each machine's data is already sorted, so this sort only merges p runs

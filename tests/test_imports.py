@@ -2,7 +2,9 @@
 each subcommand loads only the modules it runs. Module sets are checked in
 child processes, so the test session's own imports do not count."""
 
+import functools
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +17,10 @@ import parcost
 
 SRC = Path(parcost.__file__).resolve().parent.parent
 SUBMODULES = ("bench", "core", "drp", "gopsort", "iosim", "lap")
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+CODECS = ("drp_from_json", "drp_to_json", "gop_from_json", "gop_to_json",
+          "graph_from_json", "graph_to_json", "tspfb_from_json", "tspfb_to_json",
+          "dumps_canonical")
 
 # Runs argv through the CLI (or, with no argv, only builds the parser) and
 # prints the exit code and the loaded module names as JSON.
@@ -72,35 +78,40 @@ def test_noop_start_loads_no_solver_and_no_dataclasses():
 @pytest.mark.parametrize("command", ["drp-exact", "drp-approx"])
 def test_drp_commands_load_no_sorting_or_simulator(files, command):
     modules = child_modules(command, "--input", files["drp"])
-    assert loaded(modules) == {"bench", "core", "drp", "lap"}
+    assert loaded(modules) == {"core", "drp", "lap"}
     assert "dataclasses" not in modules and "inspect" not in modules
 
 
 @pytest.mark.parametrize("command, kind", [
     ("sim-terasort", "gop"), ("sim-mm", "graph"), ("sim-mst-io", "graph")])
 def test_simulators_load_no_solver(files, command, kind):
-    assert loaded(child_modules(command, "--input", files[kind])) == {
-        "bench", "core", "iosim"}
+    assert loaded(child_modules(command, "--input", files[kind])) == {"core", "iosim"}
 
 
 def test_gop_exact_loads_neither_simulator_nor_assignment_solver(files):
     assert loaded(child_modules("gop-exact", "--input", files["gop"])) == {
-        "bench", "core", "gopsort"}
+        "core", "gopsort"}
 
 
 def test_gop_approx_loads_no_simulator(files):
     assert loaded(child_modules("gop-approx", "--input", files["gop"])) == {
-        "bench", "core", "drp", "gopsort", "lap"}
+        "core", "drp", "gopsort", "lap"}
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("drp", {"bench", "core", "drp", "lap"}),
-    ("gop", {"bench", "core"}),
-    ("graph", {"bench", "core", "iosim"}),
-    ("tspfb", {"bench", "core", "drp", "lap"}),
+    ("drp", {"core"}),
+    ("gop", {"core"}),
+    ("graph", {"core"}),
+    ("tspfb", {"core"}),
 ])
 def test_validate_loads_only_the_matched_loader(files, kind, expected):
     assert loaded(child_modules("validate", "--input", files[kind])) == expected
+
+
+@pytest.mark.parametrize("kind", ["drp", "gop", "graph", "tspfb"])
+def test_gen_loads_no_solver_or_simulator(kind):
+    assert loaded(child_modules("gen", "--kind", kind, "--n", "6", "--m", "5")) == {
+        "bench", "core"}
 
 
 def test_drp_ratio_sweep_loads_no_sorting_or_simulator():
@@ -129,6 +140,20 @@ def test_every_exported_name_is_the_defining_modules_object():
         if not home.startswith("parcost."):
             home = "parcost.core"  # Rational, a typing alias
         assert getattr(importlib.import_module(home), name) is obj, name
+
+
+def test_traced_names_resolve_and_bench_codecs_are_cores():
+    # the benchmark's tracer wraps these by name; a rename would break only it
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    for module_name, names in traced_cli.TRACED.items():
+        module = importlib.import_module(f"parcost.{module_name}")
+        for name in names:
+            assert callable(functools.reduce(getattr, name.split("."), module)), name
+    bench, core = (importlib.import_module(f"parcost.{m}") for m in ("bench", "core"))
+    for name in CODECS:
+        assert getattr(bench, name) is getattr(core, name), name
 
 
 def test_star_import_binds_every_exported_name():

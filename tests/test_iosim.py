@@ -518,6 +518,20 @@ class TestIoReport:
         assert report.total_io == 5
         assert report.total_comm == Fraction(3, 2)
 
+    @pytest.mark.parametrize("io", [2.7, 3.0, "3", True, Fraction(3)])
+    def test_io_counters_must_be_plain_ints(self, io):
+        with pytest.raises(InstanceError, match="non-integer IO counter"):
+            IoReport.from_phases((("a", io, 0),))
+        with pytest.raises(InstanceError, match="non-integer IO counter"):
+            IoReport((("a", io, 0),), 3, 0)
+        with pytest.raises(InstanceError, match="integer sum"):
+            IoReport((("a", 3, 0),), io, 0)
+
+    def test_negative_counters_are_named(self):
+        for phase in (("a", -1, 0), ("a", 1, -1)):
+            with pytest.raises(InstanceError, match="phase 'a' has a negative counter"):
+                IoReport.from_phases((phase,))
+
 
 class TestClassifier:
     def test_super_needs_strictly_less_everywhere(self):
