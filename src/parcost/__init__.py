@@ -23,10 +23,10 @@ _EXPORTS = {
             "tspfb_brute", "tspfb_to_drp"),
     "errors": ("GuardError", "InstanceError", "ParameterError"),
     "gopsort": ("equal_splitters", "gop_solve_approx", "gop_solve_exact"),
-    "iosim": ("ExternalMemoryConfig", "FractionalMatchingState", "IoOptimality",
-              "IoReport", "classify_io_optimality", "io_sort_count",
-              "kruskal_serial_io", "mm_parallel_io_model", "mm_serial_run",
-              "nowicki_partition_io", "terasort_simulate"),
+    "iosim": ("FractionalMatchingState", "IoOptimality", "IoReport",
+              "classify_io_optimality", "io_sort_count", "kruskal_serial_io",
+              "mm_parallel_io_model", "mm_serial_run", "nowicki_partition_io",
+              "terasort_simulate"),
     "lap": ("AssignmentProblem", "assignment_cost", "drp_to_lap", "lap_brute",
             "lap_solve"),
 }

@@ -43,15 +43,13 @@ class Seed(Value):
         _set(self, "value", value)
 
 
-def _rng(seed: int | Seed) -> random.Random:
-    if isinstance(seed, Seed):
-        seed = seed.value
+def _rng(seed: int) -> random.Random:
     Seed(seed)
     return random.Random(seed)
 
 
 def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
-            seed: int | Seed) -> DrpInstance:
+            seed: int) -> DrpInstance:
     """Random instance: integer off-diagonal costs in [cost_low, cost_high],
     integer transfer volumes in [0, mass_max]."""
     if p < 2:
@@ -65,7 +63,7 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
     return DrpInstance(TransferMatrix(tuple(map(tuple, transfer))), cost)
 
 
-def gen_gop(n: int, p: int, seed: int | Seed, cost_low: int = 1,
+def gen_gop(n: int, p: int, seed: int, cost_low: int = 1,
             cost_high: int = 10) -> GopInstance:
     """n distinct integers spread uniformly over p machines, random cluster costs."""
     if p < 2 or n < p:
@@ -92,7 +90,7 @@ def _random_costs(rng: random.Random, p: int, cost_low: int, cost_high: int) -> 
                                   for j in range(p)) for i in range(p)))
 
 
-def gen_graph(n: int, m: int, seed: int | Seed) -> Graph:
+def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Simple random graph with m edges and positive integer weights."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -120,7 +118,7 @@ def gen_graph(n: int, m: int, seed: int | Seed) -> Graph:
     return Graph(n, tuple((u, v, rng.randint(1, GRAPH_WEIGHT_MAX)) for u, v in chosen))
 
 
-def gen_tspfb(n: int, seed: int | Seed) -> TspFbInstance:
+def gen_tspfb(n: int, seed: int) -> TspFbInstance:
     """Random bipartite tour instance with positive integer weights."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -275,10 +273,10 @@ def _measure_gop_ratio(spec: SweepSpec, n: int, seed: int, p: int, guard: int) -
 
 
 def _measure_terasort(spec: SweepSpec, n: int, seed: int, p: int, memory: int) -> dict:
-    from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
+    from .iosim import io_sort_count, terasort_simulate
 
     g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-    _, report = terasort_simulate(g.inst, ExternalMemoryConfig(memory, p), g.cost)
+    _, report = terasort_simulate(g, memory)
     return {"parallel_io": report.total_io, "serial_io": io_sort_count(n, memory)}
 
 
@@ -287,7 +285,7 @@ def _measure_mst(spec: SweepSpec, n: int, seed: int) -> dict:
 
     m = math.isqrt(n ** 3)  # floor(n^1.5)
     memory = n if spec.memory is None else spec.memory
-    report = nowicki_partition_io(gen_graph(n, m, seed), memory)
+    report = nowicki_partition_io(gen_graph(n, m, seed))
     return {"m": m, "parallel_io": report.total_io,
             "analytic_io": report.extras["analytic_io"],
             "serial_io": kruskal_serial_io(m, memory)}

@@ -104,11 +104,10 @@ def _cmd_reduce_tspfb(args) -> dict:
 
 
 def _cmd_sim_terasort(args) -> dict:
-    from .iosim import ExternalMemoryConfig, io_sort_count, terasort_simulate
+    from .iosim import io_sort_count, terasort_simulate
 
     g = _load(args, "gop")
-    cfg = ExternalMemoryConfig(args.memory, g.p)
-    outputs, report = terasort_simulate(g.inst, cfg, g.cost)
+    outputs, report = terasort_simulate(g, args.memory)
     flat = [v for out in outputs for v in out]
     result = _report_json(report)
     result["sorted"] = flat == sorted(flat)
@@ -142,7 +141,7 @@ def _cmd_sim_mst_io(args) -> dict:
 
     graph = _load(args, "graph")
     memory = args.memory if args.memory is not None else graph.n_vertices
-    report = nowicki_partition_io(graph, memory)
+    report = nowicki_partition_io(graph)
     serial = kruskal_serial_io(graph.n_edges, memory)
     return {
         "parallel_io": report.total_io,

@@ -138,9 +138,11 @@ class Value:
     """Base of the immutable value types.
 
     Each subclass names its fields in ``_fields`` and stores them in
-    ``__slots__`` from an explicit ``__init__``. Equality and hashing
-    compare the fields within one class only, ``repr`` shows them as keyword
-    arguments, and assigning or deleting any attribute raises
+    ``__slots__`` from an explicit ``__init__``. A derived field, such as a
+    total, is a read-only property named in ``_fields`` but not in
+    ``__slots__``, which list the constructor's arguments. Equality and
+    hashing compare the fields within one class only, ``repr`` shows them as
+    keyword arguments, and assigning or deleting any attribute raises
     ``AttributeError``.
     """
 
@@ -317,11 +319,11 @@ class Assignment(Value):
 
 
 class SortInstance(Value):
-    """n distinct integers spread over p machines.
+    """n >= p distinct integers spread over p >= 2 machines.
 
-    ``subsets[i-1]`` is machine i's local data. Elements must be distinct
-    across the whole instance; interval counting below silently assumes it,
-    so duplicates are rejected at construction.
+    ``subsets[i-1]`` is machine i's local data; a machine may hold none.
+    Elements must be distinct across the whole instance; interval counting
+    below silently assumes it, so duplicates are rejected at construction.
     """
 
     __slots__ = _fields = ("subsets",)
@@ -335,10 +337,11 @@ class SortInstance(Value):
         subsets = tuple(map(tuple, subsets))
         if len(subsets) < 2:
             raise InstanceError("a sort instance needs p > 1 machines")
+        n = sum(map(len, subsets))
         # set builtins check the common case; the loop below only names the
         # first bad element, or passes int subclasses other than bool
         if (not set(map(type, chain.from_iterable(subsets))) <= {int}
-                or len(set(chain.from_iterable(subsets))) != sum(map(len, subsets))):
+                or len(set(chain.from_iterable(subsets))) != n):
             seen: set[int] = set()
             for i, subset in enumerate(subsets):
                 for value in subset:
@@ -349,6 +352,9 @@ class SortInstance(Value):
                         raise InstanceError(
                             f"duplicate element {value} (subset {i + 1}); elements must be distinct")
                     seen.add(value)
+        if n < len(subsets):
+            raise InstanceError(
+                f"need at least one element per machine: n={n}, p={len(subsets)}")
         _set(self, "subsets", subsets)
 
     @property
@@ -386,7 +392,8 @@ class GopInstance(Value):
 
 
 class Graph(Value):
-    """An undirected weighted graph on vertices 1..n_vertices."""
+    """An undirected weighted graph on vertices 1..n_vertices, with at least
+    one edge."""
 
     __slots__ = _fields = ("n_vertices", "edges")
 
@@ -399,6 +406,8 @@ class Graph(Value):
             raise InstanceError(f"n_vertices must be >= 1, got {n_vertices}")
         if not isinstance(edges, (list, tuple)):
             raise InstanceError(f"graph edges must be a list, got {edges!r}")
+        if not edges:
+            raise InstanceError("graph has no edges")
         seen: set[tuple[int, int]] = set()
         checked = []
         for k, edge in enumerate(edges):
@@ -429,25 +438,25 @@ class Graph(Value):
 class GopSolution(Value):
     """A splitter choice plus machine assignment with its cost breakdown.
 
-    ``total_cost`` is always ``float(comm_cost) + io_cost``; the redundancy
-    is kept so results can be logged and compared without recomputation.
+    ``total_cost`` is derived: ``float(comm_cost) + io_cost``.
     """
 
-    __slots__ = _fields = ("splitters", "assignment", "comm_cost", "io_cost",
-                           "total_cost")
+    __slots__ = ("splitters", "assignment", "comm_cost", "io_cost")
+    _fields = (*__slots__, "total_cost")
 
     def __init__(self, splitters: Sequence[int], assignment: Assignment,
-                 comm_cost: Rational, io_cost: float, total_cost: float) -> None:
+                 comm_cost: Rational, io_cost: float) -> None:
         splitters = tuple(splitters)
         if any(a >= b for a, b in zip(splitters, splitters[1:])):
             raise InstanceError(f"splitters {splitters} are not strictly ascending")
-        if total_cost != float(comm_cost) + io_cost:
-            raise InstanceError("total_cost must equal comm_cost + io_cost")
         _set(self, "splitters", splitters)
         _set(self, "assignment", assignment)
         _set(self, "comm_cost", comm_cost)
         _set(self, "io_cost", io_cost)
-        _set(self, "total_cost", total_cost)
+
+    @property
+    def total_cost(self) -> float:
+        return float(self.comm_cost) + self.io_cost
 
 
 def drp_cost(transfer: TransferMatrix, cost: CostMatrix, assignment: Assignment) -> Rational:
@@ -509,27 +518,24 @@ def sort_io_term(loads: Sequence[int]) -> float:
     return worst
 
 
-def gop_objective(inst: SortInstance, splitters: Sequence[int],
-                  assignment: Assignment, cost: CostMatrix) -> GopSolution:
+def gop_objective(g: GopInstance, splitters: Sequence[int],
+                  assignment: Assignment) -> GopSolution:
     """Evaluate the joint objective: communication plus worst sorting IO.
 
-    The communication part prices the derived transfer matrix under the
-    given assignment; the IO part is ``sort_io_term`` over the interval
-    loads and does not depend on the assignment.
+    The communication part prices the derived transfer matrix on the
+    cluster's costs under the given assignment; the IO part is
+    ``sort_io_term`` over the interval loads and does not depend on the
+    assignment.
     """
-    if cost.p != inst.p or assignment.p != inst.p:
-        raise InstanceError(
-            f"dimension mismatch: instance p={inst.p}, cost p={cost.p}, "
-            f"assignment p={assignment.p}")
+    inst = g.inst
     splitters = _check_splitters(splitters, inst.p)
     universe = set(inst.values())
     for s in splitters:
         if s not in universe:
             raise InstanceError(f"splitter {s} is not an element of the instance")
     transfer, loads = derive_transfer_and_load(inst, splitters)
-    comm = drp_cost(transfer, cost, assignment)
-    io = sort_io_term(loads)
-    return GopSolution(splitters, assignment, comm, io, float(comm) + io)
+    comm = drp_cost(transfer, g.cost, assignment)
+    return GopSolution(splitters, assignment, comm, sort_io_term(loads))
 
 
 # --- JSON form ------------------------------------------------------------

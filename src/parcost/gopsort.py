@@ -8,12 +8,12 @@ redistribution subproblem with the unit-cost assignment surrogate.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from .constants import DEFAULT_WORK_GUARD
 from .core import (Assignment, GopInstance, GopSolution, SortInstance,
                    derive_transfer_and_load, sort_io_term)
-from .errors import GuardError, InstanceError
+from .errors import GuardError
 
 
 def gop_solve_exact(g: GopInstance,
@@ -29,8 +29,6 @@ def gop_solve_exact(g: GopInstance,
     """
     inst, cost = g.inst, g.cost
     n, p = inst.n, inst.p
-    if n < p:
-        raise InstanceError(f"need at least one element per machine: n={n}, p={p}")
     work = comb(n, p - 1) * factorial(p)
     if work > work_guard:
         raise GuardError(
@@ -43,39 +41,40 @@ def gop_solve_exact(g: GopInstance,
                               initial=0))
               for k in range(p)]
     perms = list(permutations(range(p)))
-    best: GopSolution | None = None
+    # the incumbent's total is a local and its solution is built once, after
+    # the loop: a GopSolution per improvement, or a property read per
+    # mapping, would slow the loop
+    best_total = inf
     for ranks in combinations(range(n), p - 1):
         cuts = (0, *(t + 1 for t in ranks), n)
         bounds = tuple(zip(cuts, cuts[1:]))
         io = sort_io_term([b - a for a, b in bounds])
         # float() and + io are monotone, so no mapping beats the incumbent
         # strictly when every interval on its cheapest host does not
-        if best is not None and io >= best.total_cost:
+        if io >= best_total:
             continue
         weights = [[w[b] - w[a] for w in prefix] for a, b in bounds]
-        if best is not None and float(sum(map(min, weights))) + io >= best.total_cost:
+        if float(sum(map(min, weights))) + io >= best_total:
             continue
         for perm in perms:
             comm = sum(map(list.__getitem__, weights, perm))
             total = float(comm) + io
-            if best is None or total < best.total_cost:
-                mapping = Assignment(tuple(k + 1 for k in perm))
-                best = GopSolution(tuple(values[t] for t in ranks), mapping,
-                                   comm, io, total)
-    assert best is not None
-    return best
+            if total < best_total:
+                best_total = total
+                best = ranks, perm, comm, io
+    ranks, perm, comm, io = best
+    return GopSolution(tuple(values[t] for t in ranks),
+                       Assignment(tuple(k + 1 for k in perm)), comm, io)
 
 
 def equal_splitters(inst: SortInstance) -> tuple[int, ...]:
     """Splitters at the p-quantile ranks of the globally sorted data.
 
-    Splitter k is the element of rank floor(k*n/p), 1-indexed; with n >= p
-    the ranks are distinct and at least k, so the result is strictly
-    ascending.
+    Splitter k is the element of rank floor(k*n/p), 1-indexed; a sort
+    instance has n >= p, so the ranks are distinct and at least k and the
+    result is strictly ascending.
     """
     n, p = inst.n, inst.p
-    if n < p:
-        raise InstanceError(f"need at least one element per machine: n={n}, p={p}")
     values = inst.values()
     return tuple(values[(k * n) // p - 1] for k in range(1, p))
 
@@ -99,5 +98,4 @@ def gop_solve_approx(g: GopInstance, exact_assignment: bool = False) -> GopSolut
         assignment, comm = drp_solve_exact(sub)
     else:
         assignment, comm = drp_solve_approx(sub)
-    io = sort_io_term(loads)
-    return GopSolution(splitters, assignment, comm, io, float(comm) + io)
+    return GopSolution(splitters, assignment, comm, sort_io_term(loads))

@@ -25,25 +25,11 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
-from .core import (Assignment, CostMatrix, Graph, Rational, SortInstance, Value,
-                   _set, as_exact, derive_transfer_and_load, drp_cost)
+from .core import (Assignment, GopInstance, Graph, Rational, Value, _set, as_exact,
+                   derive_transfer_and_load, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
-
-
-class ExternalMemoryConfig(Value):
-    """Main-memory capacity in records per machine; external memory is unbounded."""
-
-    __slots__ = _fields = ("main_memory", "machines")
-
-    def __init__(self, main_memory: int, machines: int) -> None:
-        if main_memory < 2:
-            raise ParameterError(f"main_memory must be >= 2, got {main_memory}")
-        if machines < 1:
-            raise ParameterError(f"machines must be >= 1, got {machines}")
-        _set(self, "main_memory", main_memory)
-        _set(self, "machines", machines)
 
 
 def _phase(phase: Phase) -> Phase:
@@ -60,51 +46,43 @@ def _phase(phase: Phase) -> Phase:
 class IoReport(Value):
     """Per-phase IO and communication counters from one simulation run.
 
+    ``total_io`` and ``total_comm`` are derived: the sums over the phases.
     ``extras`` carries auxiliary read-only figures (analytic cross-checks,
     per-iteration vertex loads) that are not part of the totals.
     """
 
-    __slots__ = _fields = ("phases", "total_io", "total_comm", "extras")
+    __slots__ = ("phases", "extras")
+    _fields = ("phases", "total_io", "total_comm", "extras")
 
-    def __init__(self, phases: Sequence[Phase], total_io: int, total_comm: Rational,
+    def __init__(self, phases: Sequence[Phase],
                  extras: Mapping[str, object] | None = None) -> None:
-        phases = tuple(map(_phase, phases))
-        if type(total_io) is not int or total_io != sum(io for _, io, _ in phases):
-            raise InstanceError(
-                f"total_io must be the integer sum of the phase IO counters, got {total_io!r}")
-        if total_comm != sum(comm for _, _, comm in phases):
-            raise InstanceError("total_comm must equal the sum of phase communication")
-        _set(self, "phases", phases)
-        _set(self, "total_io", total_io)
-        _set(self, "total_comm", total_comm)
+        _set(self, "phases", tuple(map(_phase, phases)))
         _set(self, "extras", {} if extras is None else extras)
 
-    @staticmethod
-    def from_phases(phases: Sequence[Phase],
-                    extras: Mapping[str, object] | None = None) -> "IoReport":
-        phases = tuple(map(_phase, phases))
-        total_io = sum(io for _, io, _ in phases)
-        total_comm = as_exact(sum(comm for _, _, comm in phases))
-        return IoReport(phases, total_io, total_comm, extras or {})
+    @property
+    def total_io(self) -> int:
+        return sum(io for _, io, _ in self.phases)
+
+    @property
+    def total_comm(self) -> Rational:
+        return as_exact(sum(comm for _, _, comm in self.phases))
 
 
 class FractionalMatchingState(Value):
     """Final state of the multiplicative-boost fractional matching run.
 
-    ``x`` is the per-edge weight, indexed like ``Graph.edges``; the frozen
-    sets only ever grow while the run executes. Epsilon is kept exact so the
-    freeze decisions are reproducible bit for bit.
+    ``x`` is the per-edge weight, indexed like ``Graph.edges``; a finished
+    run has frozen every edge. The frozen vertex set only ever grows while
+    the run executes. Epsilon is kept exact so the freeze decisions are
+    reproducible bit for bit.
     """
 
-    __slots__ = _fields = ("x", "frozen_vertices", "frozen_edges", "epsilon")
+    __slots__ = _fields = ("x", "frozen_vertices", "epsilon")
 
     def __init__(self, x: tuple[Rational, ...], frozen_vertices: frozenset[int],
-                 frozen_edges: frozenset[int], epsilon: Fraction) -> None:
-        if not 0 < epsilon < Fraction(1, 2):
-            raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+                 epsilon: Fraction) -> None:
         _set(self, "x", x)
         _set(self, "frozen_vertices", frozen_vertices)
-        _set(self, "frozen_edges", frozen_edges)
         _set(self, "epsilon", epsilon)
 
     def vertex_load(self, graph: Graph, v: int) -> Rational:
@@ -140,7 +118,7 @@ def kruskal_serial_io(m: int, memory: int) -> int:
     return io_sort_count(m, memory) + m
 
 
-def nowicki_partition_io(graph: Graph, memory: int) -> IoReport:
+def nowicki_partition_io(graph: Graph) -> IoReport:
     """Read count of the edge-partition phase of the constant-round
     spanning-forest algorithm.
 
@@ -149,19 +127,15 @@ def nowicki_partition_io(graph: Graph, memory: int) -> IoReport:
     subproblem for a group pair (i, j), i <= j, scans bucket i in full: the
     phase ``scan[i,j]`` reads bucket i's size, and an edge in bucket i is read
     once per pair (i, j), j >= i. The model counts these reads and builds no
-    per-pair forest; ``memory`` is only validated, since the group sizing,
-    not memory, keeps each pair's subproblem small. One pass over the edges
-    gives every bucket's size. ``extras['analytic_io']`` carries the
-    closed-form ceiling m * ceil(m/n) for cross-checking; the counted total
-    is m when there is a single group and grows toward the analytic value as
-    the group count rises.
+    per-pair forest. It takes no memory size: the group sizing, not memory,
+    keeps each pair's subproblem small. One pass over the edges gives every
+    bucket's size. ``extras['analytic_io']`` carries the closed-form ceiling
+    m * ceil(m/n) for cross-checking; the counted total is m when there is a
+    single group and grows toward the analytic value as the group count
+    rises.
     """
-    if memory < 2:
-        raise ParameterError(f"memory must be >= 2, got {memory}")
     n = graph.n_vertices
     m = graph.n_edges
-    if m == 0:
-        raise InstanceError("graph has no edges")
     groups = -(-m // n)
     # the group of a vertex is monotone in it, so the smaller endpoint's
     # group is the smaller group
@@ -170,7 +144,7 @@ def nowicki_partition_io(graph: Graph, memory: int) -> IoReport:
         bucket_sizes[(min(u, v) - 1) * groups // n] += 1
     phases = [(f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0)
               for i in range(groups) for j in range(i, groups)]
-    return IoReport.from_phases(phases, {"analytic_io": m * groups, "groups": groups})
+    return IoReport(phases, {"analytic_io": m * groups, "groups": groups})
 
 
 def _as_epsilon(epsilon) -> Fraction:
@@ -212,8 +186,6 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     next freeze test. An edge's final weight is ``w`` at the moment it froze.
     """
     eps = _as_epsilon(epsilon)
-    if graph.n_edges == 0:
-        raise InstanceError("graph has no edges")
     n = graph.n_vertices
     m = graph.n_edges
     threshold = 1 - 2 * eps
@@ -262,11 +234,10 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     state = FractionalMatchingState(
         x=tuple(as_exact(v) for v in x),
         frozen_vertices=frozenset(frozen_vertices),
-        frozen_edges=frozenset(range(m)),
         epsilon=eps,
     )
     extras = {"max_vertex_load_per_iteration": tuple(load_history)}
-    return state, IoReport.from_phases(phases, extras)
+    return state, IoReport(phases, extras)
 
 
 def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
@@ -288,8 +259,6 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
     (b - 2a) * D, still exact.
     """
     eps = _as_epsilon(epsilon)
-    if graph.n_edges == 0:
-        raise InstanceError("graph has no edges")
     n = graph.n_vertices
     a, b = eps.numerator, eps.denominator
     limit = _iteration_limit(n, eps)
@@ -318,14 +287,13 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
             u, v = ends[k]
             if not (frozen[u] or frozen[v]):
                 boosts[k] += 1
-    return IoReport.from_phases(phases)
+    return IoReport(phases)
 
 
 def _apportion(total: int, counts: Sequence[int]) -> list[int]:
-    """Largest-remainder split of ``total`` proportional to ``counts``."""
+    """Largest-remainder split of ``total`` proportional to ``counts``,
+    which must not all be 0."""
     grand = sum(counts)
-    if grand == 0:
-        return [0] * len(counts)
     base = [total * c // grand for c in counts]
     remainders = sorted(range(len(counts)),
                         key=lambda i: (-(total * counts[i] % grand), i))
@@ -335,15 +303,19 @@ def _apportion(total: int, counts: Sequence[int]) -> list[int]:
     return base
 
 
-def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
-                      cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], IoReport]:
+def terasort_simulate(g: GopInstance,
+                      memory: int) -> tuple[tuple[tuple[int, ...], ...], IoReport]:
     """Three-phase distributed range-partition sort with exact counters.
+
+    Each of the p machines of ``g`` holds M = ``memory`` records in main
+    memory; external memory is unbounded. The sample must hold one record
+    per machine, so M >= p is required.
 
     Phase 1 (sample-and-split): min(M, n) records are read from external
     memory, one IO each, apportioned over machines by local data size and
     picked at evenly spaced local ranks; all samples travel to machine 1,
     which broadcasts the p-1 equal-rank sample splitters. Communication is
-    priced by the cost matrix.
+    priced by the cluster's cost matrix.
 
     Phase 2 (redistribute): every record goes to the machine owning its
     splitter interval (identity placement), priced by the cost matrix.
@@ -360,15 +332,8 @@ def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
     the splitter intervals' loads, and the per-machine outputs are the
     globally sorted data cut at those loads.
     """
-    p = inst.p
-    if cfg.machines != p or cost.p != p:
-        raise InstanceError(
-            f"dimension mismatch: instance p={p}, config machines={cfg.machines}, "
-            f"cost p={cost.p}")
-    n = inst.n
-    if n == 0:
-        raise InstanceError("no records to sort")
-    memory = cfg.main_memory
+    inst, cost = g.inst, g.cost
+    p, n = inst.p, inst.n
     sample_size = min(memory, n)
     if sample_size < p:
         raise InstanceError(
@@ -401,7 +366,7 @@ def terasort_simulate(inst: SortInstance, cfg: ExternalMemoryConfig,
     cuts = (0, *accumulate(loads))
     outputs = tuple(values[a:b] for a, b in zip(cuts, cuts[1:]))
 
-    report = IoReport.from_phases(
+    report = IoReport(
         (phase1, phase2, phase3),
         extras={"splitters": splitters, "sample_size": sample_size},
     )

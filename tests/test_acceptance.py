@@ -14,8 +14,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from parcost import (AssignmentProblem, ExternalMemoryConfig,
-                     classify_io_optimality, derive_transfer_and_load,
+from parcost import (AssignmentProblem, classify_io_optimality, derive_transfer_and_load,
                      drp_solve_approx, drp_solve_exact, drp_to_lap,
                      gop_solve_approx, gop_solve_exact,
                      io_sort_count, kruskal_serial_io, lap_brute, lap_solve,
@@ -206,8 +205,7 @@ def test_criterion_07_terasort_beats_serial_model():
     start = time.time()
     n, p, memory = 100_000, 4, 1000
     g = gen_gop(n, p, seed=42)
-    outputs, parallel = terasort_simulate(
-        g.inst, ExternalMemoryConfig(memory, p), g.cost)
+    outputs, parallel = terasort_simulate(g, memory)
     serial = io_sort_count(n, memory)
     flat = [v for out in outputs for v in out]
     sorted_ok = flat == sorted(g.inst.values())
@@ -258,7 +256,7 @@ def test_criterion_09_spanning_forest_non_optimality():
     for n in (32, 64, 128, 256):
         m = math.isqrt(n ** 3)
         graph = gen_graph(n, m, seed=n)
-        parallel = nowicki_partition_io(graph, n)
+        parallel = nowicki_partition_io(graph)
         serial = kruskal_serial_io(m, n)
         analytic = parallel.extras["analytic_io"]
         analytic_ok &= analytic / 4 <= parallel.total_io <= 4 * analytic
@@ -291,14 +289,11 @@ def test_criterion_10_determinism_and_round_trips():
 
     # simulations: equal reports on repeated runs
     g = gen_gop(3000, 3, seed=98)
-    cfg = ExternalMemoryConfig(128, 3)
-    sims_ok = (terasort_simulate(g.inst, cfg, g.cost)
-               == terasort_simulate(g.inst, cfg, g.cost))
+    sims_ok = terasort_simulate(g, 128) == terasort_simulate(g, 128)
     graph = gen_graph(30, 80, seed=99)
     sims_ok &= (mm_serial_run(graph, Fraction(1, 10))
                 == mm_serial_run(graph, Fraction(1, 10)))
-    sims_ok &= (nowicki_partition_io(graph, 30)
-                == nowicki_partition_io(graph, 30))
+    sims_ok &= nowicki_partition_io(graph) == nowicki_partition_io(graph)
 
     # JSON round-trips on every instance type
     drp = gen_drp(4, 1, 9, 15, seed=100)

@@ -130,6 +130,10 @@ class TestSimCommands:
         assert result["sorted"] is True
         assert [v for block in result["output"] for v in block] == list(range(1, 9))
         assert len(result["phases"]) == 3
+        # the sample needs one record per machine, the only memory rule
+        assert run_cli(capsys, "sim-terasort", "--input", path, "--memory", "1") == (
+            2, "", "invalid input: main memory 1 cannot hold one sample record per "
+                   "machine (p=2)\n")
 
     def test_sim_mm(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json",
@@ -152,6 +156,9 @@ class TestSimCommands:
         result = json.loads(out)
         assert result["parallel_io"] > 0
         assert result["analytic_io"] >= result["parallel_io"]
+        # the serial model's sort owns the memory rule
+        assert run_cli(capsys, "sim-mst-io", "--input", path, "--memory", "1") == (
+            2, "", "invalid input: memory must be >= 2, got 1\n")
 
 
 class TestSweepAndGen:
@@ -206,6 +213,19 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "validate", "--input", path)
         assert code == 2
         assert "cost[1][2]" in err
+        # the loaders' other refusals, each reachable from an input file
+        cost2, cost3 = [[0, 1], [1, 0]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        for command, data, message in (
+                ("validate", {"p": 2, "transfer": cost2, "cost": cost3},
+                 "dimension mismatch: transfer p=2, cost p=3"),
+                ("validate", {"p": 2, "subsets": [[1], [2]], "cost": cost3},
+                 "dimension mismatch: instance p=2, cost p=3"),
+                ("drp-exact", [1, 2], "redistribution instance must be a JSON object"),
+                ("validate", {"p": 2, "subsets": 5, "cost": cost2},
+                 "subsets must be a list of lists, got 5")):
+            path = write_json(tmp_path, "bad.json", data)
+            assert run_cli(capsys, command, "--input", path) == (
+                2, "", f"invalid input: {message}\n"), message
 
     def test_numeric_strings_must_be_num_den(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"p": 2, "transfer": [[0, "0.5"], [3, 0]],
@@ -468,6 +488,8 @@ BAD_GRAPHS = {
                         "edge 2 is not a [u, v, weight] list: 5"),
     "two-item-edge": ({"n": 3, "edges": [[1, 2]]},
                       "edge 1 is not a [u, v, weight] list: [1, 2]"),
+    "no-edges": ({"n": 3, "edges": []}, "graph has no edges"),
+    "zero-n": ({"n": 0, "edges": []}, "n_vertices must be >= 1, got 0"),
 }
 
 
@@ -483,6 +505,32 @@ def test_bad_graph_is_refused_alike_by_every_graph_command(data, message, tmp_pa
     # the loader only picks the fields; the constructor owns every rule
     with pytest.raises(InstanceError) as refused:
         Graph(data["n"], data["edges"])
+    assert str(refused.value) == message
+
+
+# Sort instances the loader refuses, and the message each gets. validate, the
+# splitter solvers and the sort simulator read through the same loader, so
+# they must agree.
+BAD_SORTS = {
+    "empty-machine": ({"p": 3, "subsets": [[1], [2], []],
+                       "cost": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+                      "need at least one element per machine: n=2, p=3"),
+    "no-elements": ({"p": 2, "subsets": [[], []], "cost": [[0, 1], [1, 0]]},
+                    "need at least one element per machine: n=0, p=2"),
+}
+
+
+@pytest.mark.parametrize("data, message", BAD_SORTS.values(), ids=BAD_SORTS)
+def test_bad_sort_instance_is_refused_alike_by_every_sort_command(data, message,
+                                                                  tmp_path, capsys):
+    from parcost import InstanceError, SortInstance
+
+    path = write_json(tmp_path, "s.json", data)
+    for command in ("validate", "gop-exact", "gop-approx", "sim-terasort"):
+        assert run_cli(capsys, command, "--input", path) == (
+            2, "", f"invalid input: {message}\n"), command
+    with pytest.raises(InstanceError) as refused:
+        SortInstance(data["subsets"])
     assert str(refused.value) == message
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from parcost import (Assignment, AssignmentProblem, CostMatrix, InstanceError,
-                     SortInstance, TransferMatrix, as_exact,
+from parcost import (Assignment, AssignmentProblem, CostMatrix, GopInstance,
+                     InstanceError, SortInstance, TransferMatrix, as_exact,
                      derive_transfer_and_load, drp_cost, gop_objective,
                      sort_io_term)
 
@@ -295,24 +295,24 @@ class TestSortIoTerm:
 
 class TestGopObjective:
     def test_balanced_identity(self):
-        s = gop_objective(SortInstance(((1, 2), (3, 4))), (2,),
-                          Assignment.identity(2), UNIT_COST)
+        s = gop_objective(GopInstance(SortInstance(((1, 2), (3, 4))), UNIT_COST), (2,),
+                          Assignment.identity(2))
         assert s.comm_cost == 0
         assert s.io_cost == 2.0
         assert s.total_cost == 2.0
 
     def test_reversed_data_fixed_by_swap(self):
-        s = gop_objective(SortInstance(((3, 4), (1, 2))), (2,),
-                          Assignment((2, 1)), UNIT_COST)
+        s = gop_objective(GopInstance(SortInstance(((3, 4), (1, 2))), UNIT_COST), (2,),
+                          Assignment((2, 1)))
         assert s.comm_cost == 0
         assert s.total_cost == 2.0
 
     def test_single_interval_costs_n_log_n(self):
         inst = SortInstance(((1, 2, 3, 4), (5, 6, 7, 8)))
-        s = gop_objective(inst, (8,), Assignment.identity(2), UNIT_COST)
+        s = gop_objective(GopInstance(inst, UNIT_COST), (8,), Assignment.identity(2))
         assert s.io_cost == 8 * 3.0  # n log2 n with n = 8
 
     def test_rejects_foreign_splitter(self):
         with pytest.raises(InstanceError, match="not an element"):
-            gop_objective(SortInstance(((1, 2), (3, 4))), (5,),
-                          Assignment.identity(2), UNIT_COST)
+            gop_objective(GopInstance(SortInstance(((1, 2), (3, 4))), UNIT_COST), (5,),
+                          Assignment.identity(2))

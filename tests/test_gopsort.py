@@ -40,7 +40,7 @@ class TestExact:
 
     def test_rejects_fewer_elements_than_machines(self):
         c3 = CostMatrix([[0 if i == j else 1 for j in range(3)] for i in range(3)])
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="n=2, p=3"):
             gop_solve_exact(GopInstance(SortInstance(((1,), (2,), ())), c3))
 
 
@@ -58,7 +58,7 @@ class TestEqualSplitters:
         assert equal_splitters(inst) == (20,)
 
     def test_too_few_elements(self):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="n=1, p=3"):
             equal_splitters(SortInstance(((1,), (), ())))
 
 

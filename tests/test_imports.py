@@ -133,7 +133,7 @@ def test_package_attribute_loads_only_its_module():
 
 
 def test_every_exported_name_is_the_defining_modules_object():
-    assert len(parcost.__all__) == 43
+    assert len(parcost.__all__) == 42
     for name in parcost.__all__:
         obj = getattr(parcost, name)
         home = getattr(obj, "__module__", "")

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from parcost import (CostMatrix, ExternalMemoryConfig, Graph, InstanceError,
-                     IoOptimality, IoReport, ParameterError, SortInstance,
-                     classify_io_optimality, io_sort_count, kruskal_serial_io,
-                     mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
-                     terasort_simulate)
+from parcost import (CostMatrix, GopInstance, Graph, InstanceError, IoOptimality,
+                     IoReport, ParameterError, SortInstance, classify_io_optimality,
+                     io_sort_count, kruskal_serial_io, mm_parallel_io_model,
+                     mm_serial_run, nowicki_partition_io, terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
 from parcost.core import as_exact, derive_transfer_and_load
 from parcost.errors import GuardError
@@ -22,8 +21,6 @@ from parcost.iosim import (FractionalMatchingState, Phase, _apportion,
 
 def fraction_mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
     eps = _as_epsilon(epsilon)
-    if graph.n_edges == 0:
-        raise InstanceError("graph has no edges")
     n = graph.n_vertices
     m = graph.n_edges
     threshold = 1 - 2 * eps
@@ -64,17 +61,14 @@ def fraction_mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingSta
     state = FractionalMatchingState(
         x=tuple(as_exact(v) for v in x),
         frozen_vertices=frozenset(frozen_vertices),
-        frozen_edges=frozenset(k for k in range(m) if edge_frozen[k]),
         epsilon=eps,
     )
     extras = {"max_vertex_load_per_iteration": tuple(load_history)}
-    return state, IoReport.from_phases(phases, extras)
+    return state, IoReport(phases, extras)
 
 
 def fraction_mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
     eps = _as_epsilon(epsilon)
-    if graph.n_edges == 0:
-        raise InstanceError("graph has no edges")
     n = graph.n_vertices
     threshold = 1 - 2 * eps
     boost = Fraction(1, 1) / (1 - eps)
@@ -109,24 +103,16 @@ def fraction_mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
                 frozen_pairs.add(pair)
         for pair in active_pairs():
             weight[pair] *= boost
-    return IoReport.from_phases(phases)
+    return IoReport(phases)
 
 
 # Test-only oracle: TeraSort as first written, pushing every record through
 # its receiver's buffer, sorting each spilled run and heap-merging the runs.
 
 def buffer_terasort_simulate(
-        inst: SortInstance, cfg: ExternalMemoryConfig,
-        cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], IoReport]:
-    p = inst.p
-    if cfg.machines != p or cost.p != p:
-        raise InstanceError(
-            f"dimension mismatch: instance p={p}, config machines={cfg.machines}, "
-            f"cost p={cost.p}")
-    n = inst.n
-    if n == 0:
-        raise InstanceError("no records to sort")
-    memory = cfg.main_memory
+        g: GopInstance, memory: int) -> tuple[tuple[tuple[int, ...], ...], IoReport]:
+    inst, cost = g.inst, g.cost
+    p, n = inst.p, inst.n
     sample_size = min(memory, n)
     if sample_size < p:
         raise InstanceError(
@@ -172,7 +158,7 @@ def buffer_terasort_simulate(
         outputs.append(tuple(heapq.merge(*runs[j], sorted(buffers[j]))))
     phase3: Phase = ("local-merge", io_merge, 0)
 
-    report = IoReport.from_phases(
+    report = IoReport(
         (phase1, phase2, phase3),
         extras={"splitters": splitters, "sample_size": sample_size},
     )
@@ -184,7 +170,6 @@ def assert_matching_runs_match_oracles(graph: Graph, epsilon) -> None:
     expected_state, expected = fraction_mm_serial_run(graph, epsilon)
     assert state.x == expected_state.x
     assert state.frozen_vertices == expected_state.frozen_vertices
-    assert state.frozen_edges == expected_state.frozen_edges
     assert report.phases == expected.phases
     assert report.extras == expected.extras
     assert (mm_parallel_io_model(graph, epsilon).phases
@@ -302,19 +287,19 @@ class TestGraph:
 class TestNowickiPartition:
     def test_single_group_reads_each_edge_once(self):
         g = gen_graph(8, 8, seed=2)
-        report = nowicki_partition_io(g, 8)
+        report = nowicki_partition_io(g)
         assert report.extras["groups"] == 1
         assert report.total_io == 8
 
     def test_star_graph(self):
         star = Graph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 1)))
-        report = nowicki_partition_io(star, 4)
+        report = nowicki_partition_io(star)
         assert report.extras["groups"] == 1
         assert report.total_io == 3
 
     def test_random_graph_within_factor_four_of_analytic(self):
         g = gen_graph(100, 2000, seed=5)
-        report = nowicki_partition_io(g, 100)
+        report = nowicki_partition_io(g)
         analytic = report.extras["analytic_io"]
         assert analytic == 2000 * 20
         assert analytic / 4 <= report.total_io <= 4 * analytic
@@ -337,7 +322,7 @@ class TestNowickiPartition:
                      for v in range(1, g.n_vertices + 1)}
             bucket_sizes = [sum(min(group[u], group[v]) == i for u, v, _ in g.edges)
                             for i in range(groups)]
-            report = nowicki_partition_io(g, g.n_vertices)
+            report = nowicki_partition_io(g)
             assert report.phases == tuple(
                 (f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0)
                 for i in range(groups) for j in range(i, groups))
@@ -349,10 +334,10 @@ class TestNowickiPartition:
         assert group_counts == [1, 1, 6, 4, 8, 15, 8]
 
     def test_rejects_empty_graph_and_bad_memory(self):
-        with pytest.raises(ParameterError):
-            nowicki_partition_io(gen_graph(4, 3, seed=1), 1)
-        with pytest.raises(InstanceError):
-            nowicki_partition_io(Graph(4, ()), 4)
+        # the graph refuses to be empty; the model takes no memory, which
+        # kruskal_serial_io's sort checks
+        with pytest.raises(InstanceError, match="graph has no edges"):
+            nowicki_partition_io(Graph(4, ()))
 
 
 class TestMatchingRuns:
@@ -417,8 +402,7 @@ def uniform_cost(p):
 class TestTerasort:
     def test_everything_fits_in_memory(self):
         inst = SortInstance((tuple(range(1, 9)), tuple(range(9, 17))))
-        outputs, report = terasort_simulate(
-            inst, ExternalMemoryConfig(16, 2), uniform_cost(2))
+        outputs, report = terasort_simulate(GopInstance(inst, uniform_cost(2)), 16)
         labels = [label for label, _, _ in report.phases]
         assert labels == ["sample-and-split", "redistribute", "local-merge"]
         assert report.phases[0][1] == 16      # whole input sampled
@@ -432,14 +416,12 @@ class TestTerasort:
         # the splitters exactly on the block boundaries
         blocks = tuple(tuple(range(1 + 8 * i, 9 + 8 * i)) for i in range(4))
         inst = SortInstance(blocks)
-        _, report = terasort_simulate(
-            inst, ExternalMemoryConfig(32, 4), uniform_cost(4))
+        _, report = terasort_simulate(GopInstance(inst, uniform_cost(4)), 32)
         assert report.phases[1][2] == 0  # redistribution communication
 
     def test_output_sorted_and_conserved(self):
         g = gen_gop(5000, 4, seed=12)
-        outputs, report = terasort_simulate(
-            g.inst, ExternalMemoryConfig(100, 4), g.cost)
+        outputs, report = terasort_simulate(g, 100)
         flat = [v for out in outputs for v in out]
         assert flat == sorted(g.inst.values())
         assert report.total_io >= 0
@@ -447,26 +429,25 @@ class TestTerasort:
     def test_spill_accounting(self):
         # phase 2 writes and phase 3 rereads count the same spilled records
         g = gen_gop(2000, 2, seed=13)
-        _, report = terasort_simulate(
-            g.inst, ExternalMemoryConfig(64, 2), g.cost)
+        _, report = terasort_simulate(g, 64)
         assert report.phases[1][1] == report.phases[2][1]
         assert report.phases[1][1] > 0
 
     def test_determinism(self):
         g = gen_gop(1000, 3, seed=14)
-        cfg = ExternalMemoryConfig(50, 3)
-        assert (terasort_simulate(g.inst, cfg, g.cost)
-                == terasort_simulate(g.inst, cfg, g.cost))
+        assert terasort_simulate(g, 50) == terasort_simulate(g, 50)
 
     def test_dimension_mismatch(self):
+        # the instance and its cluster's costs come together, checked once
         g = gen_gop(100, 3, seed=15)
         with pytest.raises(InstanceError, match="dimension mismatch"):
-            terasort_simulate(g.inst, ExternalMemoryConfig(50, 4), g.cost)
+            GopInstance(g.inst, uniform_cost(4))
 
     def test_memory_too_small_for_sampling(self):
-        inst = SortInstance(((1, 2), (3, 4), (5, 6), (7, 8)))
-        with pytest.raises(InstanceError, match="sample"):
-            terasort_simulate(inst, ExternalMemoryConfig(3, 4), uniform_cost(4))
+        g = GopInstance(SortInstance(((1, 2), (3, 4), (5, 6), (7, 8))), uniform_cost(4))
+        for memory in (3, 1, 0):
+            with pytest.raises(InstanceError, match=f"main memory {memory} cannot hold"):
+                terasort_simulate(g, memory)
 
 
 def terasort_oracle_cases():
@@ -476,20 +457,20 @@ def terasort_oracle_cases():
     for p in (2, 3, 4, 5):
         for n in (p, 9, 40, 150, 500):
             g = gen_gop(n, p, seed=10 * n + p)
-            lopsided = SortInstance((g.inst.values(), *((),) * (p - 1)))
+            lopsided = GopInstance(SortInstance((g.inst.values(), *((),) * (p - 1))),
+                                   g.cost)
             for memory in sorted({2, p, 3, 8, n // 4, n - 1, n, n + 1, 3 * n}):
                 if memory >= p:
-                    cfg = ExternalMemoryConfig(memory, p)
-                    yield g.inst, cfg, g.cost
-                    yield lopsided, cfg, g.cost
+                    yield g, memory
+                    yield lopsided, memory
 
 
 def test_terasort_matches_buffer_oracle():
     covered = set()
-    for inst, cfg, cost in terasort_oracle_cases():
-        outputs, report = terasort_simulate(inst, cfg, cost)
-        assert (outputs, report) == buffer_terasort_simulate(inst, cfg, cost)
-        memory = cfg.main_memory
+    for g, memory in terasort_oracle_cases():
+        outputs, report = terasort_simulate(g, memory)
+        assert (outputs, report) == buffer_terasort_simulate(g, memory)
+        inst = g.inst
         received = [len(out) for out in outputs]
         # each splitter interval holds its splitter and the last one holds
         # the top sample record, so no receiver ever gets 0 records
@@ -507,30 +488,25 @@ def test_terasort_matches_buffer_oracle():
 
 
 class TestIoReport:
-    def test_totals_must_match(self):
-        with pytest.raises(InstanceError):
-            IoReport((("a", 2, 0),), total_io=3, total_comm=0)
-        with pytest.raises(InstanceError):
-            IoReport((("a", 2, 5),), total_io=2, total_comm=4)
-
     def test_from_phases(self):
-        report = IoReport.from_phases((("a", 2, 1), ("b", 3, Fraction(1, 2))))
+        # the totals are derived from the phases and cannot be set
+        report = IoReport((("a", 2, 1), ("b", 3, Fraction(1, 2))))
         assert report.total_io == 5
         assert report.total_comm == Fraction(3, 2)
+        assert IoReport((("a", 1, Fraction(1, 2)), ("b", 0, Fraction(1, 2)))).total_comm == 1
+        for name in ("total_io", "total_comm"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(report, name, 0)
 
     @pytest.mark.parametrize("io", [2.7, 3.0, "3", True, Fraction(3)])
     def test_io_counters_must_be_plain_ints(self, io):
         with pytest.raises(InstanceError, match="non-integer IO counter"):
-            IoReport.from_phases((("a", io, 0),))
-        with pytest.raises(InstanceError, match="non-integer IO counter"):
-            IoReport((("a", io, 0),), 3, 0)
-        with pytest.raises(InstanceError, match="integer sum"):
-            IoReport((("a", 3, 0),), io, 0)
+            IoReport((("a", io, 0),))
 
     def test_negative_counters_are_named(self):
         for phase in (("a", -1, 0), ("a", 1, -1)):
             with pytest.raises(InstanceError, match="phase 'a' has a negative counter"):
-                IoReport.from_phases((phase,))
+                IoReport((phase,))
 
 
 class TestClassifier:

@@ -13,8 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
-                     ExternalMemoryConfig, GopInstance, Graph, IoReport,
-                     SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
+                     GopInstance, Graph, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, gop_solve_exact, lap_brute, lap_solve,
                      ratio_bound, terasort_simulate)
 from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
@@ -141,18 +140,18 @@ def terasort_runs(draw):
     memory = draw(st.integers(max(p, 2), len(values) + 5))
     cost = [[0 if i == j else draw(st.integers(1, 9)) for j in range(p)]
             for i in range(p)]
-    return SortInstance(subsets), ExternalMemoryConfig(memory, p), CostMatrix(cost)
+    return GopInstance(SortInstance(subsets), CostMatrix(cost)), memory
 
 
 @settings(deadline=None)
 @given(terasort_runs())
 def test_terasort_output_is_a_sorted_permutation(run):
-    inst, cfg, cost = run
-    outputs, report = terasort_simulate(inst, cfg, cost)
+    g, memory = run
+    outputs, report = terasort_simulate(g, memory)
     flat = [v for out in outputs for v in out]
     assert flat == sorted(flat)
-    assert sorted(flat) == sorted(v for s in inst.subsets for v in s)
-    assert (outputs, report) == buffer_terasort_simulate(inst, cfg, cost)
+    assert sorted(flat) == sorted(v for s in g.inst.subsets for v in s)
+    assert (outputs, report) == buffer_terasort_simulate(g, memory)
 
 
 phase_lists = st.lists(st.tuples(
@@ -163,7 +162,7 @@ phase_lists = st.lists(st.tuples(
 
 @given(phase_lists)
 def test_io_report_totals_are_the_phase_sums(phases):
-    report = IoReport.from_phases(phases)
+    report = IoReport(phases)
     assert report.total_io == sum(io for _, io, _ in phases)
     assert report.total_comm == sum(comm for _, _, comm in phases)
     assert report.phases == tuple(phases)
