@@ -1,0 +1,216 @@
+"""Per-layer in-process timings of a parent commit and the working tree.
+
+    python3 scripts/bench_layers.py --parent REV --out FILE.json
+
+Run from the repository root. The parent is ``git archive REV`` unpacked in
+a temporary directory; the change is the working tree. Each sample is a
+fresh ``python3`` process with the tree's ``src`` on ``PYTHONPATH``: it
+builds the layer's input untimed, times one run of the layer with
+``time.perf_counter``, and reports the seconds, a SHA-256 of the result's
+``repr`` and whether every parcost module had cached bytecode when it
+started. The K samples of a layer alternate between the trees, the parent
+first on even rounds. The record keeps every sample, each side's median and
+quartiles, and whether both sides' results hashed alike. Standard library
+only.
+
+The sweep layers time the rows of the seed-1 plan-small sweeps: the sizes
+come from ``perfbench/workloads.py`` and the per-row seeds from the working
+tree's ``bench.row_seed``, computed once here and handed to every sample on
+stdin, so both trees time the same instances.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# samples per side and layer
+K = 7
+
+
+def _sweep_rows() -> dict[str, list[tuple[int, int]]]:
+    """(size, seed) of every row of plan-small's seed-1 sweeps
+    ``gop-ratio --p 3 --trials 40`` and ``drp-ratio --sizes 2,3,4,5,6
+    --trials 200``, from the working tree."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from parcost.bench import SweepSpec, row_seed
+    from workloads import GOP_RATIO_SIZES
+
+    specs = {"gop-ratio": SweepSpec("gop-ratio", map(int, GOP_RATIO_SIZES.split(",")),
+                                    trials=40, seed=1, p=3),
+             "drp-ratio": SweepSpec("drp-ratio", range(2, 7), trials=200, seed=1)}
+    return {kind: [(size, row_seed(spec.seed, size, trial))
+                   for size in spec.sizes for trial in range(spec.trials)]
+            for kind, spec in specs.items()}
+
+
+def _gop_ratio_rows(rows):
+    from parcost.bench import gen_gop
+    from parcost.gopsort import gop_solve_exact
+
+    instances = [gen_gop(n, 3, seed) for n, seed in rows["gop-ratio"]]
+    return lambda: [gop_solve_exact(g) for g in instances]
+
+
+def _gop_exact(n, p):
+    def setup(_rows):
+        from parcost.bench import gen_gop
+        from parcost.gopsort import gop_solve_exact
+
+        g = gen_gop(n, p, 1)
+        return lambda: gop_solve_exact(g, work_guard=10 ** 9)
+    return setup
+
+
+def _gen_drp_rows(rows):
+    from parcost.bench import gen_drp
+
+    drp = rows["drp-ratio"]
+    return lambda: [gen_drp(p, 1, 10, 20, seed) for p, seed in drp]
+
+
+def _drp_ratio_rows(rows):
+    from parcost.bench import SweepSpec, _measure_drp_ratio
+
+    drp = rows["drp-ratio"]
+    # the row measure reads only the spec's cost and mass knobs, left at their defaults
+    spec = SweepSpec("drp-ratio", sorted({p for p, _ in drp}))
+    return lambda: [_measure_drp_ratio(spec, p, seed) for p, seed in drp]
+
+
+def _call(module, name, *args):
+    def setup(_rows):
+        function = getattr(importlib.import_module(f"parcost.{module}"), name)
+        return lambda: function(*args)
+    return setup
+
+
+def _mm300(_rows):
+    from fractions import Fraction
+
+    from parcost.bench import gen_graph
+    from parcost.iosim import mm_serial_run
+
+    g = gen_graph(300, 1200, 1)
+    return lambda: mm_serial_run(g, Fraction(1, 10))
+
+
+# layer -> (what one sample runs, setup returning the timed callable)
+LAYERS = {
+    "gopsort.gop_solve_exact:gop-ratio-rows": (
+        "gop_solve_exact on the 320 rows of the seed-1 p=3 gop-ratio sweep", _gop_ratio_rows),
+    "gopsort.gop_solve_exact:n40-p4": ("gop_solve_exact(gen_gop(40, 4, 1))", _gop_exact(40, 4)),
+    "gopsort.gop_solve_exact:n60-p3": ("gop_solve_exact(gen_gop(60, 3, 1))", _gop_exact(60, 3)),
+    "gopsort.gop_solve_exact:n20-p5": ("gop_solve_exact(gen_gop(20, 5, 1))", _gop_exact(20, 5)),
+    "bench.gen_drp:drp-ratio-rows": (
+        "gen_drp for the 1000 rows of the seed-1 drp-ratio sweep, p 2-6", _gen_drp_rows),
+    "bench.gen_gop:n1e6-p4": ("gen_gop(10**6, 4, 1)", _call("bench", "gen_gop", 10 ** 6, 4, 1)),
+    "bench.gen_graph:n2048-m92681": (
+        "gen_graph(2048, 92681, 1)", _call("bench", "gen_graph", 2048, 92681, 1)),
+    "bench.gen_tspfb:n300": ("gen_tspfb(300, 1)", _call("bench", "gen_tspfb", 300, 1)),
+    "iosim.mm_serial_run:mm300": (
+        "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300),
+    "bench.drp-ratio-row:p2-6": (
+        "the 1000 rows of the seed-1 drp-ratio sweep, p 2-6 (generate, both "
+        "solves, bound, ratio)", _drp_ratio_rows),
+}
+
+
+def _worker(layer: str) -> None:
+    spec = importlib.util.find_spec("parcost")
+    package = Path(spec.origin).parent
+    cached = all(os.path.exists(importlib.util.cache_from_source(str(path)))
+                 for path in package.glob("*.py"))
+    run = LAYERS[layer][1](json.load(sys.stdin))
+    start = time.perf_counter()
+    result = run()
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    print(json.dumps({"seconds": seconds, "sha256": digest, "bytecode_cached": cached}))
+
+
+def _sample(tree: Path, layer: str, rows: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = subprocess.run([sys.executable, __file__, "--worker", layer], env=env, input=rows,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _summary(samples: list[dict]) -> dict:
+    seconds = [s["seconds"] for s in samples]
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    return {"median_s": statistics.median(seconds), "q1_s": q1, "q3_s": q3,
+            "samples_s": seconds,
+            "sha256": sorted({s["sha256"] for s in samples}),
+            "bytecode_cached": sorted({s["bytecode_cached"] for s in samples})}
+
+
+def _export(rev: str, into: Path) -> str:
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return commit
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--out", default="BENCH.json")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        _worker(args.worker)
+        return
+    rows = json.dumps(_sweep_rows())
+    with tempfile.TemporaryDirectory() as scratch:
+        commit = _export(args.parent, Path(scratch))
+        trees = {"parent": Path(scratch), "change": ROOT}
+        layers = {}
+        for layer in LAYERS:
+            samples = {"parent": [], "change": []}
+            for i in range(K):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    samples[side].append(_sample(trees[side], layer, rows))
+            record = {side: _summary(samples[side]) for side in samples}
+            record["what"] = LAYERS[layer][0]
+            record["same_result"] = record["parent"]["sha256"] == record["change"]["sha256"]
+            record["parent_over_change"] = (record["parent"]["median_s"]
+                                            / record["change"]["median_s"])
+            layers[layer] = record
+            print(f"{layer}: {record['parent']['median_s']:.4f} -> "
+                  f"{record['change']['median_s']:.4f} s, "
+                  f"same result: {record['same_result']}", file=sys.stderr)
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                           capture_output=True, text=True).stdout != ""
+    record = {
+        "what": "per-layer in-process medians, one fresh process per sample",
+        "command": " ".join(["python3", "scripts/bench_layers.py", *sys.argv[1:]]),
+        "k": K,
+        "parent": commit,
+        "change": "working tree" + (" (src differs from HEAD)" if dirty else ""),
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, {platform.system()}",
+        "dont_write_bytecode": sys.flags.dont_write_bytecode,
+        "layers": layers,
+    }
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,8 @@ import io
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice, repeat
+from typing import Iterator, Sequence
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
@@ -48,6 +49,20 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _below(rng: random.Random, n: int) -> Iterator[int]:
+    """The values successive ``rng.randrange(n)`` calls would return.
+
+    Drawn as CPython's ``Random`` draws them: ``getrandbits(k)`` with
+    k = n.bit_length(), drawn again while it is >= n. The generators'
+    instances rest on that algorithm; the sweep CSV pins and the
+    benchmark's golden hashes would show a change. n < 1 is refused, as
+    ``getrandbits(0)`` returns 0 forever.
+    """
+    if n < 1:
+        raise ParameterError(f"cannot draw below {n}")
+    return filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+
+
 def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
             seed: int) -> DrpInstance:
     """Random instance: integer off-diagonal costs in [cost_low, cost_high],
@@ -59,23 +74,22 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
         raise ParameterError(f"mass_max must be >= 1, got {mass_max}")
     rng = _rng(seed)
     cost = _random_costs(rng, p, cost_low, cost_high)
-    transfer = [[rng.randint(0, mass_max) for _ in range(p)] for _ in range(p)]
-    return DrpInstance(TransferMatrix(tuple(map(tuple, transfer))), cost)
+    masses = _below(rng, mass_max + 1)
+    return DrpInstance(TransferMatrix(tuple(tuple(islice(masses, p)) for _ in range(p))),
+                       cost)
 
 
 def gen_gop(n: int, p: int, seed: int, cost_low: int = 1,
             cost_high: int = 10) -> GopInstance:
     """n distinct integers spread uniformly over p machines, random cluster costs."""
-    if p < 2 or n < p:
-        raise ParameterError(f"need n >= p >= 2, got n={n}, p={p}")
+    SortInstance.check_sizes(n, p)
     _check_cost_range(cost_low, cost_high)
     rng = _rng(seed)
     values = rng.sample(range(1, GOP_VALUE_SPAN * n + 1), n)
     subsets: list[list[int]] = [[] for _ in range(p)]
-    for value in values:
-        subsets[rng.randrange(p)].append(value)
-    return GopInstance(SortInstance(tuple(map(tuple, subsets))),
-                       _random_costs(rng, p, cost_low, cost_high))
+    for value, owner in zip(values, _below(rng, p)):
+        subsets[owner].append(value)
+    return GopInstance(SortInstance(subsets), _random_costs(rng, p, cost_low, cost_high))
 
 
 def _check_cost_range(cost_low: int, cost_high: int) -> None:
@@ -85,46 +99,52 @@ def _check_cost_range(cost_low: int, cost_high: int) -> None:
 
 
 def _random_costs(rng: random.Random, p: int, cost_low: int, cost_high: int) -> CostMatrix:
-    """Zero diagonal, integer off-diagonal link costs in [cost_low, cost_high]."""
-    return CostMatrix(tuple(tuple(0 if i == j else rng.randint(cost_low, cost_high)
-                                  for j in range(p)) for i in range(p)))
+    """Zero diagonal, integer off-diagonal link costs in [cost_low, cost_high],
+    drawn row by row."""
+    links = map(cost_low.__add__, _below(rng, cost_high - cost_low + 1))
+    rows = []
+    for i in range(p):
+        row = list(islice(links, p - 1))
+        row.insert(i, 0)
+        rows.append(row)
+    return CostMatrix(rows)
 
 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
-    """Simple random graph with m edges and positive integer weights."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    limit = n * (n - 1) // 2
-    if not 1 <= m <= limit:
+    """Simple random graph with m edges and positive integer weights.
+    ``Graph`` refuses n < 1 and m = 0."""
+    limit = max(n, 0) * (n - 1) // 2
+    if not 0 <= m <= limit:
         raise ParameterError(f"m={m} infeasible for n={n} (max {limit})")
     rng = _rng(seed)
     if 3 * m <= limit:
         # sparse: rejection sampling avoids materializing all pairs
-        seen: set[tuple[int, int]] = set()
-        chosen = []
-        while len(chosen) < m:
-            u = rng.randint(1, n)
-            v = rng.randint(1, n)
-            if u == v:
-                continue
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            chosen.append(pair)
+        chosen = list(islice(_distinct_pairs(rng, n), m))
     else:
         all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         chosen = rng.sample(all_pairs, m)
-    return Graph(n, tuple((u, v, rng.randint(1, GRAPH_WEIGHT_MAX)) for u, v in chosen))
+    weights = map((1).__add__, _below(rng, GRAPH_WEIGHT_MAX))
+    return Graph(n, tuple((u, v, w) for (u, v), w in zip(chosen, weights)))
+
+
+def _distinct_pairs(rng: random.Random, n: int) -> Iterator[tuple[int, int]]:
+    """Vertex pairs u < v in 1..n, each new one once, from two draws per try;
+    a try that repeats a vertex or a pair is dropped."""
+    ends = map((1).__add__, _below(rng, n))
+    seen: set[tuple[int, int]] = set()
+    for u, v in zip(ends, ends):
+        pair = (u, v) if u < v else (v, u)
+        if u != v and pair not in seen:
+            seen.add(pair)
+            yield pair
 
 
 def gen_tspfb(n: int, seed: int) -> TspFbInstance:
     """Random bipartite tour instance with positive integer weights."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    rng = _rng(seed)
-    return TspFbInstance(tuple(tuple(rng.randint(1, TSPFB_WEIGHT_MAX) for _ in range(n))
-                               for _ in range(n)))
+    weights = map((1).__add__, _below(_rng(seed), TSPFB_WEIGHT_MAX))
+    return TspFbInstance(tuple(tuple(islice(weights, n)) for _ in range(n)))
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -184,6 +204,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def row_seed(seed: int, size: int, trial: int) -> int:
+    """The generator seed of a sweep row: one per (sweep seed, size, trial)."""
+    return (seed * 1_000_003 + size * 1009 + trial) % (2 ** 64)
+
+
 def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """Run the sweep and return (header, rows) of stringified cells.
 
@@ -203,7 +228,7 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
         par_total = ser_total = 0
         for trial in range(spec.trials):
             row = {**settings, header[0]: size, "trial": trial}
-            seed = (spec.seed * 1_000_003 + size * 1009 + trial) % (2 ** 64)
+            seed = row_seed(spec.seed, size, trial)
             try:
                 row.update(measure(spec, size, seed, **settings))
             except GuardError:
@@ -254,7 +279,7 @@ def _measure_drp_ratio(spec: SweepSpec, p: int, seed: int) -> dict:
     _, exact = drp_solve_exact(inst)
     _, approx = drp_solve_approx(inst)
     bound = ratio_bound(inst.cost)
-    ratio = Fraction(1) if exact == 0 else Fraction(approx) / Fraction(exact)
+    ratio = Fraction(1) if exact == 0 else Fraction(approx, exact)
     return {"exact_cost": exact, "approx_cost": approx, "ratio": ratio,
             "bound": bound, "within_bound": ratio <= bound}
 

@@ -210,14 +210,6 @@ class CostMatrix(Value):
         return tuple(chain.from_iterable(row[:i] + row[i + 1:]
                                          for i, row in enumerate(self.entries)))
 
-    @property
-    def max_off_diagonal(self) -> Rational:
-        return max(self.off_diagonal())
-
-    @property
-    def min_off_diagonal(self) -> Rational:
-        return min(self.off_diagonal())
-
 
 class TransferMatrix(Value):
     """Data volumes keyed by (physical source, virtual destination).
@@ -335,9 +327,8 @@ class SortInstance(Value):
             if not isinstance(subset, (list, tuple)):
                 raise InstanceError(f"subset {i + 1} is not a list: {subset!r}")
         subsets = tuple(map(tuple, subsets))
-        if len(subsets) < 2:
-            raise InstanceError("a sort instance needs p > 1 machines")
         n = sum(map(len, subsets))
+        SortInstance.check_sizes(n, len(subsets))
         # set builtins check the common case; the loop below only names the
         # first bad element, or passes int subclasses other than bool
         if (not set(map(type, chain.from_iterable(subsets))) <= {int}
@@ -352,10 +343,17 @@ class SortInstance(Value):
                         raise InstanceError(
                             f"duplicate element {value} (subset {i + 1}); elements must be distinct")
                     seen.add(value)
-        if n < len(subsets):
-            raise InstanceError(
-                f"need at least one element per machine: n={n}, p={len(subsets)}")
         _set(self, "subsets", subsets)
+
+    @staticmethod
+    def check_sizes(n: int, p: int) -> None:
+        """The size rules: p >= 2 machines and n >= p elements, so that
+        every machine can hold one. A generator checks them before it
+        draws."""
+        if p < 2:
+            raise InstanceError(f"a sort instance needs p > 1 machines, got p={p}")
+        if n < p:
+            raise InstanceError(f"need at least one element per machine: n={n}, p={p}")
 
     @property
     def p(self) -> int:

@@ -70,7 +70,8 @@ def drp_solve_approx(inst: DrpInstance) -> tuple[Assignment, Rational]:
 
 def ratio_bound(cost: CostMatrix) -> Rational:
     """Worst-case approximation factor: max over min off-diagonal cost."""
-    return as_exact(Fraction(cost.max_off_diagonal) / Fraction(cost.min_off_diagonal))
+    off = cost.off_diagonal()
+    return as_exact(Fraction(max(off), min(off)))
 
 
 def _tour_columns(n: int) -> tuple[tuple[int, int], ...]:

@@ -1,19 +1,25 @@
 """Joint splitter/assignment optimization for distributed sorting.
 
 The exact solver enumerates every splitter set and every assignment behind a
-work guard; the approximation takes equal-rank splitters and solves the
-redistribution subproblem with the unit-cost assignment surrogate.
+work guard, pricing the splitter sets a block at a time as columns; the
+approximation takes equal-rank splitters and solves the redistribution
+subproblem with the unit-cost assignment surrogate.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, compress, islice, permutations, repeat
 from math import comb, factorial, inf
+from operator import add, sub
 
 from .constants import DEFAULT_WORK_GUARD
 from .core import (Assignment, GopInstance, GopSolution, SortInstance,
                    derive_transfer_and_load, sort_io_term)
 from .errors import GuardError
+
+# splitter sets are priced this many at a time, so the columns take
+# O(p^2 * _BLOCK) memory whatever the guard admits
+_BLOCK = 256
 
 
 def gop_solve_exact(g: GopInstance,
@@ -23,9 +29,16 @@ def gop_solve_exact(g: GopInstance,
     Splitter sets are drawn from the instance's elements in ascending
     lexicographic order and assignments in lexicographic mapping order;
     only strict improvements replace the incumbent, so ties resolve to the
-    smallest splitter sequence and then the smallest mapping. A splitter set
-    whose IO term plus its cheapest-host communication cannot beat the
-    incumbent is skipped without trying its assignments.
+    smallest splitter sequence and then the smallest mapping.
+
+    The sets are priced in blocks of ``_BLOCK``, as columns with one entry
+    per set: each interval's cost on each host, a difference of two
+    per-host prefix sums, and the IO term, looked up by the largest
+    interval. A set whose IO term plus its cheapest-host communication
+    cannot beat the incumbent of the earlier blocks is dropped. Each mapping
+    then adds p columns and takes the first minimum of ``float(comm) + io``;
+    the block's candidate is the least (total, set position, mapping
+    position), which is the enumeration's strict-improvement winner.
     """
     inst, cost = g.inst, g.cost
     n, p = inst.n, inst.p
@@ -40,31 +53,57 @@ def gop_solve_exact(g: GopInstance,
     prefix = [list(accumulate((cost.entries[owner[value]][k] for value in values),
                               initial=0))
               for k in range(p)]
+    # sort_io_term is the term of the largest load, as L*log2(L) grows with L
+    io_of = [sort_io_term((load,)) for load in range(n + 1)]
     perms = list(permutations(range(p)))
-    # the incumbent's total is a local and its solution is built once, after
-    # the loop: a GopSolution per improvement, or a property read per
-    # mapping, would slow the loop
+    sets = combinations(range(n), p - 1)
     best_total = inf
-    for ranks in combinations(range(n), p - 1):
-        cuts = (0, *(t + 1 for t in ranks), n)
-        bounds = tuple(zip(cuts, cuts[1:]))
-        io = sort_io_term([b - a for a, b in bounds])
-        # float() and + io are monotone, so no mapping beats the incumbent
-        # strictly when every interval on its cheapest host does not
-        if io >= best_total:
-            continue
-        weights = [[w[b] - w[a] for w in prefix] for a, b in bounds]
-        if float(sum(map(min, weights))) + io >= best_total:
-            continue
+    while block := list(islice(sets, _BLOCK)):
+        # cuts[i][s]: how many elements lie left of set s's cut i
+        cuts = [[t + 1 for t in ranks] for ranks in zip(*block)]
+        sizes = [cuts[0], *(map(sub, b, a) for a, b in zip(cuts, cuts[1:])),
+                 map(n.__sub__, cuts[-1])]
+        io = list(map(io_of.__getitem__, map(max, *sizes)))
+        # weights[k][j][s]: cost of set s's interval j on host k
+        weights = []
+        for w in prefix:
+            at = [list(map(w.__getitem__, c)) for c in cuts]
+            weights.append([at[0], *(list(map(sub, b, a)) for a, b in zip(at, at[1:])),
+                            list(map(sub, repeat(w[n]), at[-1]))])
+        if best_total < inf:
+            # float() and + io are monotone, so no mapping beats the
+            # incumbent strictly when every interval on its cheapest host
+            # does not
+            cheapest = (map(min, *column) for column in zip(*weights))
+            bound = map(add, map(float, map(sum, zip(*cheapest))), io)
+            keep = [total < best_total for total in bound]
+            if not any(keep):
+                continue
+            block = list(compress(block, keep))
+            io = list(compress(io, keep))
+            weights = [[list(compress(column, keep)) for column in host]
+                       for host in weights]
+        low_total = inf
         for perm in perms:
-            comm = sum(map(list.__getitem__, weights, perm))
-            total = float(comm) + io
-            if total < best_total:
-                best_total = total
-                best = ranks, perm, comm, io
-    ranks, perm, comm, io = best
+            comm = weights[perm[0]][0]
+            for j in range(1, p):
+                comm = map(add, comm, weights[perm[j]][j])
+            totals = list(map(add, map(float, comm), io))
+            low = min(totals)
+            if low <= low_total:
+                at_set = totals.index(low)
+                if low < low_total or at_set < low_set:
+                    low_total, low_set, low_perm = low, at_set, perm
+        if low_total < best_total:
+            best_total = low_total
+            best = block[low_set], low_perm
+    ranks, perm = best
+    cuts = (0, *(t + 1 for t in ranks), n)
+    bounds = tuple(zip(cuts, cuts[1:]))
+    comm = sum(prefix[k][b] - prefix[k][a] for (a, b), k in zip(bounds, perm))
     return GopSolution(tuple(values[t] for t in ranks),
-                       Assignment(tuple(k + 1 for k in perm)), comm, io)
+                       Assignment(tuple(k + 1 for k in perm)), comm,
+                       sort_io_term([b - a for a, b in bounds]))
 
 
 def equal_splitters(inst: SortInstance) -> tuple[int, ...]:

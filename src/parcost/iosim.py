@@ -165,6 +165,23 @@ def _iteration_limit(n: int, eps: Fraction) -> int:
     return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
 
 
+def _scale(n: int, eps: Fraction) -> tuple[int, list[int], int]:
+    """The integers both matching runs count in.
+
+    With epsilon = a/b and L the iteration cap, every weight is a multiple
+    of 1/D, D = n * (b - a)^L: an edge boosted c times weighs
+    (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D. Returns D, the
+    numerators for c = 0..L, and the least numerator of a load that reaches
+    1 - 2*epsilon, ceil((b - 2a) * D / b), so a freeze test on integer
+    numerators is exact.
+    """
+    a, b = eps.numerator, eps.denominator
+    limit = _iteration_limit(n, eps)
+    denominator = n * (b - a) ** limit
+    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
+    return denominator, scaled, -(-(b - 2 * a) * denominator // b)
+
+
 def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
     """Run the multiplicative-boost fractional matching to completion.
 
@@ -179,20 +196,25 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     All active edges share one weight ``w``, (1/n) * boost^t after t
     iterations. So the run keeps, per vertex, the sum of its frozen edges'
     weights and its count of active edges, and a vertex's load is
-    ``frozen_sum + degree * w``, exact. Both values change only when an edge
-    freezes, O(m) Fraction additions over the whole run. After each boost
-    the loads of the vertices not yet frozen are computed once, one
-    multiply-add each, and serve both the iteration's maximum load and the
-    next freeze test. An edge's final weight is ``w`` at the moment it froze.
+    ``frozen_sum + degree * w``. Both values change only when an edge
+    freezes, O(m) additions over the whole run. After each boost the loads
+    of the vertices not yet frozen are computed once, one multiply-add
+    each, and serve both the iteration's maximum load and the next freeze
+    test. An edge's final weight is ``w`` at the moment it froze.
+
+    The arithmetic is plain integers over the common denominator D of
+    ``_scale``, shared with ``mm_parallel_io_model``; ``w`` after t boosts
+    is ``scaled[t] / D``. The weights and loads it reports are built as
+    Fractions at the end.
     """
     eps = _as_epsilon(epsilon)
     n = graph.n_vertices
     m = graph.n_edges
-    threshold = 1 - 2 * eps
-    boost = Fraction(1, 1) / (1 - eps)
-    w = Fraction(1, n)
-    x: list[Fraction | None] = [None] * m
-    frozen_sum: list[Rational] = [0] * (n + 1)
+    denominator, scaled, bar = _scale(n, eps)
+    limit = len(scaled) - 1
+    # frozen_at[k]: the iteration in which edge k froze, its count of boosts
+    frozen_at: list[int | None] = [None] * m
+    frozen_sum = [0] * (n + 1)
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for k, (u, v, _) in enumerate(graph.edges):
         incident[u].append(k)
@@ -200,24 +222,24 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     degree = [len(edges) for edges in incident]
     frozen_vertices: set[int] = set()
     live = list(range(1, n + 1))
+    w = scaled[0]
     loads = [degree[v] * w for v in live]
     # a frozen vertex has no active edge left, so its load stays put
-    frozen_max: Rational = 0
+    frozen_max = 0
 
     phases: list[Phase] = []
-    load_history: list[Rational] = []
-    limit = _iteration_limit(n, eps)
+    load_history: list[int] = []
     active = m
     while active:
         if len(phases) == limit:
             raise RuntimeError("matching run failed to terminate within its bound")
         phases.append((f"iteration {len(phases) + 1}", active, 0))
         # freeze pass, on the weights as they stand at the scan
-        newly = [v for v, load in zip(live, loads) if load >= threshold]
+        newly = [v for v, load in zip(live, loads) if load >= bar]
         for v in newly:
             for k in incident[v]:
-                if x[k] is None:
-                    x[k] = w
+                if frozen_at[k] is None:
+                    frozen_at[k] = len(phases) - 1
                     active -= 1
                     for end in graph.edges[k][:2]:
                         frozen_sum[end] += w
@@ -226,18 +248,20 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
         if newly:
             frozen_vertices.update(newly)
             live = [v for v in live if v not in frozen_vertices]
-        w *= boost
+        w = scaled[len(phases)]
         # the next freeze pass sees the same weights, so it reuses these loads
         loads = [frozen_sum[v] + degree[v] * w for v in live]
         load_history.append(max([frozen_max, *loads]))
 
+    weight = [as_exact(Fraction(value, denominator)) for value in scaled]
     state = FractionalMatchingState(
-        x=tuple(as_exact(v) for v in x),
+        x=tuple(weight[c] for c in frozen_at),
         frozen_vertices=frozenset(frozen_vertices),
         epsilon=eps,
     )
-    extras = {"max_vertex_load_per_iteration": tuple(load_history)}
-    return state, IoReport(phases, extras)
+    # every load is positive, as the graph has an edge, so each is a Fraction
+    loads_seen = tuple(Fraction(load, denominator) for load in load_history)
+    return state, IoReport(phases, {"max_vertex_load_per_iteration": loads_seen})
 
 
 def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
@@ -251,19 +275,15 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
     it stays a separate replay so that comparing the two (acceptance
     criterion 08) checks one against the other.
 
-    Its arithmetic is plain integers. With epsilon = a/b and L the iteration
-    cap, every weight is a multiple of 1/D, D = n * (b - a)^L: an edge
-    boosted c times weighs (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D.
-    Each iteration sums these numerators per vertex over the whole edge
-    list, and load >= 1 - 2*epsilon becomes load_numerator * b >=
-    (b - 2a) * D, still exact.
+    Its arithmetic is plain integers, the numerators over D of ``_scale``.
+    Each iteration sums an edge's numerator, indexed by its count of boosts,
+    per vertex over the whole edge list, and compares the sums with the
+    freeze bar, still exact.
     """
     eps = _as_epsilon(epsilon)
     n = graph.n_vertices
-    a, b = eps.numerator, eps.denominator
-    limit = _iteration_limit(n, eps)
-    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
-    bar = (b - 2 * a) * n * (b - a) ** limit
+    _, scaled, bar = _scale(n, eps)
+    limit = len(scaled) - 1
     ends = [(u, v) for u, v, _ in graph.edges]
     boosts = [0] * len(ends)
     frozen = [False] * (n + 1)
@@ -281,7 +301,7 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
             loads[u] += scaled[c]
             loads[v] += scaled[c]
         for v in range(1, n + 1):
-            if loads[v] * b >= bar:
+            if loads[v] >= bar:
                 frozen[v] = True
         for k in active:
             u, v = ends[k]

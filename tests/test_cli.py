@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -198,6 +199,35 @@ class TestSweepAndGen:
                                              "--cost-high", high, "--seed", str(seed))
                     assert (code, out) == (2, "")
                     assert f"need 0 < cost_low <= cost_high, got [{low}, {high}]" in err
+
+    def test_gen_leaves_instance_rules_to_the_instance_types(self, capsys):
+        # SortInstance's and Graph's own messages; gen checks SortInstance's
+        # size rules before it draws, so --p 10**9 allocates nothing
+        for argv, message in (
+                (("--kind", "gop", "--n", "2", "--p", "3"),
+                 "need at least one element per machine: n=2, p=3"),
+                (("--kind", "gop", "--n", "0"), "need at least one element per machine: n=0, p=4"),
+                (("--kind", "gop", "--p", "1"), "a sort instance needs p > 1 machines, got p=1"),
+                (("--kind", "gop", "--p", "0"), "a sort instance needs p > 1 machines, got p=0"),
+                (("--kind", "gop", "--n", "-1"), "need at least one element per machine: n=-1, p=4"),
+                (("--kind", "graph", "--n", "3", "--m", "0"), "graph has no edges"),
+                (("--kind", "graph", "--n", "1", "--m", "0"), "graph has no edges"),
+                (("--kind", "graph", "--n", "0", "--m", "0"), "n_vertices must be >= 1, got 0")):
+            assert run_cli(capsys, "gen", *argv) == (2, "", f"invalid input: {message}\n")
+
+    def test_gen_refusals_name_the_bad_value(self, capsys):
+        # what a generator cannot draw is refused before any draw: no raw
+        # error from random, and no endless redraw
+        for kind, flag, value in (("gop", "--p", "-2"), ("gop", "--p", "1000000000"),
+                                  ("gop", "--n", "-5"), ("graph", "--n", "-1"),
+                                  ("graph", "--n", "1"), ("graph", "--m", "-1"),
+                                  ("graph", "--m", "121"), ("drp", "--p", "0"),
+                                  ("drp", "--p", "1"), ("drp", "--mass-max", "0"),
+                                  ("tspfb", "--n", "0"), ("tspfb", "--n", "-1")):
+            code, out, err = run_cli(capsys, "gen", "--kind", kind, flag, value)
+            assert (code, out) == (2, "")
+            assert err.startswith("invalid input: ")
+            assert re.search(rf"(?<![\d-]){value}(?!\d)", err), err
 
     def test_gen_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "gen", "--kind", "drp", "--seed", "9")

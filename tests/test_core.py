@@ -30,8 +30,7 @@ class TestCostMatrix:
         assert c.p == 2
         assert c.cost(1, 2) == 1
         assert c.cost(2, 1) == 2
-        assert c.max_off_diagonal == 2
-        assert c.min_off_diagonal == 1
+        assert c.off_diagonal() == (1, 2)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InstanceError, match=r"cost\[2\]\[2\]"):

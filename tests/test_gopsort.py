@@ -1,15 +1,17 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from parcost import (CostMatrix, GopInstance, GuardError, InstanceError,
+from parcost import (Assignment, CostMatrix, GopInstance, GuardError, InstanceError,
                      SortInstance, derive_transfer_and_load, drp_to_lap,
-                     equal_splitters, gop_solve_approx, gop_solve_exact,
+                     equal_splitters, gop_objective, gop_solve_approx, gop_solve_exact,
                      lap_solve, ratio_bound)
+from parcost import gopsort
 from parcost.bench import gen_gop
+from test_acceptance import _oracle_gop
 
 UNIT2 = CostMatrix([[0, 1], [1, 0]])
 
@@ -42,6 +44,79 @@ class TestExact:
         c3 = CostMatrix([[0 if i == j else 1 for j in range(3)] for i in range(3)])
         with pytest.raises(InstanceError, match="n=2, p=3"):
             gop_solve_exact(GopInstance(SortInstance(((1,), (2,), ())), c3))
+
+
+LINKS = {
+    "int": lambda rng: rng.randint(1, 10),
+    "fraction": lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+    # sums of these differ from their floats, so float totals can tie
+    # where the exact communication costs do not
+    "float": lambda rng: rng.choice((0.1, 0.2, 0.3, 0.7, 1.5)),
+    "two": lambda rng: rng.randint(1, 2),
+}
+
+
+def _link_costs(rng: random.Random, p: int, kind: str) -> CostMatrix:
+    if kind == "uniform":  # every link costs the same
+        link = rng.randint(1, 3)
+        return CostMatrix([[0 if i == j else link for j in range(p)] for i in range(p)])
+    return CostMatrix([[0 if i == j else LINKS[kind](rng) for j in range(p)]
+                       for i in range(p)])
+
+
+def _assert_matches_oracle(g: GopInstance) -> None:
+    solution = gop_solve_exact(g, work_guard=10 ** 9)
+    assert ((solution.total_cost, solution.splitters, solution.assignment.mapping)
+            == _oracle_gop(g.inst, g.cost.entries))
+    # the reported costs are the objective of the reported choice
+    assert solution == gop_objective(g, solution.splitters, solution.assignment)
+
+
+class TestColumns:
+    """The exact solver prices splitter sets in blocks of columns; the
+    enumerating oracle must agree on the total, the splitters and the
+    mapping, ties included."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float", "two", "uniform"])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_matches_oracle(self, p, kind):
+        rng = random.Random(f"{p}{kind}")
+        max_n = {2: 24, 3: 12, 4: 9, 5: 7}[p]
+        for _ in range(6 if p < 5 else 3):
+            g = gen_gop(rng.randint(p, max_n), p, seed=rng.randrange(2 ** 32))
+            _assert_matches_oracle(GopInstance(g.inst, _link_costs(rng, p, kind)))
+
+    def test_spans_several_default_blocks(self):
+        g = gen_gop(20, 4, seed=1)
+        assert math.comb(20, 3) > 4 * gopsort._BLOCK
+        _assert_matches_oracle(g)
+
+    def test_ties_that_straddle_block_edges(self, monkeypatch):
+        monkeypatch.setattr(gopsort, "_BLOCK", 3)
+        cases = []
+        # values dealt round-robin onto machines with uniform links tie often
+        for p, sizes in ((2, range(4, 12)), (3, range(5, 12)), (4, range(6, 9))):
+            for n in sizes:
+                inst = SortInstance([[v for v in range(1, n + 1) if v % p == i]
+                                     for i in range(p)])
+                cases.append(GopInstance(inst, _link_costs(random.Random(0), p, "uniform")))
+        for p, n in ((3, 8), (4, 7)):
+            for seed in range(12):
+                rng = random.Random(seed)
+                g = gen_gop(n, p, seed=seed)
+                cases.append(GopInstance(g.inst, _link_costs(rng, p, ("uniform", "two")[seed % 2])))
+        straddled = 0
+        for g in cases:
+            _assert_matches_oracle(g)
+            # the blocks, of 3 sets each, that hold an optimal set
+            p = g.inst.p
+            totals = {}
+            for position, splitters in enumerate(combinations(g.inst.values(), p - 1)):
+                for perm in permutations(range(1, p + 1)):
+                    total = gop_objective(g, splitters, Assignment(perm)).total_cost
+                    totals.setdefault(total, set()).add(position // 3)
+            straddled += len(totals[min(totals)]) > 1
+        assert straddled >= 15  # 18 of the 42 cases
 
 
 class TestEqualSplitters:

@@ -172,6 +172,8 @@ def assert_matching_runs_match_oracles(graph: Graph, epsilon) -> None:
     assert state.frozen_vertices == expected_state.frozen_vertices
     assert report.phases == expected.phases
     assert report.extras == expected.extras
+    # repr-identical, not just equal: a Fraction(1, 1) must not become 1
+    assert repr((state, report)) == repr((expected_state, expected))
     assert (mm_parallel_io_model(graph, epsilon).phases
             == fraction_mm_parallel_io_model(graph, epsilon).phases)
 
