@@ -7,16 +7,17 @@ a temporary directory; the change is the working tree. Each sample is a
 fresh ``python3`` process with the tree's ``src`` on ``PYTHONPATH``: it
 builds the layer's input untimed, times one run of the layer with
 ``time.perf_counter``, and reports the seconds, a SHA-256 of the result's
-``repr`` and whether every parcost module had cached bytecode when it
-started. The K samples of a layer alternate between the trees, the parent
-first on even rounds. The record keeps every sample, each side's median and
-quartiles, and whether both sides' results hashed alike. Standard library
-only.
+``repr``, whether every parcost module had cached bytecode when it started
+and how many processes ran the layer (1 + the children it forked). The K
+samples of a layer alternate between the trees, the parent first on even
+rounds. The record keeps every sample, each side's median and quartiles,
+and whether both sides' results hashed alike. Standard library only.
 
-The sweep layers time the rows of the seed-1 plan-small sweeps: the sizes
-come from ``perfbench/workloads.py`` and the per-row seeds from the working
-tree's ``bench.row_seed``, computed once here and handed to every sample on
-stdin, so both trees time the same instances.
+The sweep layers time the seed-1 plan-small sweeps, row by row or whole
+through ``run_sweep``: the sizes come from ``perfbench/workloads.py`` and
+the per-row seeds from the working tree's ``bench.row_seed``, computed once
+here and handed to every sample on stdin with the sweeps' ``SweepSpec``
+arguments, so both trees time the same instances.
 """
 
 from __future__ import annotations
@@ -41,32 +42,33 @@ ROOT = Path(__file__).resolve().parent.parent
 K = 7
 
 
-def _sweep_rows() -> dict[str, list[tuple[int, int]]]:
-    """(size, seed) of every row of plan-small's seed-1 sweeps
-    ``gop-ratio --p 3 --trials 40`` and ``drp-ratio --sizes 2,3,4,5,6
-    --trials 200``, from the working tree."""
+def _plan_small_sweeps() -> dict[str, dict]:
+    """plan-small's seed-1 sweeps ``gop-ratio --p 3 --trials 40`` and
+    ``drp-ratio --sizes 2,3,4,5,6 --trials 200``: each one's ``SweepSpec``
+    arguments and the (size, seed) of its rows, from the working tree."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from parcost.bench import SweepSpec, row_seed
+    from parcost.bench import row_seed
     from workloads import GOP_RATIO_SIZES
 
-    specs = {"gop-ratio": SweepSpec("gop-ratio", map(int, GOP_RATIO_SIZES.split(",")),
-                                    trials=40, seed=1, p=3),
-             "drp-ratio": SweepSpec("drp-ratio", range(2, 7), trials=200, seed=1)}
-    return {kind: [(size, row_seed(spec.seed, size, trial))
-                   for size in spec.sizes for trial in range(spec.trials)]
+    specs = {"gop-ratio": {"sizes": [int(n) for n in GOP_RATIO_SIZES.split(",")],
+                           "trials": 40, "seed": 1, "p": 3},
+             "drp-ratio": {"sizes": [2, 3, 4, 5, 6], "trials": 200, "seed": 1}}
+    return {kind: {"spec": spec,
+                   "rows": [(size, row_seed(spec["seed"], size, trial))
+                            for size in spec["sizes"] for trial in range(spec["trials"])]}
             for kind, spec in specs.items()}
 
 
-def _gop_ratio_rows(rows):
+def _gop_ratio_rows(sweeps):
     from parcost.bench import gen_gop
     from parcost.gopsort import gop_solve_exact
 
-    instances = [gen_gop(n, 3, seed) for n, seed in rows["gop-ratio"]]
+    instances = [gen_gop(n, 3, seed) for n, seed in sweeps["gop-ratio"]["rows"]]
     return lambda: [gop_solve_exact(g) for g in instances]
 
 
 def _gop_exact(n, p):
-    def setup(_rows):
+    def setup(_sweeps):
         from parcost.bench import gen_gop
         from parcost.gopsort import gop_solve_exact
 
@@ -75,30 +77,38 @@ def _gop_exact(n, p):
     return setup
 
 
-def _gen_drp_rows(rows):
+def _gen_drp_rows(sweeps):
     from parcost.bench import gen_drp
 
-    drp = rows["drp-ratio"]
+    drp = sweeps["drp-ratio"]["rows"]
     return lambda: [gen_drp(p, 1, 10, 20, seed) for p, seed in drp]
 
 
-def _drp_ratio_rows(rows):
+def _drp_ratio_rows(sweeps):
     from parcost.bench import SweepSpec, _measure_drp_ratio
 
-    drp = rows["drp-ratio"]
-    # the row measure reads only the spec's cost and mass knobs, left at their defaults
-    spec = SweepSpec("drp-ratio", sorted({p for p, _ in drp}))
+    drp = sweeps["drp-ratio"]["rows"]
+    spec = SweepSpec("drp-ratio", **sweeps["drp-ratio"]["spec"])
     return lambda: [_measure_drp_ratio(spec, p, seed) for p, seed in drp]
 
 
+def _sweep(kind):
+    def setup(sweeps):
+        from parcost.bench import SweepSpec, run_sweep
+
+        spec = SweepSpec(kind, **sweeps[kind]["spec"])
+        return lambda: run_sweep(spec)
+    return setup
+
+
 def _call(module, name, *args):
-    def setup(_rows):
+    def setup(_sweeps):
         function = getattr(importlib.import_module(f"parcost.{module}"), name)
         return lambda: function(*args)
     return setup
 
 
-def _mm300(_rows):
+def _mm300(_sweeps):
     from fractions import Fraction
 
     from parcost.bench import gen_graph
@@ -126,6 +136,10 @@ LAYERS = {
     "bench.drp-ratio-row:p2-6": (
         "the 1000 rows of the seed-1 drp-ratio sweep, p 2-6 (generate, both "
         "solves, bound, ratio)", _drp_ratio_rows),
+    "bench.run_sweep:drp-ratio-p2-6": (
+        "run_sweep on the seed-1 drp-ratio sweep, p 2-6, 200 trials", _sweep("drp-ratio")),
+    "bench.run_sweep:gop-ratio-p3": (
+        "run_sweep on the seed-1 p=3 gop-ratio sweep, 40 trials", _sweep("gop-ratio")),
 }
 
 
@@ -135,16 +149,27 @@ def _worker(layer: str) -> None:
     cached = all(os.path.exists(importlib.util.cache_from_source(str(path)))
                  for path in package.glob("*.py"))
     run = LAYERS[layer][1](json.load(sys.stdin))
+    children = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    os.fork = counted_fork
     start = time.perf_counter()
     result = run()
     seconds = time.perf_counter() - start
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
-    print(json.dumps({"seconds": seconds, "sha256": digest, "bytecode_cached": cached}))
+    print(json.dumps({"seconds": seconds, "sha256": digest, "bytecode_cached": cached,
+                      "processes": 1 + len(children)}))
 
 
-def _sample(tree: Path, layer: str, rows: str) -> dict:
+def _sample(tree: Path, layer: str, sweeps: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    out = subprocess.run([sys.executable, __file__, "--worker", layer], env=env, input=rows,
+    out = subprocess.run([sys.executable, __file__, "--worker", layer], env=env, input=sweeps,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -155,7 +180,8 @@ def _summary(samples: list[dict]) -> dict:
     return {"median_s": statistics.median(seconds), "q1_s": q1, "q3_s": q3,
             "samples_s": seconds,
             "sha256": sorted({s["sha256"] for s in samples}),
-            "bytecode_cached": sorted({s["bytecode_cached"] for s in samples})}
+            "bytecode_cached": sorted({s["bytecode_cached"] for s in samples}),
+            "processes": sorted({s["processes"] for s in samples})}
 
 
 def _export(rev: str, into: Path) -> str:
@@ -177,7 +203,7 @@ def main() -> None:
     if args.worker:
         _worker(args.worker)
         return
-    rows = json.dumps(_sweep_rows())
+    sweeps = json.dumps(_plan_small_sweeps())
     with tempfile.TemporaryDirectory() as scratch:
         commit = _export(args.parent, Path(scratch))
         trees = {"parent": Path(scratch), "change": ROOT}
@@ -186,7 +212,7 @@ def main() -> None:
             samples = {"parent": [], "change": []}
             for i in range(K):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    samples[side].append(_sample(trees[side], layer, rows))
+                    samples[side].append(_sample(trees[side], layer, sweeps))
             record = {side: _summary(samples[side]) for side in samples}
             record["what"] = LAYERS[layer][0]
             record["same_result"] = record["parent"]["sha256"] == record["change"]["sha256"]

@@ -3,18 +3,22 @@
 Generators are deterministic per seed (Mersenne Twister with stable integer
 draws), and sweeps render CSV with '.' decimals, ',' separators, and a
 header row. A gop-ratio row whose exact solve exceeds the work guard is
-marked skipped instead of aborting the run. The instance JSON codecs are
+marked skipped instead of aborting the run, and a sweep's rows are shared
+among forked workers, one per usable CPU. The instance JSON codecs are
 ``core``'s, re-exported here under their names.
 """
 
 from __future__ import annotations
 
 import io
+import marshal
 import math
+import os
 import random
+import threading
 from fractions import Fraction
 from itertools import islice, repeat
-from typing import Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
@@ -216,31 +220,61 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
     holding the maximum ratio and, for IO sweeps, the classification.
     A gop-ratio row over the work guard is marked ``skipped`` and the sweep
     continues.
+
+    Rows are independent, so k processes share them: row (size, trial) runs
+    on worker ``trial % k``, with k the usable CPUs but at most
+    ``spec.trials``. Worker 0 is this process and the others are forked
+    children (see ``_forked_shares``); the rows are merged back in (size,
+    trial) order, so the result does not depend on k. k is 1 where the
+    platform has no ``os.fork`` or another thread is alive, since a forked
+    child holds only the calling thread and would inherit any lock another
+    thread held.
     """
     header, defaults, measure = _SWEEPS[spec.kind]
     settings = {name: default if getattr(spec, name) is None else getattr(spec, name)
                 for name, default in defaults.items()}
     io_sweep = "classification" in header
+
+    def share(worker: int, k: int) -> Iterator[tuple]:
+        """Worker's rows in (size, trial) order as (cells, ratio, parallel
+        IO, serial IO). The ratio is a float, which keeps the summary's
+        maximum since ``float`` never reverses an order; None if skipped."""
+        for size in spec.sizes:
+            for trial in range(worker, spec.trials, k):
+                row = {**settings, header[0]: size, "trial": trial}
+                seed = row_seed(spec.seed, size, trial)
+                try:
+                    row.update(measure(spec, size, seed, **settings))
+                except GuardError:
+                    row["status"] = "skipped"
+                    ratio = None
+                else:
+                    row["status"] = "ok"
+                    if io_sweep:
+                        row["ratio"] = Fraction(row["parallel_io"], row["serial_io"])
+                    ratio = float(row["ratio"])
+                yield (tuple(_fmt(row.get(column)) for column in header), ratio,
+                       row.get("parallel_io", 0), row.get("serial_io", 0))
+
+    k = min(_usable_cpus(), spec.trials)
+    shares = None
+    if k > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        shares = _forked_shares(share, k)
+    if shares is None:
+        k, shares = 1, [share(0, 1)]
+    streams = list(map(iter, shares))
     rows = []
     max_ratio = 0.0
     per_size: list[tuple[int, int, int]] = []
     for size in spec.sizes:
         par_total = ser_total = 0
         for trial in range(spec.trials):
-            row = {**settings, header[0]: size, "trial": trial}
-            seed = row_seed(spec.seed, size, trial)
-            try:
-                row.update(measure(spec, size, seed, **settings))
-            except GuardError:
-                row["status"] = "skipped"
-            else:
-                row["status"] = "ok"
-                if io_sweep:
-                    par_total += row["parallel_io"]
-                    ser_total += row["serial_io"]
-                    row["ratio"] = Fraction(row["parallel_io"], row["serial_io"])
-                max_ratio = max(max_ratio, row["ratio"])
-            rows.append(tuple(_fmt(row.get(column)) for column in header))
+            cells, ratio, parallel_io, serial_io = next(streams[trial % k])
+            rows.append(cells)
+            if ratio is not None:
+                max_ratio = max(max_ratio, ratio)
+            par_total += parallel_io
+            ser_total += serial_io
         per_size.append((size, par_total, ser_total))
     summary = {**settings, header[0]: "all", "trial": "summary", "status": "ok",
                "ratio": max_ratio}
@@ -254,6 +288,73 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
             summary["classification"] = IoOptimality.INCONCLUSIVE.value
     rows.append(tuple(_fmt(summary.get(column)) for column in header))
     return header, tuple(rows)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_shares(share: Callable[[int, int], Iterator[tuple]],
+                   k: int) -> list[list] | None:
+    """The k workers' rows: ``share(0, k)`` run here and ``share(1, k)`` ..
+    ``share(k - 1, k)`` each in a forked child, which sends its rows back
+    over a pipe with ``marshal``. Worker 0's first row runs before the
+    forks, so the children inherit the modules the rows load.
+
+    None if a fork failed or any worker raised: the caller then runs every
+    row here, so an error is the one the serial loop meets first, with its
+    message and exit code. Every child is reaped before this returns or
+    raises.
+    """
+    children = []  # (pid, read end of its pipe)
+    statuses = []
+    try:
+        try:
+            mine = share(0, k)
+            rows = [next(mine)]
+            for worker in range(1, k):
+                children.append(_fork_worker(share, worker, k))
+            rows.extend(mine)
+        except Exception:  # rerun serially, which raises the serial error
+            return None
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses):
+        return None
+    return [rows, *map(marshal.loads, payloads)]
+
+
+def _fork_worker(share: Callable[[int, int], Iterator[tuple]], worker: int,
+                 k: int) -> tuple[int, BinaryIO]:
+    """Fork a child that sends ``share(worker, k)`` down a pipe; return its
+    pid and the pipe's read end. The child leaves with ``os._exit``, 0 if
+    it sent every row, so it runs none of the parent's cleanup and flushes
+    none of its buffers."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(list(share(worker, k))))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -18,7 +18,8 @@ from itertools import permutations
 from .core import (Assignment, CostMatrix, DrpInstance, Rational, TransferMatrix,
                    TspFbInstance, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
-from .lap import AssignmentProblem, drp_to_lap, lap_solve
+
+# The two solvers import lap in their bodies, so reduce-tspfb does not load it.
 
 DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
@@ -55,6 +56,8 @@ def drp_solve_exact(inst: DrpInstance) -> tuple[Assignment, Rational]:
     physical machines on rows, hence the transpose; its cost is
     sum_j g[j][mapping[j]] and its tie-break is the same as ``drp_brute``'s.
     """
+    from .lap import AssignmentProblem, lap_solve
+
     return lap_solve(AssignmentProblem(tuple(zip(*_assignment_weights(inst)))))
 
 
@@ -64,6 +67,8 @@ def drp_solve_approx(inst: DrpInstance) -> tuple[Assignment, Rational]:
     Solves the linear assignment problem built from the transfer matrix
     alone and prices the resulting assignment with the real cost matrix.
     """
+    from .lap import drp_to_lap, lap_solve
+
     assignment, _ = lap_solve(drp_to_lap(inst.transfer))
     return assignment, drp_cost(inst.transfer, inst.cost, assignment)
 

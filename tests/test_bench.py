@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import json
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -240,3 +243,183 @@ def test_sweep_json_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7860b9c02f2d031b064498178acf77b42a239620d0561a868ec0a23c113d1574")
+
+
+# --- rows shared among forked workers ----------------------------------------
+
+SPLIT_CASES = [
+    dict(kind="drp-ratio", sizes=(2, 3, 4), trials=5, seed=5),
+    dict(kind="gop-ratio", sizes=(4, 30), trials=3, seed=5, p=3),
+    dict(kind="gop-ratio", sizes=(6, 8), seed=9, guard=10 ** 4),
+    dict(kind="terasort-io", sizes=(1000, 2000, 4000), trials=3, seed=11, memory=100),
+    dict(kind="mst-io", sizes=(32, 64, 128), trials=2, seed=3),
+    dict(kind="mm-io", sizes=(12, 24, 48), trials=3, seed=3),
+]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children ``os.fork`` started in this process."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def rows_here(monkeypatch):
+    """The (seed, size, trial) of every row this process ran."""
+    keys = []
+    real_row_seed = bench.row_seed
+    monkeypatch.setattr(bench, "row_seed", lambda *key: keys.append(key) or real_row_seed(*key))
+    return keys
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("spec", SPLIT_CASES,
+                         ids=[f"{s['kind']}-{i}" for i, s in enumerate(SPLIT_CASES)])
+def test_csv_bytes_do_not_depend_on_worker_count(spec, monkeypatch, forks, rows_here):
+    trials = spec.get("trials", 1)
+    outputs = []
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        forks.clear()
+        rows_here.clear()
+        outputs.append(sweep_to_csv(*run_sweep(SweepSpec(**spec))))
+        k = min(cpus, trials)
+        assert len(forks) == k - 1
+        # this process ran worker 0's share only, so no worker failed
+        assert len(rows_here) == len(spec["sizes"]) * len(range(0, trials, k))
+        assert_no_child()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_skipped_rows_in_every_share(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    header, rows = run_sweep(SweepSpec(**SPLIT_CASES[1]))
+    assert [(r[0], r[2], r[3]) for r in rows[:-1]] == [
+        ("4", "0", "ok"), ("4", "1", "ok"), ("4", "2", "ok"),
+        ("30", "0", "skipped"), ("30", "1", "skipped"), ("30", "2", "skipped")]
+
+
+def failing_rows(monkeypatch, failures):
+    """Make the drp-ratio rows named by (p, trial) of a seed-5 sweep raise."""
+    header, defaults, measure = bench._SWEEPS["drp-ratio"]
+    by_seed = {bench.row_seed(5, p, trial): error for (p, trial), error in failures.items()}
+
+    def measure_or_fail(spec, p, seed):
+        if seed in by_seed:
+            raise by_seed[seed]
+        return measure(spec, p, seed)
+
+    monkeypatch.setitem(bench._SWEEPS, "drp-ratio", (header, defaults, measure_or_fail))
+    return SweepSpec(kind="drp-ratio", sizes=(2, 3, 4), trials=4, seed=5)
+
+
+@pytest.mark.parametrize("failures", [
+    # the only failing row is trial 1, in worker 1's share for k = 2 and 3
+    {(3, 1): ValueError("row p=3 trial 1")},
+    # worker 0 meets its own error first; the serial loop meets worker 1's
+    {(3, 1): ParameterError("row p=3 trial 1"), (4, 0): ValueError("row p=4 trial 0")},
+], ids=["in-a-child", "earlier-in-a-child"])
+def test_worker_error_is_the_serial_error(failures, monkeypatch, forks):
+    spec = failing_rows(monkeypatch, failures)
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        forks.clear()
+        with pytest.raises(Exception) as raised:
+            run_sweep(spec)
+        assert type(raised.value) is type(failures[3, 1])
+        assert str(raised.value) == "row p=3 trial 1"
+        assert len(forks) == cpus - 1
+        assert_no_child()
+
+
+def test_worker_error_keeps_the_serial_exit_code(monkeypatch, capsys):
+    from parcost.cli import main
+
+    failing_rows(monkeypatch, {(3, 1): ParameterError("row p=3 trial 1")})
+    argv = ["sweep", "--kind", "drp-ratio", "--sizes", "2,3,4", "--trials", "4",
+            "--seed", "5"]
+    results = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        results.append((main(argv), capsys.readouterr()))
+        assert_no_child()
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and results[0][1].err == "invalid input: row p=3 trial 1\n"
+
+
+def test_failed_fork_runs_the_rows_here(monkeypatch):
+    spec = SweepSpec(kind="drp-ratio", sizes=(2, 3), trials=4, seed=5)
+    set_cpus(monkeypatch, 1)
+    serial = run_sweep(spec)
+    set_cpus(monkeypatch, 3)
+    real_fork = os.fork
+    calls = []
+
+    def fork_once():
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert run_sweep(spec) == serial
+    assert len(calls) == 2
+    assert_no_child()
+
+
+@pytest.mark.parametrize("case", ["one-trial", "no-fork", "second-thread"])
+def test_sweep_stays_serial(case, monkeypatch, rows_here):
+    spec = dict(kind="drp-ratio", sizes=(2, 3), trials=4, seed=5)
+    set_cpus(monkeypatch, 1)
+    if case == "one-trial":
+        spec["trials"] = 1
+    serial = run_sweep(SweepSpec(**spec))
+    set_cpus(monkeypatch, 3)
+    attempts = []
+
+    def fork():
+        attempts.append(1)
+        raise OSError(errno.EAGAIN, "no fork expected")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "second-thread":
+        thread.start()
+    rows_here.clear()
+    try:
+        assert run_sweep(SweepSpec(**spec)) == serial
+        assert attempts == []
+        assert len(rows_here) == 2 * spec["trials"]  # each row ran once, here
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert bench._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert bench._usable_cpus() == (os.cpu_count() or 1)

@@ -172,6 +172,21 @@ class TestApprox:
             bound = max(float(ratio_bound(g.cost)), 2.0)
             assert approx.total_cost <= bound * exact.total_cost + 1e-9
 
+    def test_printed_bound_fails_on_seed_277(self):
+        # max(r, 2) is not a sound bound: equal-rank splitters ignore where
+        # the data lives, so the approximation's comm has no bound in OPT
+        # (README, "The GOP bound is false as stated")
+        g = gen_gop(4, 3, seed=277)
+        assert g.cost.entries == ((0, 10, 8), (5, 0, 10), (10, 10, 0))
+        assert g.inst.subsets == ((6, 3), (12,), (14,))
+        exact = gop_solve_exact(g)
+        approx = gop_solve_approx(g)
+        assert (exact.splitters, exact.comm_cost, exact.total_cost) == ((6, 12), 0, 2.0)
+        assert (approx.splitters, approx.comm_cost, approx.total_cost) == ((3, 6), 20, 22.0)
+        bound = max(ratio_bound(g.cost), 2)
+        assert bound == 2
+        assert approx.total_cost == 11 * exact.total_cost > bound * exact.total_cost
+
     def test_exact_assignment_extension_helps_or_ties(self):
         rng = random.Random(73)
         instances = [gen_gop(rng.randint(6, 12), 2, seed=rng.randrange(2 ** 32),

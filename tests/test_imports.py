@@ -82,6 +82,12 @@ def test_drp_commands_load_no_sorting_or_simulator(files, command):
     assert "dataclasses" not in modules and "inspect" not in modules
 
 
+def test_reduce_tspfb_loads_no_assignment_solver(files):
+    # the reduction builds a drp instance and runs no solver
+    assert loaded(child_modules("reduce-tspfb", "--input", files["tspfb"])) == {
+        "core", "drp"}
+
+
 @pytest.mark.parametrize("command, kind", [
     ("sim-terasort", "gop"), ("sim-mm", "graph"), ("sim-mst-io", "graph")])
 def test_simulators_load_no_solver(files, command, kind):
@@ -129,7 +135,7 @@ def test_bare_package_import_loads_no_submodule():
 def test_package_attribute_loads_only_its_module():
     code = ("import json, sys; import parcost; parcost.drp_solve_exact; "
             "print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))")
-    assert loaded(child_modules(code=code)) == {"core", "drp", "lap"}
+    assert loaded(child_modules(code=code)) == {"core", "drp"}
 
 
 def test_every_exported_name_is_the_defining_modules_object():
