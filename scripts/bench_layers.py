@@ -67,13 +67,13 @@ def _gop_ratio_rows(sweeps):
     return lambda: [gop_solve_exact(g) for g in instances]
 
 
-def _gop_exact(n, p):
+def _on_gop(module, name, n, p, *args):
     def setup(_sweeps):
         from parcost.bench import gen_gop
-        from parcost.gopsort import gop_solve_exact
 
+        function = getattr(importlib.import_module(f"parcost.{module}"), name)
         g = gen_gop(n, p, 1)
-        return lambda: gop_solve_exact(g, work_guard=10 ** 9)
+        return lambda: function(g, *args)
     return setup
 
 
@@ -122,9 +122,21 @@ def _mm300(_sweeps):
 LAYERS = {
     "gopsort.gop_solve_exact:gop-ratio-rows": (
         "gop_solve_exact on the 320 rows of the seed-1 p=3 gop-ratio sweep", _gop_ratio_rows),
-    "gopsort.gop_solve_exact:n40-p4": ("gop_solve_exact(gen_gop(40, 4, 1))", _gop_exact(40, 4)),
-    "gopsort.gop_solve_exact:n60-p3": ("gop_solve_exact(gen_gop(60, 3, 1))", _gop_exact(60, 3)),
-    "gopsort.gop_solve_exact:n20-p5": ("gop_solve_exact(gen_gop(20, 5, 1))", _gop_exact(20, 5)),
+    "gopsort.gop_solve_exact:n40-p4": (
+        "gop_solve_exact(gen_gop(40, 4, 1))",
+        _on_gop("gopsort", "gop_solve_exact", 40, 4, 10 ** 9)),
+    "gopsort.gop_solve_exact:n60-p3": (
+        "gop_solve_exact(gen_gop(60, 3, 1))",
+        _on_gop("gopsort", "gop_solve_exact", 60, 3, 10 ** 9)),
+    "gopsort.gop_solve_exact:n20-p5": (
+        "gop_solve_exact(gen_gop(20, 5, 1))",
+        _on_gop("gopsort", "gop_solve_exact", 20, 5, 10 ** 9)),
+    "gopsort.gop_solve_approx:n1e5-p4": (
+        "gop_solve_approx(gen_gop(10**5, 4, 1))",
+        _on_gop("gopsort", "gop_solve_approx", 10 ** 5, 4)),
+    "iosim.terasort_simulate:n1e5-p4": (
+        "terasort_simulate(gen_gop(10**5, 4, 1), 1000)",
+        _on_gop("iosim", "terasort_simulate", 10 ** 5, 4, 1000)),
     "bench.gen_drp:drp-ratio-rows": (
         "gen_drp for the 1000 rows of the seed-1 drp-ratio sweep, p 2-6", _gen_drp_rows),
     "bench.gen_gop:n1e6-p4": ("gen_gop(10**6, 4, 1)", _call("bench", "gen_gop", 10 ** 6, 4, 1)),

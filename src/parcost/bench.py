@@ -37,19 +37,14 @@ GRAPH_WEIGHT_MAX = 100
 TSPFB_WEIGHT_MAX = 20
 
 
-class Seed(Value):
-    """A 64-bit unsigned RNG seed."""
-
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int) -> None:
-        if not 0 <= value < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {value}")
-        _set(self, "value", value)
+def _check_seed(seed: int) -> None:
+    """The seed rule: a 64-bit unsigned integer."""
+    if not 0 <= seed < 2 ** 64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def _rng(seed: int) -> random.Random:
-    Seed(seed)
+    _check_seed(seed)
     return random.Random(seed)
 
 
@@ -181,7 +176,7 @@ class SweepSpec(Value):
             raise ParameterError(f"p must be >= 2, got {p}")
         if memory is not None and memory < 2:
             raise ParameterError(f"memory must be >= 2, got {memory}")
-        Seed(seed)
+        _check_seed(seed)
         _set(self, "kind", kind)
         _set(self, "sizes", sizes)
         _set(self, "trials", trials)

@@ -444,10 +444,7 @@ class GopSolution(Value):
 
     def __init__(self, splitters: Sequence[int], assignment: Assignment,
                  comm_cost: Rational, io_cost: float) -> None:
-        splitters = tuple(splitters)
-        if any(a >= b for a, b in zip(splitters, splitters[1:])):
-            raise InstanceError(f"splitters {splitters} are not strictly ascending")
-        _set(self, "splitters", splitters)
+        _set(self, "splitters", _check_splitters(splitters, assignment.p))
         _set(self, "assignment", assignment)
         _set(self, "comm_cost", comm_cost)
         _set(self, "io_cost", io_cost)
@@ -479,6 +476,7 @@ def drp_cost(transfer: TransferMatrix, cost: CostMatrix, assignment: Assignment)
 
 
 def _check_splitters(splitters: Sequence[int], p: int) -> tuple[int, ...]:
+    """The splitter rule: p - 1 strictly ascending values."""
     splitters = tuple(splitters)
     if len(splitters) != p - 1:
         raise InstanceError(
@@ -486,6 +484,13 @@ def _check_splitters(splitters: Sequence[int], p: int) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(splitters, splitters[1:])):
         raise InstanceError(f"splitters {splitters} are not strictly ascending")
     return splitters
+
+
+def _equal_rank(values: Sequence[int], p: int) -> tuple[int, ...]:
+    """The equal-rank rule: from ascending ``values``, the p - 1 elements of
+    rank floor(k * len / p), 1-indexed, for k = 1..p-1. With len >= p the
+    ranks are distinct and at least k, so the result is strictly ascending."""
+    return tuple(values[(k * len(values)) // p - 1] for k in range(1, p))
 
 
 def derive_transfer_and_load(inst: SortInstance,
@@ -503,17 +508,14 @@ def derive_transfer_and_load(inst: SortInstance,
         for value in subset:
             counts[i][bisect_left(splitters, value)] += 1
     transfer = TransferMatrix(tuple(tuple(row) for row in counts))
-    loads = tuple(sum(counts[i][j] for i in range(p)) for j in range(p))
-    return transfer, loads
+    return transfer, transfer.column_sums()
 
 
 def sort_io_term(loads: Sequence[int]) -> float:
-    """max over intervals of L * log2(L), with loads of 0 or 1 costing 0."""
-    worst = 0.0
-    for load in loads:
-        if load > 1:
-            worst = max(worst, load * math.log2(load))
-    return worst
+    """L * log2(L) of the largest load L, the max over intervals as L * log2(L)
+    grows with L; loads of 0 or 1, and no loads at all, cost 0."""
+    load = max(loads, default=0)
+    return load * math.log2(load) if load > 1 else 0.0
 
 
 def gop_objective(g: GopInstance, splitters: Sequence[int],
@@ -525,13 +527,12 @@ def gop_objective(g: GopInstance, splitters: Sequence[int],
     ``sort_io_term`` over the interval loads and does not depend on the
     assignment.
     """
-    inst = g.inst
-    splitters = _check_splitters(splitters, inst.p)
-    universe = set(inst.values())
+    # derive_transfer_and_load checks the splitter rule first
+    transfer, loads = derive_transfer_and_load(g.inst, splitters)
+    universe = set(g.inst.values())
     for s in splitters:
         if s not in universe:
             raise InstanceError(f"splitter {s} is not an element of the instance")
-    transfer, loads = derive_transfer_and_load(inst, splitters)
     comm = drp_cost(transfer, g.cost, assignment)
     return GopSolution(splitters, assignment, comm, sort_io_term(loads))
 

@@ -19,7 +19,8 @@ from .core import (Assignment, CostMatrix, DrpInstance, Rational, TransferMatrix
                    TspFbInstance, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
 
-# The two solvers import lap in their bodies, so reduce-tspfb does not load it.
+# The solvers and drp_brute import lap in their bodies, so reduce-tspfb does
+# not load it.
 
 DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
@@ -135,23 +136,18 @@ def drp_brute(inst: DrpInstance,
               max_p: int = DEFAULT_EXACT_LIMIT) -> tuple[Assignment, Rational]:
     """Exhaustive minimum over all p! assignments; oracle for drp_solve_exact.
 
-    Enumeration is in lexicographic mapping order with strict improvement,
-    so the returned mapping is the smallest optimal one.
+    ``lap_brute`` enumerates the collapsed weights, transposed as in
+    ``drp_solve_exact``, in lexicographic mapping order with strict
+    improvement, so the returned mapping is the smallest optimal one. The
+    guard is checked here, before the O(p^3) collapse.
     """
     p = inst.p
     if p > max_p:
         raise GuardError(
             f"p={p} exceeds the exhaustive-search guard {max_p} (p! enumeration)")
-    g = _assignment_weights(inst)
-    best_perm: tuple[int, ...] | None = None
-    best_cost: Rational = 0
-    for perm in permutations(range(p)):
-        cost = sum(g[j][perm[j]] for j in range(p))
-        if best_perm is None or cost < best_cost:
-            best_perm = perm
-            best_cost = cost
-    assert best_perm is not None
-    return Assignment(tuple(k + 1 for k in best_perm)), as_exact(best_cost)
+    from .lap import AssignmentProblem, lap_brute
+
+    return lap_brute(AssignmentProblem(tuple(zip(*_assignment_weights(inst)))), max_p)
 
 
 def tspfb_brute(tour: TspFbInstance,

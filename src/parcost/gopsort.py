@@ -13,7 +13,7 @@ from math import comb, factorial, inf
 from operator import add, sub
 
 from .constants import DEFAULT_WORK_GUARD
-from .core import (Assignment, GopInstance, GopSolution, SortInstance,
+from .core import (Assignment, GopInstance, GopSolution, SortInstance, _equal_rank,
                    derive_transfer_and_load, sort_io_term)
 from .errors import GuardError
 
@@ -107,15 +107,9 @@ def gop_solve_exact(g: GopInstance,
 
 
 def equal_splitters(inst: SortInstance) -> tuple[int, ...]:
-    """Splitters at the p-quantile ranks of the globally sorted data.
-
-    Splitter k is the element of rank floor(k*n/p), 1-indexed; a sort
-    instance has n >= p, so the ranks are distinct and at least k and the
-    result is strictly ascending.
-    """
-    n, p = inst.n, inst.p
-    values = inst.values()
-    return tuple(values[(k * n) // p - 1] for k in range(1, p))
+    """Splitters at the p-quantile ranks of the globally sorted data: the
+    equal-rank rule on all n >= p elements, so strictly ascending."""
+    return _equal_rank(inst.values(), inst.p)
 
 
 def gop_solve_approx(g: GopInstance, exact_assignment: bool = False) -> GopSolution:

@@ -23,10 +23,10 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import (Assignment, GopInstance, Graph, Rational, Value, _set, as_exact,
-                   derive_transfer_and_load, drp_cost)
+from .core import (Assignment, GopInstance, Graph, Rational, Value, _equal_rank, _set,
+                   as_exact, derive_transfer_and_load, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
@@ -165,21 +165,34 @@ def _iteration_limit(n: int, eps: Fraction) -> int:
     return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
 
 
-def _scale(n: int, eps: Fraction) -> tuple[int, list[int], int]:
-    """The integers both matching runs count in.
+def _matching_setup(n: int, epsilon) -> tuple[
+        Fraction, int, list[int], int, list[Phase], Callable[[int], int]]:
+    """The set-up both matching runs share, in the integers they count in.
 
     With epsilon = a/b and L the iteration cap, every weight is a multiple
     of 1/D, D = n * (b - a)^L: an edge boosted c times weighs
-    (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D. Returns D, the
-    numerators for c = 0..L, and the least numerator of a load that reaches
-    1 - 2*epsilon, ceil((b - 2a) * D / b), so a freeze test on integer
-    numerators is exact.
+    (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D. Returns, in order:
+    epsilon as a Fraction; D; the numerators for c = 0..L; the freeze bar
+    ceil((b - 2a) * D / b), the least numerator of a load that reaches
+    1 - 2*epsilon, so a freeze test on integer numerators is exact; the
+    run's phase list; and ``scan(active)``, which logs the next iteration
+    with its count of active edges and returns how many iterations have
+    begun, raising past the cap L.
     """
+    eps = _as_epsilon(epsilon)
     a, b = eps.numerator, eps.denominator
     limit = _iteration_limit(n, eps)
     denominator = n * (b - a) ** limit
     scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
-    return denominator, scaled, -(-(b - 2 * a) * denominator // b)
+    phases: list[Phase] = []
+
+    def scan(active: int) -> int:
+        if len(phases) == limit:
+            raise RuntimeError("matching run failed to terminate within its bound")
+        phases.append((f"iteration {len(phases) + 1}", active, 0))
+        return len(phases)
+
+    return eps, denominator, scaled, -(-(b - 2 * a) * denominator // b), phases, scan
 
 
 def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
@@ -203,15 +216,13 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     test. An edge's final weight is ``w`` at the moment it froze.
 
     The arithmetic is plain integers over the common denominator D of
-    ``_scale``, shared with ``mm_parallel_io_model``; ``w`` after t boosts
-    is ``scaled[t] / D``. The weights and loads it reports are built as
-    Fractions at the end.
+    ``_matching_setup``, shared with ``mm_parallel_io_model``; ``w`` after
+    t boosts is ``scaled[t] / D``. The weights and loads it reports are
+    built as Fractions at the end.
     """
-    eps = _as_epsilon(epsilon)
     n = graph.n_vertices
     m = graph.n_edges
-    denominator, scaled, bar = _scale(n, eps)
-    limit = len(scaled) - 1
+    eps, denominator, scaled, bar, phases, scan = _matching_setup(n, epsilon)
     # frozen_at[k]: the iteration in which edge k froze, its count of boosts
     frozen_at: list[int | None] = [None] * m
     frozen_sum = [0] * (n + 1)
@@ -227,19 +238,16 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     # a frozen vertex has no active edge left, so its load stays put
     frozen_max = 0
 
-    phases: list[Phase] = []
     load_history: list[int] = []
     active = m
     while active:
-        if len(phases) == limit:
-            raise RuntimeError("matching run failed to terminate within its bound")
-        phases.append((f"iteration {len(phases) + 1}", active, 0))
+        t = scan(active)
         # freeze pass, on the weights as they stand at the scan
         newly = [v for v, load in zip(live, loads) if load >= bar]
         for v in newly:
             for k in incident[v]:
                 if frozen_at[k] is None:
-                    frozen_at[k] = len(phases) - 1
+                    frozen_at[k] = t - 1
                     active -= 1
                     for end in graph.edges[k][:2]:
                         frozen_sum[end] += w
@@ -248,7 +256,7 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
         if newly:
             frozen_vertices.update(newly)
             live = [v for v in live if v not in frozen_vertices]
-        w = scaled[len(phases)]
+        w = scaled[t]
         # the next freeze pass sees the same weights, so it reuses these loads
         loads = [frozen_sum[v] + degree[v] * w for v in live]
         load_history.append(max([frozen_max, *loads]))
@@ -275,27 +283,22 @@ def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
     it stays a separate replay so that comparing the two (acceptance
     criterion 08) checks one against the other.
 
-    Its arithmetic is plain integers, the numerators over D of ``_scale``.
-    Each iteration sums an edge's numerator, indexed by its count of boosts,
-    per vertex over the whole edge list, and compares the sums with the
-    freeze bar, still exact.
+    Its arithmetic is plain integers, the numerators over D of
+    ``_matching_setup``. Each iteration sums an edge's numerator, indexed by
+    its count of boosts, per vertex over the whole edge list, and compares
+    the sums with the freeze bar, still exact.
     """
-    eps = _as_epsilon(epsilon)
     n = graph.n_vertices
-    _, scaled, bar = _scale(n, eps)
-    limit = len(scaled) - 1
+    _, _, scaled, bar, phases, scan = _matching_setup(n, epsilon)
     ends = [(u, v) for u, v, _ in graph.edges]
     boosts = [0] * len(ends)
     frozen = [False] * (n + 1)
 
-    phases: list[Phase] = []
     while True:
         active = [k for k, (u, v) in enumerate(ends) if not (frozen[u] or frozen[v])]
         if not active:
             break
-        if len(phases) == limit:
-            raise RuntimeError("matching model failed to terminate within its bound")
-        phases.append((f"iteration {len(phases) + 1}", len(active), 0))
+        scan(len(active))
         loads = [0] * (n + 1)
         for (u, v), c in zip(ends, boosts):
             loads[u] += scaled[c]
@@ -334,8 +337,9 @@ def terasort_simulate(g: GopInstance,
     Phase 1 (sample-and-split): min(M, n) records are read from external
     memory, one IO each, apportioned over machines by local data size and
     picked at evenly spaced local ranks; all samples travel to machine 1,
-    which broadcasts the p-1 equal-rank sample splitters. Communication is
-    priced by the cluster's cost matrix.
+    which broadcasts the p-1 splitters that the approximation's equal-rank
+    rule picks from the sorted sample. Communication is priced by the
+    cluster's cost matrix.
 
     Phase 2 (redistribute): every record goes to the machine owning its
     splitter interval (identity placement), priced by the cost matrix.
@@ -367,7 +371,7 @@ def terasort_simulate(g: GopInstance,
             sample.extend(data[(2 * k + 1) * len(data) // (2 * quota)]
                           for k in range(quota))
     sample.sort()
-    splitters = tuple(sample[(k * sample_size) // p - 1] for k in range(1, p))
+    splitters = _equal_rank(sample, p)
 
     io_sample = sample_size
     comm_sample = sum(quotas[i] * cost.cost(i + 1, 1) for i in range(p) if i != 0)

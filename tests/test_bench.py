@@ -10,7 +10,7 @@ import pytest
 from parcost import (CostMatrix, DrpInstance, ParameterError, TransferMatrix,
                      as_exact, bench)
 from parcost.constants import SWEEP_KINDS
-from parcost.bench import (Seed, SweepSpec, drp_from_json, drp_to_json,
+from parcost.bench import (SweepSpec, drp_from_json, drp_to_json,
                            dumps_canonical, gen_drp, gen_gop, gen_graph,
                            gen_tspfb, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, run_sweep,
@@ -20,12 +20,16 @@ from parcost.errors import InstanceError
 
 class TestSeed:
     def test_range(self):
-        Seed(0)
-        Seed(2 ** 64 - 1)
-        with pytest.raises(ParameterError):
-            Seed(-1)
-        with pytest.raises(ParameterError):
-            Seed(2 ** 64)
+        # the generators and the sweep spec share one rule
+        for seed in (0, 2 ** 64 - 1):
+            gen_tspfb(3, seed)
+            SweepSpec("drp-ratio", (2,), seed=seed)
+        for seed in (-1, 2 ** 64):
+            for build in (lambda: gen_drp(2, 1, 9, 20, seed), lambda: gen_gop(2, 2, seed),
+                          lambda: gen_graph(2, 1, seed), lambda: gen_tspfb(3, seed),
+                          lambda: SweepSpec("drp-ratio", (2,), seed=seed)):
+                with pytest.raises(ParameterError, match="64-bit unsigned"):
+                    build()
 
 
 class TestGenerators:

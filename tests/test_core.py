@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from parcost import (Assignment, AssignmentProblem, CostMatrix, GopInstance,
-                     InstanceError, SortInstance, TransferMatrix, as_exact,
+                     GopSolution, InstanceError, SortInstance, TransferMatrix, as_exact,
                      derive_transfer_and_load, drp_cost, gop_objective,
                      sort_io_term)
 
@@ -290,6 +290,15 @@ class TestSortIoTerm:
 
     def test_single_load(self):
         assert sort_io_term((4,)) == 8.0
+
+
+def test_gop_solution_holds_to_the_splitter_rule():
+    for splitters in ((), (1, 2)):
+        with pytest.raises(InstanceError,
+                           match=f"expected 1 splitters for p=2, got {len(splitters)}"):
+            GopSolution(splitters, Assignment.identity(2), 0, 0.0)
+    with pytest.raises(InstanceError, match="not strictly ascending"):
+        GopSolution((2, 1), Assignment.identity(3), 0, 0.0)
 
 
 class TestGopObjective:

@@ -7,8 +7,9 @@ import pytest
 
 from parcost import (CostMatrix, GopInstance, Graph, InstanceError, IoOptimality,
                      IoReport, ParameterError, SortInstance, classify_io_optimality,
-                     io_sort_count, kruskal_serial_io, mm_parallel_io_model,
-                     mm_serial_run, nowicki_partition_io, terasort_simulate)
+                     equal_splitters, io_sort_count, kruskal_serial_io,
+                     mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
+                     terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
 from parcost.core import as_exact, derive_transfer_and_load
 from parcost.errors import GuardError
@@ -444,6 +445,15 @@ class TestTerasort:
         g = gen_gop(100, 3, seed=15)
         with pytest.raises(InstanceError, match="dimension mismatch"):
             GopInstance(g.inst, uniform_cost(4))
+
+    def test_full_sample_splits_like_the_approximation(self):
+        # a sample of all n records gets the approximation's equal-rank splitters
+        for p in (2, 3, 4):
+            for seed in range(4):
+                g = gen_gop(30 + 7 * seed, p, seed)
+                for memory in (g.n, g.n + 5):
+                    _, report = terasort_simulate(g, memory)
+                    assert report.extras["splitters"] == equal_splitters(g.inst)
 
     def test_memory_too_small_for_sampling(self):
         g = GopInstance(SortInstance(((1, 2), (3, 4), (5, 6), (7, 8))), uniform_cost(4))

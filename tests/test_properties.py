@@ -1,25 +1,29 @@
 """Property-based checks of the assignment, exact redistribution and exact
-splitter solvers against their brute-force oracles, of the matching runs against their
-Fraction oracles, of the IO simulators' invariants, and of the instance JSON
-round trip."""
+splitter solvers against their brute-force oracles, of the collapsed
+redistribution weights and the sorting-IO term against their definitions, of
+the matching runs against their Fraction oracles, of the IO simulators'
+invariants, and of the instance JSON round trip."""
 
 import json
+import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parcost import (AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
+from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      GopInstance, Graph, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, gop_solve_exact, lap_brute, lap_solve,
-                     ratio_bound, terasort_simulate)
+                     ratio_bound, sort_io_term, terasort_simulate)
 from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
                            dumps_canonical, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
+from parcost.drp import _assignment_weights  # noqa: E402
 from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
                         buffer_terasort_simulate)
@@ -66,6 +70,24 @@ def drp_instances(draw, max_p=7):
 @given(drp_instances())
 def test_exact_matches_brute_mapping_and_cost(inst):
     assert drp_solve_exact(inst) == drp_brute(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drp_instances(max_p=5))
+def test_collapsed_weights_price_every_mapping_as_drp_cost(inst):
+    # drp_brute and drp_solve_exact both solve on the collapse
+    g = _assignment_weights(inst)
+    for mapping in permutations(range(1, inst.p + 1)):
+        assert (sum(g[j][k - 1] for j, k in enumerate(mapping))
+                == drp_cost(inst.transfer, inst.cost, Assignment(mapping)))
+
+
+@example([])
+@example([0, 1, 1])
+@given(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 10 ** 9)), max_size=8))
+def test_sort_io_term_is_the_max_over_all_loads(loads):
+    assert sort_io_term(loads) == max(
+        (load * math.log2(load) if load > 1 else 0.0 for load in loads), default=0.0)
 
 
 @settings(deadline=None)

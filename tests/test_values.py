@@ -10,7 +10,7 @@ import pytest
 from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,
                      FractionalMatchingState, GopInstance, GopSolution, Graph,
                      IoReport, SortInstance, TransferMatrix, TspFbInstance)
-from parcost.bench import Seed, SweepSpec
+from parcost.bench import SweepSpec
 
 ENTRIES = ((0, 1), (2, 0))
 
@@ -46,7 +46,6 @@ def _kwargs():
          "cost=CostMatrix(entries=((0, 1), (2, 0))))"),
         (TspFbInstance, dict(weights=ENTRIES), (ENTRIES,),
          "TspFbInstance(weights=((0, 1), (2, 0)))"),
-        (Seed, dict(value=3), (3,), "Seed(value=3)"),
         (SweepSpec, dict(kind="drp-ratio", sizes=(2, 3)), ("drp-ratio", (2, 3)),
          "SweepSpec(kind='drp-ratio', sizes=(2, 3), trials=1, seed=0, cost_low=1, "
          "cost_high=10, mass_max=20, p=None, memory=None, epsilon=Fraction(1, 10), "
@@ -66,7 +65,7 @@ IDS = [cls.__name__ for cls, *_ in CASES]
 
 
 def test_all_value_classes_are_covered():
-    assert len(CASES) == 14
+    assert len(CASES) == 13
 
 
 @pytest.mark.parametrize("cls, kwargs, args, text", CASES, ids=IDS)
