@@ -108,14 +108,16 @@ def _call(module, name, *args):
     return setup
 
 
-def _mm300(_sweeps):
-    from fractions import Fraction
+def _mm300(name):
+    def setup(_sweeps):
+        from fractions import Fraction
 
-    from parcost.bench import gen_graph
-    from parcost.iosim import mm_serial_run
+        from parcost.bench import gen_graph
 
-    g = gen_graph(300, 1200, 1)
-    return lambda: mm_serial_run(g, Fraction(1, 10))
+        function = getattr(importlib.import_module("parcost.iosim"), name)
+        g = gen_graph(300, 1200, 1)
+        return lambda: function(g, Fraction(1, 10))
+    return setup
 
 
 # layer -> (what one sample runs, setup returning the timed callable)
@@ -144,7 +146,9 @@ LAYERS = {
         "gen_graph(2048, 92681, 1)", _call("bench", "gen_graph", 2048, 92681, 1)),
     "bench.gen_tspfb:n300": ("gen_tspfb(300, 1)", _call("bench", "gen_tspfb", 300, 1)),
     "iosim.mm_serial_run:mm300": (
-        "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300),
+        "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_serial_run")),
+    "iosim.mm_parallel_io_model:mm300": (
+        "mm_parallel_io_model(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_parallel_io_model")),
     "bench.drp-ratio-row:p2-6": (
         "the 1000 rows of the seed-1 drp-ratio sweep, p 2-6 (generate, both "
         "solves, bound, ratio)", _drp_ratio_rows),

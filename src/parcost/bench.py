@@ -22,7 +22,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
-                   SortInstance, TransferMatrix, TspFbInstance, Value, _set)
+                   SortInstance, TransferMatrix, TspFbInstance, Value)
 from .core import (drp_from_json, drp_to_json, dumps_canonical, gop_from_json,
                    gop_to_json, graph_from_json, graph_to_json, tspfb_from_json,
                    tspfb_to_json)
@@ -177,18 +177,8 @@ class SweepSpec(Value):
         if memory is not None and memory < 2:
             raise ParameterError(f"memory must be >= 2, got {memory}")
         _check_seed(seed)
-        _set(self, "kind", kind)
-        _set(self, "sizes", sizes)
-        _set(self, "trials", trials)
-        _set(self, "seed", seed)
-        _set(self, "cost_low", cost_low)
-        _set(self, "cost_high", cost_high)
-        _set(self, "mass_max", mass_max)
-        _set(self, "p", p)
-        _set(self, "memory", memory)
-        _set(self, "epsilon", epsilon)
-        _set(self, "edge_factor", edge_factor)
-        _set(self, "guard", guard)
+        super().__init__(kind, sizes, trials, seed, cost_low, cost_high, mass_max, p,
+                         memory, epsilon, edge_factor, guard)
 
 
 def _fmt(value) -> str:

@@ -79,8 +79,9 @@ def _cmd_drp_approx(args) -> dict:
 
     inst = _load(args, "drp")
     assignment, cost = drp_solve_approx(inst)
+    bound = ratio_bound(inst.cost)
     return {"mapping": list(assignment.mapping), "cost": _num_out(cost),
-            "ratio_bound": _num_out(ratio_bound(inst.cost))}
+            "ratio_bound": None if bound is None else _num_out(bound)}
 
 
 def _cmd_gop_exact(args) -> dict:
@@ -156,9 +157,12 @@ def _cmd_sweep(args) -> dict | str:
 
     from .bench import SweepSpec, run_sweep, sweep_to_csv
 
-    spec = {name: getattr(args, name) for name in SweepSpec._fields}
+    # SweepSpec holds the defaults; sizes convert first, so their error wins
+    spec = {name: value for name in SweepSpec._fields
+            if (value := getattr(args, name)) is not None}
     spec["sizes"] = tuple(int(s) for s in args.sizes.split(","))
-    spec["epsilon"] = Fraction(args.epsilon)
+    if "epsilon" in spec:
+        spec["epsilon"] = Fraction(spec["epsilon"])
     header, rows = run_sweep(SweepSpec(**spec))
     if args.format == "json":
         return {"header": list(header), "rows": [list(r) for r in rows]}
@@ -254,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kind", required=True, choices=SWEEP_KINDS)
     sub.add_argument("--sizes", required=True,
                      help="comma-separated ascending sizes, e.g. 64,256,1024")
-    sub.add_argument("--trials", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cost-low", type=int, default=1)
-    sub.add_argument("--cost-high", type=int, default=10)
-    sub.add_argument("--mass-max", type=int, default=20)
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--cost-low", type=int)
+    sub.add_argument("--cost-high", type=int)
+    sub.add_argument("--mass-max", type=int)
     sub.add_argument("--p", type=int, help="machine count where the kind needs one")
     sub.add_argument("--memory", type=int)
-    sub.add_argument("--epsilon", default="1/10")
-    sub.add_argument("--edge-factor", type=int, default=4)
+    sub.add_argument("--epsilon")
+    sub.add_argument("--edge-factor", type=int)
     sub.add_argument("--guard", type=_positive_int,
                      help=f"gop-ratio work cap on C(n,p-1)*p! (default {DEFAULT_WORK_GUARD})")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")

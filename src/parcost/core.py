@@ -131,23 +131,26 @@ def _check_costs(entries: tuple[tuple[Rational, ...], ...], name: str,
                     f"{name}[{i + 1}][{j + 1}] must be positive off the diagonal, got {value}")
 
 
-_set = object.__setattr__
-
-
 class Value:
     """Base of the immutable value types.
 
-    Each subclass names its fields in ``_fields`` and stores them in
-    ``__slots__`` from an explicit ``__init__``. A derived field, such as a
-    total, is a read-only property named in ``_fields`` but not in
-    ``__slots__``, which list the constructor's arguments. Equality and
-    hashing compare the fields within one class only, ``repr`` shows them as
-    keyword arguments, and assigning or deleting any attribute raises
+    Each subclass names its fields in ``_fields`` and lists its
+    constructor's arguments, in order, in ``__slots__``. Its ``__init__``
+    checks and normalises the arguments, then passes them to this one,
+    which fills the slots in that order and raises ``ValueError`` on a count
+    mismatch. A derived field, such as a total, is a read-only property
+    named in ``_fields`` but not in ``__slots__``. Equality and hashing
+    compare the fields within one class only, ``repr`` shows them as keyword
+    arguments, and assigning or deleting any attribute raises
     ``AttributeError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -195,8 +198,7 @@ class CostMatrix(Value):
                  allow_nonzero_diagonal: bool = False) -> None:
         entries = _exact_square(entries, "cost matrix", min_p=2)
         _check_costs(entries, "cost", allow_nonzero_diagonal)
-        _set(self, "entries", entries)
-        _set(self, "allow_nonzero_diagonal", allow_nonzero_diagonal)
+        super().__init__(entries, allow_nonzero_diagonal)
 
     @property
     def p(self) -> int:
@@ -223,7 +225,7 @@ class TransferMatrix(Value):
     def __init__(self, entries: Sequence[Sequence[Rational]]) -> None:
         entries = _exact_square(entries, "transfer matrix", min_p=1)
         _check_non_negative(entries, "transfer")
-        _set(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def p(self) -> int:
@@ -250,8 +252,7 @@ class DrpInstance(Value):
         if transfer.p != cost.p:
             raise InstanceError(
                 f"dimension mismatch: transfer p={transfer.p}, cost p={cost.p}")
-        _set(self, "transfer", transfer)
-        _set(self, "cost", cost)
+        super().__init__(transfer, cost)
 
     @property
     def p(self) -> int:
@@ -271,7 +272,7 @@ class TspFbInstance(Value):
     def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
         weights = _exact_square(weights, "bipartite tour instance", min_p=2)
         _check_costs(weights, "weights", allow_nonzero_diagonal=True)
-        _set(self, "weights", weights)
+        super().__init__(weights)
 
     @property
     def n(self) -> int:
@@ -295,7 +296,7 @@ class Assignment(Value):
         if sorted(mapping) != list(range(1, p + 1)):
             raise InstanceError(
                 f"mapping {mapping} is not a permutation of 1..{p}")
-        _set(self, "mapping", mapping)
+        super().__init__(mapping)
 
     @property
     def p(self) -> int:
@@ -343,7 +344,7 @@ class SortInstance(Value):
                         raise InstanceError(
                             f"duplicate element {value} (subset {i + 1}); elements must be distinct")
                     seen.add(value)
-        _set(self, "subsets", subsets)
+        super().__init__(subsets)
 
     @staticmethod
     def check_sizes(n: int, p: int) -> None:
@@ -377,8 +378,7 @@ class GopInstance(Value):
         if inst.p != cost.p:
             raise InstanceError(
                 f"dimension mismatch: instance p={inst.p}, cost p={cost.p}")
-        _set(self, "inst", inst)
-        _set(self, "cost", cost)
+        super().__init__(inst, cost)
 
     @property
     def p(self) -> int:
@@ -425,8 +425,7 @@ class Graph(Value):
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
             seen.add(key)
             checked.append((u, v, as_exact(w)))
-        _set(self, "n_vertices", n_vertices)
-        _set(self, "edges", tuple(checked))
+        super().__init__(n_vertices, tuple(checked))
 
     @property
     def n_edges(self) -> int:
@@ -444,10 +443,8 @@ class GopSolution(Value):
 
     def __init__(self, splitters: Sequence[int], assignment: Assignment,
                  comm_cost: Rational, io_cost: float) -> None:
-        _set(self, "splitters", _check_splitters(splitters, assignment.p))
-        _set(self, "assignment", assignment)
-        _set(self, "comm_cost", comm_cost)
-        _set(self, "io_cost", io_cost)
+        super().__init__(_check_splitters(splitters, assignment.p), assignment,
+                         comm_cost, io_cost)
 
     @property
     def total_cost(self) -> float:

@@ -6,8 +6,8 @@ linear assignment problem, solved by the Hungarian method in O(p^3); the
 p! enumeration survives only as the guarded oracle ``drp_brute``. The
 approximation ignores the cost matrix entirely, solves the unit-cost
 assignment surrogate on the transfer matrix alone, and reports that
-assignment's true cost; its cost is never more than max/min link cost times
-the optimum and never less than the optimum.
+assignment's true cost; its cost is never less than the optimum and, when
+local data is free, never more than max/min link cost times the optimum.
 """
 
 from __future__ import annotations
@@ -74,8 +74,11 @@ def drp_solve_approx(inst: DrpInstance) -> tuple[Assignment, Rational]:
     return assignment, drp_cost(inst.transfer, inst.cost, assignment)
 
 
-def ratio_bound(cost: CostMatrix) -> Rational:
-    """Worst-case approximation factor: max over min off-diagonal cost."""
+def ratio_bound(cost: CostMatrix) -> Rational | None:
+    """Worst-case approximation factor: max over min off-diagonal cost, or
+    None where local data is not free (a diagonal entry is not zero)."""
+    if any(row[i] for i, row in enumerate(cost.entries)):
+        return None
     off = cost.off_diagonal()
     return as_exact(Fraction(max(off), min(off)))
 

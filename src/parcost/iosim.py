@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Callable, Mapping, Sequence
 
-from .core import (Assignment, GopInstance, Graph, Rational, Value, _equal_rank, _set,
+from .core import (Assignment, GopInstance, Graph, Rational, Value, _equal_rank,
                    as_exact, derive_transfer_and_load, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
@@ -56,8 +56,7 @@ class IoReport(Value):
 
     def __init__(self, phases: Sequence[Phase],
                  extras: Mapping[str, object] | None = None) -> None:
-        _set(self, "phases", tuple(map(_phase, phases)))
-        _set(self, "extras", {} if extras is None else extras)
+        super().__init__(tuple(map(_phase, phases)), {} if extras is None else extras)
 
     @property
     def total_io(self) -> int:
@@ -81,9 +80,7 @@ class FractionalMatchingState(Value):
 
     def __init__(self, x: tuple[Rational, ...], frozen_vertices: frozenset[int],
                  epsilon: Fraction) -> None:
-        _set(self, "x", x)
-        _set(self, "frozen_vertices", frozen_vertices)
-        _set(self, "epsilon", epsilon)
+        super().__init__(x, frozen_vertices, epsilon)
 
     def vertex_load(self, graph: Graph, v: int) -> Rational:
         """y_v: sum of x over edges incident to v."""
@@ -147,9 +144,14 @@ def nowicki_partition_io(graph: Graph) -> IoReport:
     return IoReport(phases, {"analytic_io": m * groups, "groups": groups})
 
 
+#: The least epsilon the matching runs take, checked before their iteration
+#: cap L: L grows as 1/epsilon, and so does the bit length of their L + 1
+#: integers.
+MIN_EPSILON = Fraction(1, 100)
+
+
 def _as_epsilon(epsilon) -> Fraction:
-    eps = as_exact(epsilon)
-    eps = Fraction(eps)
+    eps = Fraction(as_exact(epsilon))
     if not 0 < eps < Fraction(1, 2):
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     return eps
@@ -180,6 +182,8 @@ def _matching_setup(n: int, epsilon) -> tuple[
     begun, raising past the cap L.
     """
     eps = _as_epsilon(epsilon)
+    if eps < MIN_EPSILON:
+        raise ParameterError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
     a, b = eps.numerator, eps.denominator
     limit = _iteration_limit(n, eps)
     denominator = n * (b - a) ** limit

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .core import (Assignment, Rational, TransferMatrix, Value,
-                   _check_non_negative, _exact_square, _set, as_exact)
+                   _check_non_negative, _exact_square, as_exact)
 from .errors import GuardError, InstanceError
 
 DEFAULT_BRUTE_LIMIT = 10
@@ -34,7 +34,7 @@ class AssignmentProblem(Value):
     def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
         weights = _exact_square(weights, "assignment problem", min_p=1)
         _check_non_negative(weights, "weights")
-        _set(self, "weights", weights)
+        super().__init__(weights)
 
     @property
     def p(self) -> int:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from parcost.cli import main
+from parcost.cli import build_parser, main
 
 DRP_EXAMPLE = {"p": 2, "transfer": [[0, 5], [3, 0]], "cost": [[0, 1], [1, 0]]}
 
@@ -38,6 +38,15 @@ class TestSolverCommands:
         code, out, _ = run_cli(capsys, "drp-approx", "--input", path)
         assert code == 0
         assert json.loads(out) == {"mapping": [2, 1], "cost": 0, "ratio_bound": 9}
+
+    def test_drp_approx_has_no_bound_where_local_data_costs(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json",
+                          {"p": 2, "transfer": [[5, 0], [0, 5]],
+                           "cost": [[100, 1], [1, 100]]})
+        assert run_cli(capsys, "drp-approx", "--input", path) == (
+            0, '{"cost":1000,"mapping":[1,2],"ratio_bound":null}\n', "")
+        assert run_cli(capsys, "drp-exact", "--input", path) == (
+            0, '{"cost":10,"mapping":[2,1]}\n', "")
 
     def test_result_numbers_stay_floats(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json",
@@ -148,6 +157,17 @@ class TestSimCommands:
         assert result["parallel"]["total_io"] == 6
         assert result["max_vertex_load"] <= 1
 
+    def test_sim_mm_refuses_an_epsilon_below_the_floor(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"n": 2, "edges": [[1, 2, 1]]})
+        for epsilon, shown in (("0.0001", "1/10000"), ("1e-400", f"1/{10 ** 400}")):
+            assert run_cli(capsys, "sim-mm", "--input", path, "--epsilon", epsilon) == (
+                2, "", f"invalid input: epsilon must be at least 1/100, got {shown}\n")
+        code, out, err = run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
+                                 "--epsilon", "1/1000")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: epsilon must be at least 1/100, got 1/1000\n"
+        assert run_cli(capsys, "sim-mm", "--input", path, "--epsilon", "1/100")[0] == 0
+
     def test_sim_mst_io(self, tmp_path, capsys):
         edges = [[u, v, 1 + ((u * 7 + v) % 5)]
                  for u in range(1, 13) for v in range(u + 1, 13)]
@@ -170,6 +190,18 @@ class TestSweepAndGen:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,m,trial,status")
         assert lines[-1].endswith("non-io-optimal")
+
+    def test_sweep_leaves_unset_flags_to_sweepspec(self, capsys):
+        argv = ["sweep", "--kind", "drp-ratio", "--sizes", "2,3"]
+        args = build_parser().parse_args(argv)
+        assert all(getattr(args, name) is None
+                   for name in ("trials", "seed", "cost_low", "cost_high", "mass_max",
+                                "epsilon", "edge_factor"))
+        spelled = ["--trials", "1", "--seed", "0", "--cost-low", "1", "--cost-high", "10",
+                   "--mass-max", "20", "--epsilon", "1/10", "--edge-factor", "4"]
+        short = run_cli(capsys, *argv)
+        assert short[0] == 0 and short[1].startswith("p,trial,status")
+        assert run_cli(capsys, *argv, *spelled) == short
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "drp-ratio",

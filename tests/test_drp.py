@@ -109,6 +109,17 @@ class TestRatioBound:
         c = CostMatrix([[0, 1, 2], [9, 0, 5], [4, 3, 0]])
         assert ratio_bound(c) == 9
 
+    def test_none_when_local_data_is_not_free(self):
+        # the drp loader takes such a cost matrix for reduce-tspfb; here the
+        # approximation pays 1000 against an optimum of 10, so no max/min
+        # bound holds
+        cost = CostMatrix([[100, 1], [1, 100]], allow_nonzero_diagonal=True)
+        inst = DrpInstance(TransferMatrix([[5, 0], [0, 5]]), cost)
+        assert drp_solve_exact(inst)[1] == 10 and drp_solve_approx(inst)[1] == 1000
+        assert ratio_bound(cost) is None
+        relaxed = CostMatrix([[0, 3], [1, 0]], allow_nonzero_diagonal=True)
+        assert ratio_bound(relaxed) == 3
+
     def test_at_least_one(self):
         rng = random.Random(53)
         for _ in range(40):

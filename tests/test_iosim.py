@@ -13,7 +13,7 @@ from parcost import (CostMatrix, GopInstance, Graph, InstanceError, IoOptimality
 from parcost.bench import gen_gop, gen_graph
 from parcost.core import as_exact, derive_transfer_and_load
 from parcost.errors import GuardError
-from parcost.iosim import (FractionalMatchingState, Phase, _apportion,
+from parcost.iosim import (MIN_EPSILON, FractionalMatchingState, Phase, _apportion,
                            _as_epsilon, _iteration_limit)
 
 
@@ -367,6 +367,17 @@ class TestMatchingRuns:
             with pytest.raises(ParameterError):
                 mm_serial_run(g, bad)
         mm_serial_run(g, Fraction(49, 100))
+
+    def test_epsilon_below_the_floor_is_refused_before_the_run(self):
+        # 1/10**4 would build a table of about 7,000 integers of 90k bits,
+        # and 1/10**400 made the iteration cap divide by zero
+        g = Graph(2, ((1, 2, 1),))
+        assert MIN_EPSILON == Fraction(1, 100)
+        for run in (mm_serial_run, mm_parallel_io_model):
+            run(g, MIN_EPSILON)
+            for epsilon in (Fraction(99, 10_000), Fraction(1, 10 ** 4), Fraction(1, 10 ** 400)):
+                with pytest.raises(ParameterError, match="epsilon must be at least 1/100"):
+                    run(g, epsilon)
 
     def test_triangle_loads_never_exceed_one(self):
         g = Graph(3, ((1, 2, 1), (2, 3, 1), (1, 3, 1)))

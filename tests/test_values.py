@@ -11,6 +11,7 @@ from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,
                      FractionalMatchingState, GopInstance, GopSolution, Graph,
                      IoReport, SortInstance, TransferMatrix, TspFbInstance)
 from parcost.bench import SweepSpec
+from parcost.core import Value
 
 ENTRIES = ((0, 1), (2, 0))
 
@@ -168,3 +169,18 @@ def test_fields_are_normalized_at_construction():
     assert Graph(2, [[1, 2, 0.5]]).edges == ((1, 2, Fraction(1, 2)),)
     assert IoReport([["a", 1, 0]]).phases == (("a", 1, 0),)
     assert GopSolution([1], Assignment((1, 2)), 1, 0.0).splitters == (1,)
+
+
+class Pair(Value):
+    """A throwaway value type, built by the base constructor alone."""
+
+    __slots__ = _fields = ("first", "second")
+
+
+def test_the_base_fills_the_slots_in_order_and_refuses_a_count_mismatch():
+    pair = Pair(1, 2)
+    assert (pair.first, pair.second) == (1, 2)
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
