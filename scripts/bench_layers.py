@@ -78,10 +78,12 @@ def _on_gop(module, name, n, p, *args):
 
 
 def _gen_drp_rows(sweeps):
-    from parcost.bench import gen_drp
+    from parcost.bench import SweepSpec, gen_drp
 
     drp = sweeps["drp-ratio"]["rows"]
-    return lambda: [gen_drp(p, 1, 10, 20, seed) for p, seed in drp]
+    spec = SweepSpec("drp-ratio", (2,))
+    return lambda: [gen_drp(p, spec.cost_low, spec.cost_high, spec.mass_max, seed)
+                    for p, seed in drp]
 
 
 def _drp_ratio_rows(sweeps):
@@ -120,6 +122,15 @@ def _mm300(name):
     return setup
 
 
+def _report_json_mst2048(_sweeps):
+    from parcost.bench import gen_graph
+    from parcost.cli import _report_json
+    from parcost.iosim import nowicki_partition_io
+
+    report = nowicki_partition_io(gen_graph(2048, 92681, 1))
+    return lambda: _report_json(report)
+
+
 # layer -> (what one sample runs, setup returning the timed callable)
 LAYERS = {
     "gopsort.gop_solve_exact:gop-ratio-rows": (
@@ -149,6 +160,9 @@ LAYERS = {
         "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_serial_run")),
     "iosim.mm_parallel_io_model:mm300": (
         "mm_parallel_io_model(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_parallel_io_model")),
+    "cli._report_json:mst2048": (
+        "_report_json(nowicki_partition_io(gen_graph(2048, 92681, 1))), 1081 phases",
+        _report_json_mst2048),
     "bench.drp-ratio-row:p2-6": (
         "the 1000 rows of the seed-1 drp-ratio sweep, p 2-6 (generate, both "
         "solves, bound, ratio)", _drp_ratio_rows),

@@ -20,9 +20,10 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import BinaryIO, Callable, Iterator, Sequence
 
-from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
+from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
+                        DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
 from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
-                   SortInstance, TransferMatrix, TspFbInstance, Value)
+                   SortInstance, TransferMatrix, TspFbInstance, Value, _as_epsilon)
 from .core import (drp_from_json, drp_to_json, dumps_canonical, gop_from_json,
                    gop_to_json, graph_from_json, graph_to_json, tspfb_from_json,
                    tspfb_to_json)
@@ -78,8 +79,8 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
                        cost)
 
 
-def gen_gop(n: int, p: int, seed: int, cost_low: int = 1,
-            cost_high: int = 10) -> GopInstance:
+def gen_gop(n: int, p: int, seed: int, cost_low: int = DEFAULT_COST_LOW,
+            cost_high: int = DEFAULT_COST_HIGH) -> GopInstance:
     """n distinct integers spread uniformly over p machines, random cluster costs."""
     SortInstance.check_sizes(n, p)
     _check_cost_range(cost_low, cost_high)
@@ -151,17 +152,18 @@ def gen_tspfb(n: int, seed: int) -> TspFbInstance:
 class SweepSpec(Value):
     """What to sweep and how: kind, ascending sizes, trials per size, seed,
     and the model knobs the kind needs. ``guard`` is gop-ratio's work guard;
-    None means the default."""
+    None means the default. ``epsilon`` is read first, whatever the kind."""
 
     __slots__ = _fields = ("kind", "sizes", "trials", "seed", "cost_low",
                            "cost_high", "mass_max", "p", "memory", "epsilon",
                            "edge_factor", "guard")
 
-    def __init__(self, kind: str, sizes: Sequence[int], trials: int = 1,
-                 seed: int = 0, cost_low: int = 1, cost_high: int = 10,
-                 mass_max: int = 20, p: int | None = None,
-                 memory: int | None = None, epsilon: Fraction = Fraction(1, 10),
+    def __init__(self, kind: str, sizes: Sequence[int], trials: int = 1, seed: int = 0,
+                 cost_low: int = DEFAULT_COST_LOW, cost_high: int = DEFAULT_COST_HIGH,
+                 mass_max: int = DEFAULT_MASS_MAX, p: int | None = None,
+                 memory: int | None = None, epsilon: Fraction | str = DEFAULT_EPSILON,
                  edge_factor: int = 4, guard: int | None = None) -> None:
+        epsilon = _as_epsilon(epsilon)
         if kind not in SWEEP_KINDS:
             raise ParameterError(
                 f"unknown sweep kind {kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
@@ -423,7 +425,7 @@ _SWEEPS = {
                   {"p": 2, "guard": DEFAULT_WORK_GUARD}, _measure_gop_ratio),
     "terasort-io": (("n", "trial", "status", "parallel_io", "serial_io", "ratio",
                      "classification"),
-                    {"p": 4, "memory": 1000}, _measure_terasort),
+                    {"p": 4, "memory": DEFAULT_MEMORY}, _measure_terasort),
     "mst-io": (("n", "m", "trial", "status", "parallel_io", "analytic_io",
                 "serial_io", "ratio", "classification"),
                {}, _measure_mst),

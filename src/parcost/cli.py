@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .constants import DEFAULT_WORK_GUARD, SWEEP_KINDS
+from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
+                        DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
 from .errors import GuardError, InstanceError
 
 # A handler returns its result, a JSON value or CSV text, for main to write.
@@ -42,9 +43,6 @@ def _load(args, kind: str) -> object:
 
 
 def _num_out(value) -> int | float:
-    from .core import as_exact
-
-    value = as_exact(value)
     return value if isinstance(value, int) else float(value)
 
 
@@ -119,14 +117,11 @@ def _cmd_sim_terasort(args) -> dict:
 
 
 def _cmd_sim_mm(args) -> dict:
-    from fractions import Fraction
-
     from .iosim import mm_parallel_io_model, mm_serial_run
 
     graph = _load(args, "graph")
-    epsilon = Fraction(args.epsilon)
-    state, serial_report = mm_serial_run(graph, epsilon)
-    parallel_report = mm_parallel_io_model(graph, epsilon)
+    state, serial_report = mm_serial_run(graph, args.epsilon)
+    parallel_report = mm_parallel_io_model(graph, args.epsilon)
     return {
         "iterations": len(serial_report.phases),
         "serial": _report_json(serial_report),
@@ -153,16 +148,12 @@ def _cmd_sim_mst_io(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict | str:
-    from fractions import Fraction
-
     from .bench import SweepSpec, run_sweep, sweep_to_csv
 
     # SweepSpec holds the defaults; sizes convert first, so their error wins
     spec = {name: value for name in SweepSpec._fields
             if (value := getattr(args, name)) is not None}
     spec["sizes"] = tuple(int(s) for s in args.sizes.split(","))
-    if "epsilon" in spec:
-        spec["epsilon"] = Fraction(spec["epsilon"])
     header, rows = run_sweep(SweepSpec(**spec))
     if args.format == "json":
         return {"header": list(header), "rows": [list(r) for r in rows]}
@@ -240,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
              "encode a bipartite tour instance as a redistribution instance")
 
     sub = _command(subs, "sim-terasort", _cmd_sim_terasort, "three-phase range-partition sort")
-    sub.add_argument("--memory", type=int, default=1000,
-                     help="main-memory records per machine (default 1000)")
+    sub.add_argument("--memory", type=int, default=DEFAULT_MEMORY,
+                     help="main-memory records per machine (default %(default)s)")
     sub.add_argument("--with-output", action="store_true",
                      help="include the sorted records in the result")
 
     sub = _command(subs, "sim-mm", _cmd_sim_mm, "fractional matching IO profile")
-    sub.add_argument("--epsilon", default="1/10",
+    sub.add_argument("--epsilon", default=DEFAULT_EPSILON,
                      help="boost parameter in (0, 1/2), e.g. 0.1 or 1/10")
 
     sub = _command(subs, "sim-mst-io", _cmd_sim_mst_io, "edge-partition spanning-forest IO")
@@ -280,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, default=4)
     sub.add_argument("--n", type=int, default=16)
     sub.add_argument("--m", type=int, default=32)
-    sub.add_argument("--cost-low", type=int, default=1)
-    sub.add_argument("--cost-high", type=int, default=10)
-    sub.add_argument("--mass-max", type=int, default=20)
+    sub.add_argument("--cost-low", type=int, default=DEFAULT_COST_LOW)
+    sub.add_argument("--cost-high", type=int, default=DEFAULT_COST_HIGH)
+    sub.add_argument("--mass-max", type=int, default=DEFAULT_MASS_MAX)
     sub.add_argument("--output")
 
     sub = _command(subs, "validate", _cmd_validate, "check an instance file's invariants")

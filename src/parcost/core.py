@@ -3,8 +3,10 @@
 Numeric conventions, fixed here so every module agrees:
 
 * Costs and masses are exact rationals: ``int`` where possible, otherwise
-  ``fractions.Fraction``. Floats supplied by callers are converted to their
-  exact binary value, so all comparisons and tie-breaks are deterministic.
+  ``fractions.Fraction``, normalised where they are made, by the value types
+  and pricing functions; writers print them as they are. Floats supplied by
+  callers are converted to their exact binary value, so all comparisons and
+  tie-breaks are deterministic. ``_as_epsilon`` alone reads epsilon.
 * The sorting-IO term uses base-2 logarithms and is computed in binary64;
   ``0*log2(0)`` and ``1*log2(1)`` are both 0 (an empty or singleton interval
   costs nothing to sort). Comparisons that mix the IO term use a documented
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence, Union
 
-from .errors import InstanceError
+from .errors import InstanceError, ParameterError
 
 Rational = Union[int, Fraction]
 
@@ -47,20 +49,18 @@ def as_exact(value: object) -> Rational:
         if re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", value) is None:
             raise InstanceError(f"a numeric string must read \"num/den\", got {value!r}")
         value = Fraction(value)
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
-    if isinstance(value, float):
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise InstanceError(f"non-finite numeric entry: {value!r}")
-        frac = Fraction(value)
-        return int(frac) if frac.denominator == 1 else frac
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     raise InstanceError(f"unsupported numeric type: {type(value).__name__}")
 
 
 def _exact_out(value: Rational) -> int | float | str:
-    """A number as JSON that ``as_exact`` reads back as the same number: an
-    int, a float when it equals the value exactly, or else "num/den"."""
-    value = as_exact(value)
+    """A normalised number as JSON that ``as_exact`` reads back as the same
+    number: an int, a float when it equals the value exactly, or "num/den"."""
     if isinstance(value, int):
         return value
     try:
@@ -69,6 +69,14 @@ def _exact_out(value: Rational) -> int | float | str:
     except OverflowError:
         pass
     return f"{value.numerator}/{value.denominator}"
+
+
+def _as_epsilon(epsilon) -> Fraction:
+    """The epsilon rule: a number, or text that ``Fraction`` reads, in (0, 1/2)."""
+    eps = Fraction(epsilon) if isinstance(epsilon, str) else Fraction(as_exact(epsilon))
+    if not 0 < eps < Fraction(1, 2):
+        raise ParameterError(f"epsilon must lie in (0, 1/2), got {eps}")
+    return eps
 
 
 def _matrix_out(entries) -> list[list[int | float | str]]:
@@ -444,7 +452,7 @@ class GopSolution(Value):
     def __init__(self, splitters: Sequence[int], assignment: Assignment,
                  comm_cost: Rational, io_cost: float) -> None:
         super().__init__(_check_splitters(splitters, assignment.p), assignment,
-                         comm_cost, io_cost)
+                         as_exact(comm_cost), io_cost)
 
     @property
     def total_cost(self) -> float:

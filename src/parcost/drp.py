@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from .constants import ORACLE_LIMIT
 from .core import (Assignment, CostMatrix, DrpInstance, Rational, TransferMatrix,
                    TspFbInstance, as_exact, drp_cost)
 from .errors import GuardError, InstanceError
@@ -22,7 +23,6 @@ from .errors import GuardError, InstanceError
 # The solvers and drp_brute import lap in their bodies, so reduce-tspfb does
 # not load it.
 
-DEFAULT_EXACT_LIMIT = 10
 DEFAULT_TOUR_LIMIT = 6
 
 
@@ -136,7 +136,7 @@ def tspfb_to_drp(tour: TspFbInstance) -> DrpInstance:
 
 
 def drp_brute(inst: DrpInstance,
-              max_p: int = DEFAULT_EXACT_LIMIT) -> tuple[Assignment, Rational]:
+              max_p: int = ORACLE_LIMIT) -> tuple[Assignment, Rational]:
     """Exhaustive minimum over all p! assignments; oracle for drp_solve_exact.
 
     ``lap_brute`` enumerates the collapsed weights, transposed as in

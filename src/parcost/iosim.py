@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Callable, Mapping, Sequence
 
-from .core import (Assignment, GopInstance, Graph, Rational, Value, _equal_rank,
-                   as_exact, derive_transfer_and_load, drp_cost)
+from .core import (Assignment, GopInstance, Graph, Rational, Value, _as_epsilon,
+                   _equal_rank, as_exact, derive_transfer_and_load, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
@@ -150,13 +150,6 @@ def nowicki_partition_io(graph: Graph) -> IoReport:
 MIN_EPSILON = Fraction(1, 100)
 
 
-def _as_epsilon(epsilon) -> Fraction:
-    eps = Fraction(as_exact(epsilon))
-    if not 0 < eps < Fraction(1, 2):
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    return eps
-
-
 def _iteration_limit(n: int, eps: Fraction) -> int:
     """Iteration cap of a matching run on n vertices.
 
@@ -183,7 +176,7 @@ def _matching_setup(n: int, epsilon) -> tuple[
     """
     eps = _as_epsilon(epsilon)
     if eps < MIN_EPSILON:
-        raise ParameterError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
+        raise ParameterError(f"epsilon must be at least {MIN_EPSILON}, got {eps}")
     a, b = eps.numerator, eps.denominator
     limit = _iteration_limit(n, eps)
     denominator = n * (b - a) ** limit
@@ -377,11 +370,9 @@ def terasort_simulate(g: GopInstance,
     sample.sort()
     splitters = _equal_rank(sample, p)
 
-    io_sample = sample_size
     comm_sample = sum(quotas[i] * cost.cost(i + 1, 1) for i in range(p) if i != 0)
     comm_broadcast = sum((p - 1) * cost.cost(1, j) for j in range(2, p + 1))
-    phase1: Phase = ("sample-and-split", io_sample,
-                     as_exact(comm_sample + comm_broadcast))
+    phase1: Phase = ("sample-and-split", sample_size, comm_sample + comm_broadcast)
 
     transfer, loads = derive_transfer_and_load(inst, splitters)
     comm_shuffle = drp_cost(transfer, cost, Assignment.identity(p))

@@ -14,11 +14,10 @@ import math
 from itertools import permutations
 from typing import Sequence
 
+from .constants import ORACLE_LIMIT
 from .core import (Assignment, Rational, TransferMatrix, Value,
                    _check_non_negative, _exact_square, as_exact)
 from .errors import GuardError, InstanceError
-
-DEFAULT_BRUTE_LIMIT = 10
 
 
 class AssignmentProblem(Value):
@@ -205,7 +204,7 @@ def lap_solve(prob: AssignmentProblem) -> tuple[Assignment, Rational]:
 
 
 def lap_brute(prob: AssignmentProblem,
-              max_p: int = DEFAULT_BRUTE_LIMIT) -> tuple[Assignment, Rational]:
+              max_p: int = ORACLE_LIMIT) -> tuple[Assignment, Rational]:
     """Exhaustive minimum over all p! assignments; oracle for lap_solve.
 
     Permutations are generated in lexicographic order and only strictly

@@ -69,6 +69,13 @@ class TestSolverCommands:
         assert result["mapping"] == [2, 1]
         assert result["total_cost"] == 2.0
 
+    def test_gop_exact_prints_a_whole_rational_comm_cost_as_an_int(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"p": 2, "subsets": [[1, 4], [2, 3]],
+                                               "cost": [[0, "1/2"], ["3/2", 0]]})
+        assert run_cli(capsys, "gop-exact", "--input", path) == (
+            0, '{"comm_cost":2,"io_cost":2.0,"mapping":[1,2],"splitters":[2],'
+               '"total_cost":4.0}\n', "")
+
     def test_reduce_then_solve_pipeline(self, tmp_path, capsys):
         tour = write_json(tmp_path, "tour.json",
                           {"n": 3, "weights": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]})
@@ -202,6 +209,12 @@ class TestSweepAndGen:
         short = run_cli(capsys, *argv)
         assert short[0] == 0 and short[1].startswith("p,trial,status")
         assert run_cli(capsys, *argv, *spelled) == short
+
+    def test_sweep_refuses_an_epsilon_out_of_range_whatever_the_kind(self, capsys):
+        # drp-ratio runs no matching, yet SweepSpec reads every epsilon
+        assert run_cli(capsys, "sweep", "--kind", "drp-ratio", "--sizes", "2",
+                       "--epsilon", "0.9") == (
+            2, "", "invalid input: epsilon must lie in (0, 1/2), got 9/10\n")
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "drp-ratio",
@@ -413,6 +426,9 @@ CLI_PINS = [
     (("sim-mm", "--input", "graph.json"), None, 0,
      "5f53950909a5bb3c9ad6416532ca00ad4d3de0cb19e800425cd36e1a0808cd6a"),
     (("sim-mm", "--input", "graph.json", "--epsilon", "0.3"), None, 0,
+     "2f0103b3ca38761410bb597b3a6ba2bd2e5ad535b0ab7f439caa9a0aecc97cae"),
+    # epsilon in either spelling prints the same bytes
+    (("sim-mm", "--input", "graph.json", "--epsilon", "3/10"), None, 0,
      "2f0103b3ca38761410bb597b3a6ba2bd2e5ad535b0ab7f439caa9a0aecc97cae"),
     (("sim-mst-io", "--input", "graph.json"), None, 0,
      "bbf3d46620a5e01629802384abc8c0de7159b160e8a11933c595b268c49c0bc9"),

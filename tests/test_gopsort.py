@@ -40,6 +40,14 @@ class TestExact:
             gop_solve_exact(g)
         gop_solve_exact(g, work_guard=10 ** 6)
 
+    def test_whole_comm_cost_is_an_int_like_gop_objectives(self):
+        # the interval costs 1/2 + 3/2 sum to a Fraction with denominator 1
+        cost = CostMatrix([[0, Fraction(1, 2)], [Fraction(3, 2), 0]])
+        g = GopInstance(SortInstance(((1, 4), (2, 3))), cost)
+        s = gop_solve_exact(g)
+        assert type(s.comm_cost) is int and s.comm_cost == 2
+        assert repr(s) == repr(gop_objective(g, s.splitters, s.assignment))
+
     def test_rejects_fewer_elements_than_machines(self):
         c3 = CostMatrix([[0 if i == j else 1 for j in range(3)] for i in range(3)])
         with pytest.raises(InstanceError, match="n=2, p=3"):

@@ -72,7 +72,8 @@ def test_noop_start_loads_no_solver_and_no_dataclasses():
     modules = child_modules()
     assert {m for m in modules if m.startswith("parcost")} == {
         "parcost", "parcost.cli", "parcost.constants", "parcost.errors"}
-    assert "dataclasses" not in modules and "inspect" not in modules
+    # constants holds the defaults as ints and text, so no number module loads
+    assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("command", ["drp-exact", "drp-approx"])

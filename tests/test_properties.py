@@ -17,8 +17,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      GopInstance, Graph, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
-                     drp_solve_exact, gop_solve_exact, lap_brute, lap_solve,
-                     ratio_bound, sort_io_term, terasort_simulate)
+                     drp_solve_exact, gop_objective, gop_solve_approx, gop_solve_exact,
+                     lap_brute, lap_solve, ratio_bound, sort_io_term, terasort_simulate)
 from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
                            dumps_canonical, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
@@ -130,6 +130,31 @@ def test_gop_exact_matches_oracle_under_ties(g):
     solution = gop_solve_exact(g, work_guard=10 ** 6)
     assert ((solution.total_cost, solution.splitters, solution.assignment.mapping)
             == _oracle_gop(g.inst, g.cost.entries))
+
+
+@st.composite
+def fraction_gop_instances(draw):
+    """Sort instances with n <= 8 on p <= 3 machines and Fraction link costs
+    of small denominators, so that many interval sums are whole."""
+    p = draw(st.integers(2, 3))
+    n = draw(st.integers(p, 8))
+    values = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n, unique=True))
+    owners = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    subsets = tuple(tuple(v for v, o in zip(values, owners) if o == i)
+                    for i in range(p))
+    link = st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))
+    cost = [[0 if i == j else draw(link) for j in range(p)] for i in range(p)]
+    return GopInstance(SortInstance(subsets), CostMatrix(cost))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_gop_instances())
+def test_every_gop_comm_cost_is_an_int_exactly_when_whole(g):
+    solutions = [gop_solve_exact(g), gop_solve_approx(g),
+                 gop_solve_approx(g, exact_assignment=True)]
+    solutions += [gop_objective(g, s.splitters, s.assignment) for s in solutions]
+    for s in solutions:
+        assert (type(s.comm_cost) is int) == (s.comm_cost.denominator == 1), s
 
 
 @st.composite

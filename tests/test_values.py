@@ -154,6 +154,13 @@ def test_defaults():
     assert CostMatrix(ENTRIES).allow_nonzero_diagonal is False
 
 
+def test_sweep_spec_reads_epsilon_as_text_or_number():
+    text = SweepSpec(kind="mm-io", sizes=(8,), epsilon="1/5")
+    assert text == SweepSpec(kind="mm-io", sizes=(8,), epsilon=Fraction(1, 5))
+    assert type(text.epsilon) is Fraction
+    assert SweepSpec(kind="mm-io", sizes=(8,), epsilon="0.2") == text
+
+
 def test_io_report_extras_is_a_fresh_dict_per_instance():
     a = IoReport((("a", 1, 0),))
     b = IoReport((("a", 1, 0),))
