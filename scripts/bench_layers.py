@@ -7,11 +7,12 @@ a temporary directory; the change is the working tree. Each sample is a
 fresh ``python3`` process with the tree's ``src`` on ``PYTHONPATH``: it
 builds the layer's input untimed, times one run of the layer with
 ``time.perf_counter``, and reports the seconds, a SHA-256 of the result's
-``repr``, whether every parcost module had cached bytecode when it started
-and how many processes ran the layer (1 + the children it forked). The K
-samples of a layer alternate between the trees, the parent first on even
-rounds. The record keeps every sample, each side's median and quartiles,
-and whether both sides' results hashed alike. Standard library only.
+``repr``, whether every parcost module had cached bytecode when it started,
+how many processes ran the layer (1 + the children it forked) and its own
+peak RSS (``ru_maxrss``, set-up included). The K samples of a layer
+alternate between the trees, the parent first on even rounds. The record
+keeps every sample, each side's median and quartiles, and whether both
+sides' results hashed alike. Standard library only.
 
 The sweep layers time the seed-1 plan-small sweeps, row by row or whole
 through ``run_sweep``: the sizes come from ``perfbench/workloads.py`` and
@@ -29,6 +30,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -131,6 +133,14 @@ def _report_json_mst2048(_sweeps):
     return lambda: _report_json(report)
 
 
+def _graph_from_json_mst2048(_sweeps):
+    from parcost.bench import gen_graph
+    from parcost.core import graph_from_json, graph_to_json
+
+    data = json.loads(json.dumps(graph_to_json(gen_graph(2048, 92681, 1))))
+    return lambda: graph_from_json(data)
+
+
 # layer -> (what one sample runs, setup returning the timed callable)
 LAYERS = {
     "gopsort.gop_solve_exact:gop-ratio-rows": (
@@ -153,8 +163,12 @@ LAYERS = {
     "bench.gen_drp:drp-ratio-rows": (
         "gen_drp for the 1000 rows of the seed-1 drp-ratio sweep, p 2-6", _gen_drp_rows),
     "bench.gen_gop:n1e6-p4": ("gen_gop(10**6, 4, 1)", _call("bench", "gen_gop", 10 ** 6, 4, 1)),
+    "bench.gen_gop:n1e5-p4": ("gen_gop(10**5, 4, 1)", _call("bench", "gen_gop", 10 ** 5, 4, 1)),
     "bench.gen_graph:n2048-m92681": (
         "gen_graph(2048, 92681, 1)", _call("bench", "gen_graph", 2048, 92681, 1)),
+    "core.graph_from_json:mst2048": (
+        "graph_from_json on the parsed JSON of gen_graph(2048, 92681, 1)",
+        _graph_from_json_mst2048),
     "bench.gen_tspfb:n300": ("gen_tspfb(300, 1)", _call("bench", "gen_tspfb", 300, 1)),
     "iosim.mm_serial_run:mm300": (
         "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_serial_run")),
@@ -194,7 +208,8 @@ def _worker(layer: str) -> None:
     seconds = time.perf_counter() - start
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
     print(json.dumps({"seconds": seconds, "sha256": digest, "bytecode_cached": cached,
-                      "processes": 1 + len(children)}))
+                      "processes": 1 + len(children),
+                      "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 
 
 def _sample(tree: Path, layer: str, sweeps: str) -> dict:
@@ -211,7 +226,9 @@ def _summary(samples: list[dict]) -> dict:
             "samples_s": seconds,
             "sha256": sorted({s["sha256"] for s in samples}),
             "bytecode_cached": sorted({s["bytecode_cached"] for s in samples}),
-            "processes": sorted({s["processes"] for s in samples})}
+            "processes": sorted({s["processes"] for s in samples}),
+            "median_maxrss_kb": statistics.median(s["maxrss_kb"] for s in samples),
+            "samples_maxrss_kb": [s["maxrss_kb"] for s in samples]}
 
 
 def _export(rev: str, into: Path) -> str:
@@ -251,6 +268,8 @@ def main() -> None:
             layers[layer] = record
             print(f"{layer}: {record['parent']['median_s']:.4f} -> "
                   f"{record['change']['median_s']:.4f} s, "
+                  f"{record['parent']['median_maxrss_kb'] / 1024:.1f} -> "
+                  f"{record['change']['median_maxrss_kb'] / 1024:.1f} MB, "
                   f"same result: {record['same_result']}", file=sys.stderr)
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
                            capture_output=True, text=True).stdout != ""

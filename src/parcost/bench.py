@@ -56,11 +56,47 @@ def _below(rng: random.Random, n: int) -> Iterator[int]:
     k = n.bit_length(), drawn again while it is >= n. The generators'
     instances rest on that algorithm; the sweep CSV pins and the
     benchmark's golden hashes would show a change. n < 1 is refused, as
-    ``getrandbits(0)`` returns 0 forever.
+    ``getrandbits(0)`` returns 0 forever. ``_sample_range`` repeats the rule
+    inline, as a call per draw doubles ``gen_gop``'s time; change both.
     """
     if n < 1:
         raise ParameterError(f"cannot draw below {n}")
     return filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+
+
+def _sample_range(rng: random.Random, size: int, k: int) -> list[int]:
+    """What ``rng.sample(range(1, size + 1), k)`` returns, leaving ``rng``
+    in the same state, without the size-long pool list CPython's ``sample``
+    copies the range into.
+
+    The branch is ``sample``'s own rule: the pool when ``size`` is at most
+    ``setsize``, else a set of the drawn indices, for which ``sample`` is
+    called, as it builds no list. The pool branch is the partial
+    Fisher-Yates shuffle ``sample`` runs (Durstenfeld, CACM 7(7), 1964),
+    with a dict that holds only the slots that moved: slot j holds j + 1
+    until a draw fills it with the last value still in the pool. Each index
+    is drawn by ``_below``'s rule, repeated inline. ``gen_gop``'s values
+    rest on this being ``sample`` draw for draw; the sweep CSV pins and the
+    benchmark's golden hashes would show a change.
+    """
+    if not 0 <= k <= size:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if size > setsize:
+        return rng.sample(range(1, size + 1), k)
+    getrandbits = rng.getrandbits
+    moved: dict[int, int] = {}
+    result = []
+    for m in range(size, size - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        result.append(moved.get(j, j + 1))
+        moved[j] = moved.pop(m - 1, m)
+    return result
 
 
 def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
@@ -85,7 +121,7 @@ def gen_gop(n: int, p: int, seed: int, cost_low: int = DEFAULT_COST_LOW,
     SortInstance.check_sizes(n, p)
     _check_cost_range(cost_low, cost_high)
     rng = _rng(seed)
-    values = rng.sample(range(1, GOP_VALUE_SPAN * n + 1), n)
+    values = _sample_range(rng, GOP_VALUE_SPAN * n, n)
     subsets: list[list[int]] = [[] for _ in range(p)]
     for value, owner in zip(values, _below(rng, p)):
         subsets[owner].append(value)

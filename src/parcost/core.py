@@ -399,7 +399,8 @@ class GopInstance(Value):
 
 class Graph(Value):
     """An undirected weighted graph on vertices 1..n_vertices, with at least
-    one edge."""
+    one edge and no edge twice, in either direction. Each edge u < v is keyed
+    by the one int ``u * (n_vertices + 1) + v``, which no other pair shares."""
 
     __slots__ = _fields = ("n_vertices", "edges")
 
@@ -414,7 +415,8 @@ class Graph(Value):
             raise InstanceError(f"graph edges must be a list, got {edges!r}")
         if not edges:
             raise InstanceError("graph has no edges")
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()
+        width = n_vertices + 1
         checked = []
         for k, edge in enumerate(edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
@@ -428,7 +430,7 @@ class Graph(Value):
                     f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}")
             if u == v:
                 raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
+            key = u * width + v if u < v else v * width + u
             if key in seen:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
             seen.add(key)

@@ -2,10 +2,13 @@
 splitter solvers against their brute-force oracles, of the collapsed
 redistribution weights and the sorting-IO term against their definitions, of
 the matching runs against their Fraction oracles, of the IO simulators'
-invariants, and of the instance JSON round trip."""
+invariants, of the instance JSON round trip, of ``bench._sample_range``
+against ``Random.sample`` and of ``Graph``'s edge checks against the
+tuple-keyed loop they replaced."""
 
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,10 +19,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
-                     GopInstance, Graph, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
+                     GopInstance, Graph, InstanceError, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, gop_objective, gop_solve_approx, gop_solve_exact,
                      lap_brute, lap_solve, ratio_bound, sort_io_term, terasort_simulate)
-from parcost.bench import (drp_from_json, drp_to_json,  # noqa: E402
+from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E402
                            dumps_canonical, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
@@ -253,3 +256,74 @@ def json_instances(draw, max_p=4):
 def test_instance_json_round_trip_is_exact(instances):
     for inst, to_json, from_json in instances:
         assert from_json(json.loads(dumps_canonical(to_json(inst)))) == inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 2 ** 64 - 1))
+def test_sample_range_is_sample_on_a_range(data, seed):
+    # sizes to 3000 reach both branches: k <= 5 takes the set above size
+    # 21, and k = 100 takes the pool up to 1045
+    size = data.draw(st.integers(0, 3000), label="size")
+    k = data.draw(st.integers(0, min(size, 400)), label="k")
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _sample_range(ours, size, k) == theirs.sample(range(1, size + 1), k)
+    assert ours.getstate() == theirs.getstate()
+
+
+def tuple_key_edge_check(n_vertices, edges):
+    """``Graph``'s endpoint and duplicate checks as they were, keyed by
+    (u, v) tuples: the first refusal's message, or None."""
+    seen = set()
+    for k, (u, v, _) in enumerate(edges):
+        if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
+            return f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}"
+        if u == v:
+            return f"edge {k + 1} is a self-loop at {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate undirected edge ({u},{v})"
+        seen.add(key)
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count up to 10^30 and up to 8 edges: mostly new edges with
+    endpoints near 1 or near n_vertices, and some repeated, reversed,
+    self-loop and out-of-range ones."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 30)))
+    vertex = st.one_of(st.integers(1, min(n, 7)), st.integers(max(1, n - 2), n))
+    kinds = ("new", "new", "new", "repeat", "reverse", "self-loop", "out-of-range")
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(kinds if edges else ("new", "out-of-range")))
+        if how in ("new", "out-of-range"):
+            u, v = draw(vertex), draw(vertex)
+            if how == "out-of-range":
+                u, v = draw(st.permutations((u, draw(st.sampled_from((0, -1, n + 1))))))
+        else:
+            u, v, _ = draw(st.sampled_from(edges))
+            if how == "reverse":
+                u, v = v, u
+            elif how == "self-loop":
+                v = u
+        edges.append((u, v, draw(st.integers(1, 9))))
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+@example((3, [(1, 3, 1), (3, 1, 2)]))
+@example((10 ** 30, [(10 ** 30 - 1, 10 ** 30, 1), (1, 2, 1), (10 ** 30, 10 ** 30 - 1, 1)]))
+@example((4, [(1, 4, 1), (2, 0, 1)]))
+@example((6, [(1, 6, 1), (2, 3, 1), (3, 4, 1)]))
+def test_graph_refuses_as_the_tuple_keyed_check_did(case):
+    n, edges = case
+    expected = tuple_key_edge_check(n, edges)
+    try:
+        graph = Graph(n, edges)
+    except InstanceError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert graph.edges == tuple(edges)
