@@ -124,6 +124,15 @@ def _mm300(name):
     return setup
 
 
+def _collapse(make, times=1):
+    def setup(_sweeps):
+        from parcost import bench, drp
+
+        inst = make(bench, drp)
+        return lambda: [drp._assignment_weights(inst) for _ in range(times)]
+    return setup
+
+
 def _report_json_mst2048(_sweeps):
     from parcost.bench import gen_graph
     from parcost.cli import _report_json
@@ -160,6 +169,15 @@ LAYERS = {
     "iosim.terasort_simulate:n1e5-p4": (
         "terasort_simulate(gen_gop(10**5, 4, 1), 1000)",
         _on_gop("iosim", "terasort_simulate", 10 ** 5, 4, 1000)),
+    "drp._assignment_weights:p9": (
+        "_assignment_weights(gen_drp(9, 1, 10, 20, 1)), 1000 times",
+        _collapse(lambda bench, _drp: bench.gen_drp(9, 1, 10, 20, 1), 1000)),
+    "drp._assignment_weights:p200": (
+        "_assignment_weights(gen_drp(200, 1, 10, 20, 1))",
+        _collapse(lambda bench, _drp: bench.gen_drp(200, 1, 10, 20, 1))),
+    "drp._assignment_weights:tour-n50": (
+        "_assignment_weights(tspfb_to_drp(gen_tspfb(50, 1))), sparse 0/1 transfers",
+        _collapse(lambda bench, drp: drp.tspfb_to_drp(bench.gen_tspfb(50, 1)))),
     "bench.gen_drp:drp-ratio-rows": (
         "gen_drp for the 1000 rows of the seed-1 drp-ratio sweep, p 2-6", _gen_drp_rows),
     "bench.gen_gop:n1e6-p4": ("gen_gop(10**6, 4, 1)", _call("bench", "gen_gop", 10 ** 6, 4, 1)),

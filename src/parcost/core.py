@@ -73,7 +73,10 @@ def _exact_out(value: Rational) -> int | float | str:
 
 def _as_epsilon(epsilon) -> Fraction:
     """The epsilon rule: a number, or text that ``Fraction`` reads, in (0, 1/2)."""
-    eps = Fraction(epsilon) if isinstance(epsilon, str) else Fraction(as_exact(epsilon))
+    try:
+        eps = Fraction(epsilon) if isinstance(epsilon, str) else Fraction(as_exact(epsilon))
+    except ZeroDivisionError:  # text such as "1/0" names no number
+        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}") from None
     if not 0 < eps < Fraction(1, 2):
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {eps}")
     return eps
@@ -107,6 +110,15 @@ def _exact_square(rows: Sequence[Sequence[object]], what: str,
         else:
             out.append(tuple(as_exact(x) for x in row))
     return tuple(out)
+
+
+def _check_ints(values: tuple, what: str) -> None:
+    """Raise on the first entry that is a bool or not an int; int subclasses
+    other than bool pass. The type-set test keeps the all-int case cheap."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InstanceError(f"{what} {values}: entry {value!r} is not an integer")
 
 
 def _check_non_negative(entries: tuple[tuple[Rational, ...], ...], name: str) -> None:
@@ -301,6 +313,7 @@ class Assignment(Value):
         p = len(mapping)
         if p < 1:
             raise InstanceError("assignment must cover at least one machine")
+        _check_ints(mapping, "mapping")
         if sorted(mapping) != list(range(1, p + 1)):
             raise InstanceError(
                 f"mapping {mapping} is not a permutation of 1..{p}")
@@ -485,6 +498,7 @@ def drp_cost(transfer: TransferMatrix, cost: CostMatrix, assignment: Assignment)
 def _check_splitters(splitters: Sequence[int], p: int) -> tuple[int, ...]:
     """The splitter rule: p - 1 strictly ascending values."""
     splitters = tuple(splitters)
+    _check_ints(splitters, "splitters")
     if len(splitters) != p - 1:
         raise InstanceError(
             f"expected {p - 1} splitters for p={p}, got {len(splitters)}")

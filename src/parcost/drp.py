@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 from .constants import ORACLE_LIMIT
 from .core import (Assignment, CostMatrix, DrpInstance, Rational, TransferMatrix,
@@ -27,39 +28,28 @@ DEFAULT_TOUR_LIMIT = 6
 
 
 def _assignment_weights(inst: DrpInstance) -> list[list[Rational]]:
-    """Collapse the objective per virtual machine.
+    """Collapse the objective per virtual machine, in ``lap``'s layout.
 
-    g[j][k] = sum_i transfer[i][j] * cost[i][k] is the cost of hosting
-    virtual machine j on physical machine k, so any assignment's total cost
-    is just sum_j g[j][mapping[j]].
+    w[k][j] = sum_i transfer[i][j] * cost[i][k], the dot product of transfer
+    column j and cost column k, is the cost of hosting virtual machine j on
+    physical machine k, so any assignment's total cost is just
+    sum_j w[mapping[j]][j].
     """
-    p = inst.p
-    t = inst.transfer.entries
-    c = inst.cost.entries
-    g: list[list[Rational]] = [[0] * p for _ in range(p)]
-    for i in range(p):
-        row_t = t[i]
-        row_c = c[i]
-        for j in range(p):
-            volume = row_t[j]
-            if volume:
-                g_row = g[j]
-                for k in range(p):
-                    g_row[k] += volume * row_c[k]
-    return g
+    columns = list(zip(*inst.transfer.entries))
+    return [[sum(map(mul, column, costs)) for column in columns]
+            for costs in zip(*inst.cost.entries)]
 
 
 def drp_solve_exact(inst: DrpInstance) -> tuple[Assignment, Rational]:
     """Minimum-cost assignment, lexicographically smallest among optima.
 
-    The collapsed weights g[j][k] turn the problem into a linear assignment
-    problem, solved by the Hungarian method in O(p^3). ``lap_solve`` puts
-    physical machines on rows, hence the transpose; its cost is
-    sum_j g[j][mapping[j]] and its tie-break is the same as ``drp_brute``'s.
+    The collapsed weights turn the problem into a linear assignment
+    problem, solved by the Hungarian method in O(p^3) with the same
+    tie-break as ``drp_brute``.
     """
     from .lap import AssignmentProblem, lap_solve
 
-    return lap_solve(AssignmentProblem(tuple(zip(*_assignment_weights(inst)))))
+    return lap_solve(AssignmentProblem(_assignment_weights(inst)))
 
 
 def drp_solve_approx(inst: DrpInstance) -> tuple[Assignment, Rational]:
@@ -139,10 +129,9 @@ def drp_brute(inst: DrpInstance,
               max_p: int = ORACLE_LIMIT) -> tuple[Assignment, Rational]:
     """Exhaustive minimum over all p! assignments; oracle for drp_solve_exact.
 
-    ``lap_brute`` enumerates the collapsed weights, transposed as in
-    ``drp_solve_exact``, in lexicographic mapping order with strict
-    improvement, so the returned mapping is the smallest optimal one. The
-    guard is checked here, before the O(p^3) collapse.
+    ``lap_brute`` enumerates the collapsed weights in lexicographic mapping
+    order with strict improvement, so the returned mapping is the smallest
+    optimal one. The guard is checked here, before the O(p^3) collapse.
     """
     p = inst.p
     if p > max_p:
@@ -150,7 +139,7 @@ def drp_brute(inst: DrpInstance,
             f"p={p} exceeds the exhaustive-search guard {max_p} (p! enumeration)")
     from .lap import AssignmentProblem, lap_brute
 
-    return lap_brute(AssignmentProblem(tuple(zip(*_assignment_weights(inst)))), max_p)
+    return lap_brute(AssignmentProblem(_assignment_weights(inst)), max_p)
 
 
 def tspfb_brute(tour: TspFbInstance,

@@ -28,17 +28,18 @@ def gop_solve_exact(g: GopInstance,
 
     Splitter sets are drawn from the instance's elements in ascending
     lexicographic order and assignments in lexicographic mapping order;
-    only strict improvements replace the incumbent, so ties resolve to the
-    smallest splitter sequence and then the smallest mapping.
+    ties resolve to the smallest splitter sequence and then the smallest
+    mapping, the first optimum of that enumeration.
 
     The sets are priced in blocks of ``_BLOCK``, as columns with one entry
     per set: each interval's cost on each host, a difference of two
     per-host prefix sums, and the IO term, looked up by the largest
     interval. A set whose IO term plus its cheapest-host communication
     cannot beat the incumbent of the earlier blocks is dropped. Each mapping
-    then adds p columns and takes the first minimum of ``float(comm) + io``;
-    the block's candidate is the least (total, set position, mapping
-    position), which is the enumeration's strict-improvement winner.
+    then adds p columns and takes the first minimum of ``float(comm) + io``.
+    The incumbent is the least (total, rank tuple, permutation): both tuples
+    compare in the order ``combinations`` and ``permutations`` yield them,
+    so the tuple order is the enumeration's tie-break.
     """
     inst, cost = g.inst, g.cost
     n, p = inst.n, inst.p
@@ -57,7 +58,7 @@ def gop_solve_exact(g: GopInstance,
     io_of = [sort_io_term((load,)) for load in range(n + 1)]
     perms = list(permutations(range(p)))
     sets = combinations(range(n), p - 1)
-    best_total = inf
+    best = (inf,)
     while block := list(islice(sets, _BLOCK)):
         # cuts[i][s]: how many elements lie left of set s's cut i
         cuts = [[t + 1 for t in ranks] for ranks in zip(*block)]
@@ -70,34 +71,27 @@ def gop_solve_exact(g: GopInstance,
             at = [list(map(w.__getitem__, c)) for c in cuts]
             weights.append([at[0], *(list(map(sub, b, a)) for a, b in zip(at, at[1:])),
                             list(map(sub, repeat(w[n]), at[-1]))])
-        if best_total < inf:
+        if best[0] < inf:
             # float() and + io are monotone, so no mapping beats the
             # incumbent strictly when every interval on its cheapest host
             # does not
             cheapest = (map(min, *column) for column in zip(*weights))
             bound = map(add, map(float, map(sum, zip(*cheapest))), io)
-            keep = [total < best_total for total in bound]
+            keep = [total < best[0] for total in bound]
             if not any(keep):
                 continue
             block = list(compress(block, keep))
             io = list(compress(io, keep))
             weights = [[list(compress(column, keep)) for column in host]
                        for host in weights]
-        low_total = inf
         for perm in perms:
             comm = weights[perm[0]][0]
             for j in range(1, p):
                 comm = map(add, comm, weights[perm[j]][j])
             totals = list(map(add, map(float, comm), io))
             low = min(totals)
-            if low <= low_total:
-                at_set = totals.index(low)
-                if low < low_total or at_set < low_set:
-                    low_total, low_set, low_perm = low, at_set, perm
-        if low_total < best_total:
-            best_total = low_total
-            best = block[low_set], low_perm
-    ranks, perm = best
+            best = min(best, (low, block[totals.index(low)], perm))
+    _, ranks, perm = best
     cuts = (0, *(t + 1 for t in ranks), n)
     bounds = tuple(zip(cuts, cuts[1:]))
     comm = sum(prefix[k][b] - prefix[k][a] for (a, b), k in zip(bounds, perm))

@@ -175,6 +175,15 @@ class TestSimCommands:
         assert err == "invalid input: epsilon must be at least 1/100, got 1/1000\n"
         assert run_cli(capsys, "sim-mm", "--input", path, "--epsilon", "1/100")[0] == 0
 
+    def test_an_epsilon_with_a_zero_denominator_breaks_the_epsilon_rule(self, tmp_path,
+                                                                         capsys):
+        path = write_json(tmp_path, "g.json", {"n": 2, "edges": [[1, 2, 1]]})
+        for epsilon in ("1/0", "0/0"):
+            expected = (2, "", f"invalid input: epsilon must lie in (0, 1/2), got {epsilon}\n")
+            assert run_cli(capsys, "sim-mm", "--input", path, "--epsilon", epsilon) == expected
+            assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
+                           "--epsilon", epsilon) == expected
+
     def test_sim_mst_io(self, tmp_path, capsys):
         edges = [[u, v, 1 + ((u * 7 + v) % 5)]
                  for u in range(1, 13) for v in range(u + 1, 13)]

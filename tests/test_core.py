@@ -1,4 +1,5 @@
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 
@@ -79,6 +80,19 @@ class TestAssignment:
     def test_rejects_non_bijection(self, mapping):
         with pytest.raises(InstanceError):
             Assignment(mapping)
+
+    @pytest.mark.parametrize("mapping, entry", [
+        ((2.0, 1.0), "2.0"), ((Fraction(2), Fraction(1)), "Fraction(2, 1)"),
+        ((True, 2), "True"), ((1, "2"), "'2'")])
+    def test_rejects_entries_that_are_not_ints(self, mapping, entry):
+        with pytest.raises(InstanceError, match=rf": entry {re.escape(entry)} is not an integer"):
+            Assignment(mapping)
+
+    def test_int_subclasses_other_than_bool_pass(self):
+        class Host(IntEnum):
+            FIRST = 1
+            SECOND = 2
+        assert Assignment((Host.SECOND, Host.FIRST)) == Assignment((2, 1))
 
 
 def first_error(make, *args):
@@ -319,6 +333,14 @@ class TestGopObjective:
         inst = SortInstance(((1, 2, 3, 4), (5, 6, 7, 8)))
         s = gop_objective(GopInstance(inst, UNIT_COST), (8,), Assignment.identity(2))
         assert s.io_cost == 8 * 3.0  # n log2 n with n = 8
+
+    @pytest.mark.parametrize("splitters", [(2.0,), (Fraction(2),), (True,)])
+    def test_rejects_splitters_that_are_not_ints(self, splitters):
+        g = GopInstance(SortInstance(((1, 2), (3, 4))), UNIT_COST)
+        with pytest.raises(InstanceError, match="is not an integer"):
+            gop_objective(g, splitters, Assignment.identity(2))
+        with pytest.raises(InstanceError, match="is not an integer"):
+            GopSolution(splitters, Assignment.identity(2), 0, 0.0)
 
     def test_rejects_foreign_splitter(self):
         with pytest.raises(InstanceError, match="not an element"):

@@ -100,7 +100,6 @@ class TestColumns:
         _assert_matches_oracle(g)
 
     def test_ties_that_straddle_block_edges(self, monkeypatch):
-        monkeypatch.setattr(gopsort, "_BLOCK", 3)
         cases = []
         # values dealt round-robin onto machines with uniform links tie often
         for p, sizes in ((2, range(4, 12)), (3, range(5, 12)), (4, range(6, 9))):
@@ -113,18 +112,25 @@ class TestColumns:
                 rng = random.Random(seed)
                 g = gen_gop(n, p, seed=seed)
                 cases.append(GopInstance(g.inst, _link_costs(rng, p, ("uniform", "two")[seed % 2])))
-        straddled = 0
+        # each case's positions of the optimal sets
+        optimal = []
         for g in cases:
-            _assert_matches_oracle(g)
-            # the blocks, of 3 sets each, that hold an optimal set
             p = g.inst.p
             totals = {}
             for position, splitters in enumerate(combinations(g.inst.values(), p - 1)):
                 for perm in permutations(range(1, p + 1)):
                     total = gop_objective(g, splitters, Assignment(perm)).total_cost
-                    totals.setdefault(total, set()).add(position // 3)
-            straddled += len(totals[min(totals)]) > 1
-        assert straddled >= 15  # 18 of the 42 cases
+                    totals.setdefault(total, set()).add(position)
+            optimal.append(totals[min(totals)])
+        # at 1, each set is a block of its own, so the incumbent settles
+        # every tie between sets; 18 of the 42 cases straddle at 3, 21 at 1
+        for block, least in ((3, 15), (1, 18)):
+            monkeypatch.setattr(gopsort, "_BLOCK", block)
+            for g in cases:
+                _assert_matches_oracle(g)
+            straddled = sum(len({position // block for position in positions}) > 1
+                            for positions in optimal)
+            assert straddled >= least
 
 
 class TestEqualSplitters:

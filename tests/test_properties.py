@@ -1,10 +1,11 @@
 """Property-based checks of the assignment, exact redistribution and exact
 splitter solvers against their brute-force oracles, of the collapsed
-redistribution weights and the sorting-IO term against their definitions, of
-the matching runs against their Fraction oracles, of the IO simulators'
-invariants, of the instance JSON round trip, of ``bench._sample_range``
-against ``Random.sample`` and of ``Graph``'s edge checks against the
-tuple-keyed loop they replaced."""
+redistribution weights against their definition and the scatter loop they
+replaced, of the sorting-IO term against its definition, of the matching
+runs against their Fraction oracles, of the IO simulators' invariants, of
+the instance JSON round trip, of ``bench._sample_range`` against
+``Random.sample`` and of ``Graph``'s edge checks against the tuple-keyed
+loop they replaced."""
 
 import json
 import math
@@ -21,9 +22,10 @@ from hypothesis import strategies as st  # noqa: E402
 from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      GopInstance, Graph, InstanceError, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, gop_objective, gop_solve_approx, gop_solve_exact,
-                     lap_brute, lap_solve, ratio_bound, sort_io_term, terasort_simulate)
+                     lap_brute, lap_solve, ratio_bound, sort_io_term, terasort_simulate,
+                     tspfb_to_drp)
 from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E402
-                           dumps_canonical, gop_from_json, gop_to_json,
+                           dumps_canonical, gen_tspfb, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
 from parcost.drp import _assignment_weights  # noqa: E402
@@ -79,9 +81,9 @@ def test_exact_matches_brute_mapping_and_cost(inst):
 @given(drp_instances(max_p=5))
 def test_collapsed_weights_price_every_mapping_as_drp_cost(inst):
     # drp_brute and drp_solve_exact both solve on the collapse
-    g = _assignment_weights(inst)
+    w = _assignment_weights(inst)
     for mapping in permutations(range(1, inst.p + 1)):
-        assert (sum(g[j][k - 1] for j, k in enumerate(mapping))
+        assert (sum(w[k - 1][j] for j, k in enumerate(mapping))
                 == drp_cost(inst.transfer, inst.cost, Assignment(mapping)))
 
 
@@ -256,6 +258,31 @@ def json_instances(draw, max_p=4):
 def test_instance_json_round_trip_is_exact(instances):
     for inst, to_json, from_json in instances:
         assert from_json(json.loads(dumps_canonical(to_json(inst)))) == inst
+
+
+def scatter_weights(inst):
+    """The collapse as a loop that scatters each nonzero volume over its
+    column: w[k][j] += transfer[i][j] * cost[i][k]."""
+    p = inst.p
+    w = [[0] * p for _ in range(p)]
+    for row_t, row_c in zip(inst.transfer.entries, inst.cost.entries):
+        for j, volume in enumerate(row_t):
+            if volume:
+                for k in range(p):
+                    w[k][j] += volume * row_c[k]
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    drp_instances(),
+    json_instances().map(lambda instances: instances[0][0]),
+    st.builds(lambda n, seed: tspfb_to_drp(gen_tspfb(n, seed)),
+              st.integers(3, 9), st.integers(0, 2 ** 32 - 1))))
+def test_collapsed_weights_are_the_scattered_sums(inst):
+    # zero rows and columns, Fractions and floats, and the sparse 0/1
+    # transfers of reduced tours, whose costs have positive diagonals
+    assert _assignment_weights(inst) == scatter_weights(inst)
 
 
 @settings(max_examples=300, deadline=None)
