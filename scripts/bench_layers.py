@@ -8,11 +8,12 @@ fresh ``python3`` process with the tree's ``src`` on ``PYTHONPATH``: it
 builds the layer's input untimed, times one run of the layer with
 ``time.perf_counter``, and reports the seconds, a SHA-256 of the result's
 ``repr``, whether every parcost module had cached bytecode when it started,
-how many processes ran the layer (1 + the children it forked) and its own
-peak RSS (``ru_maxrss``, set-up included). The K samples of a layer
-alternate between the trees, the parent first on even rounds. The record
-keeps every sample, each side's median and quartiles, and whether both
-sides' results hashed alike. Standard library only.
+how many processes ran the layer (1 + the children it forked), its own
+peak RSS (``ru_maxrss``, set-up included) and the layer's own peak under
+``tracemalloc``, taken in one more untimed call after the RSS is read. The
+K samples of a layer alternate between the trees, the parent first on even
+rounds. The record keeps every sample, each side's median and quartiles,
+and whether both sides' results hashed alike. Standard library only.
 
 The sweep layers time the seed-1 plan-small sweeps, row by row or whole
 through ``run_sweep``: the sizes come from ``perfbench/workloads.py`` and
@@ -37,6 +38,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,12 +144,14 @@ def _report_json_mst2048(_sweeps):
     return lambda: _report_json(report)
 
 
-def _graph_from_json_mst2048(_sweeps):
-    from parcost.bench import gen_graph
-    from parcost.core import graph_from_json, graph_to_json
+def _from_json(kind, make):
+    def setup(_sweeps):
+        from parcost import bench, core
 
-    data = json.loads(json.dumps(graph_to_json(gen_graph(2048, 92681, 1))))
-    return lambda: graph_from_json(data)
+        data = json.loads(json.dumps(getattr(core, f"{kind}_to_json")(make(bench))))
+        load = getattr(core, f"{kind}_from_json")
+        return lambda: load(data)
+    return setup
 
 
 # layer -> (what one sample runs, setup returning the timed callable)
@@ -186,7 +190,10 @@ LAYERS = {
         "gen_graph(2048, 92681, 1)", _call("bench", "gen_graph", 2048, 92681, 1)),
     "core.graph_from_json:mst2048": (
         "graph_from_json on the parsed JSON of gen_graph(2048, 92681, 1)",
-        _graph_from_json_mst2048),
+        _from_json("graph", lambda bench: bench.gen_graph(2048, 92681, 1))),
+    "core.gop_from_json:n1e5": (
+        "gop_from_json on the parsed JSON of gen_gop(10**5, 4, 1)",
+        _from_json("gop", lambda bench: bench.gen_gop(10 ** 5, 4, 1))),
     "bench.gen_tspfb:n300": ("gen_tspfb(300, 1)", _call("bench", "gen_tspfb", 300, 1)),
     "iosim.mm_serial_run:mm300": (
         "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_serial_run")),
@@ -225,9 +232,17 @@ def _worker(layer: str) -> None:
     result = run()
     seconds = time.perf_counter() - start
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    processes = 1 + len(children)
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tracemalloc.start()
+    try:
+        run()
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     print(json.dumps({"seconds": seconds, "sha256": digest, "bytecode_cached": cached,
-                      "processes": 1 + len(children),
-                      "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+                      "processes": processes, "maxrss_kb": maxrss_kb,
+                      "tracemalloc_peak_bytes": traced_peak}))
 
 
 def _sample(tree: Path, layer: str, sweeps: str) -> dict:
@@ -246,7 +261,9 @@ def _summary(samples: list[dict]) -> dict:
             "bytecode_cached": sorted({s["bytecode_cached"] for s in samples}),
             "processes": sorted({s["processes"] for s in samples}),
             "median_maxrss_kb": statistics.median(s["maxrss_kb"] for s in samples),
-            "samples_maxrss_kb": [s["maxrss_kb"] for s in samples]}
+            "samples_maxrss_kb": [s["maxrss_kb"] for s in samples],
+            "median_tracemalloc_peak_bytes": statistics.median(
+                s["tracemalloc_peak_bytes"] for s in samples)}
 
 
 def _export(rev: str, into: Path) -> str:
@@ -287,7 +304,9 @@ def main() -> None:
             print(f"{layer}: {record['parent']['median_s']:.4f} -> "
                   f"{record['change']['median_s']:.4f} s, "
                   f"{record['parent']['median_maxrss_kb'] / 1024:.1f} -> "
-                  f"{record['change']['median_maxrss_kb'] / 1024:.1f} MB, "
+                  f"{record['change']['median_maxrss_kb'] / 1024:.1f} MB, traced "
+                  f"{record['parent']['median_tracemalloc_peak_bytes'] / 1e6:.2f} -> "
+                  f"{record['change']['median_tracemalloc_peak_bytes'] / 1e6:.2f} MB, "
                   f"same result: {record['same_result']}", file=sys.stderr)
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
                            capture_output=True, text=True).stdout != ""

@@ -75,7 +75,7 @@ def _as_epsilon(epsilon) -> Fraction:
     """The epsilon rule: a number, or text that ``Fraction`` reads, in (0, 1/2)."""
     try:
         eps = Fraction(epsilon) if isinstance(epsilon, str) else Fraction(as_exact(epsilon))
-    except ZeroDivisionError:  # text such as "1/0" names no number
+    except (ValueError, ZeroDivisionError):  # text such as "abc" or "1/0" names no number
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}") from None
     if not 0 < eps < Fraction(1, 2):
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {eps}")
@@ -332,12 +332,26 @@ class Assignment(Value):
         return Assignment(tuple(range(1, p + 1)))
 
 
+def _distinct(subsets: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether the n ints in ``subsets``, n >= 1, are pairwise distinct."""
+    held = [subset for subset in subsets if subset]
+    lo, hi = min(map(min, held)), max(map(max, held))
+    if hi - lo >= 32 * n:
+        return len(set(chain.from_iterable(subsets))) == n
+    marks = bytearray(hi - lo + 1)
+    for value in chain.from_iterable(subsets):
+        marks[value - lo] = 1
+    return marks.count(1) == n
+
+
 class SortInstance(Value):
     """n >= p distinct integers spread over p >= 2 machines.
 
     ``subsets[i-1]`` is machine i's local data; a machine may hold none.
     Elements must be distinct across the whole instance; interval counting
-    below silently assumes it, so duplicates are rejected at construction.
+    below silently assumes it, so duplicates are rejected at construction,
+    by ``_distinct``: one mark byte per value in [min, max] when that span
+    is at most 32 values an element, a set of the values otherwise.
     """
 
     __slots__ = _fields = ("subsets",)
@@ -351,10 +365,10 @@ class SortInstance(Value):
         subsets = tuple(map(tuple, subsets))
         n = sum(map(len, subsets))
         SortInstance.check_sizes(n, len(subsets))
-        # set builtins check the common case; the loop below only names the
+        # builtins check the common case; the loop below only names the
         # first bad element, or passes int subclasses other than bool
         if (not set(map(type, chain.from_iterable(subsets))) <= {int}
-                or len(set(chain.from_iterable(subsets))) != n):
+                or not _distinct(subsets, n)):
             seen: set[int] = set()
             for i, subset in enumerate(subsets):
                 for value in subset:
@@ -413,7 +427,9 @@ class GopInstance(Value):
 class Graph(Value):
     """An undirected weighted graph on vertices 1..n_vertices, with at least
     one edge and no edge twice, in either direction. Each edge u < v is keyed
-    by the one int ``u * (n_vertices + 1) + v``, which no other pair shares."""
+    by the one int ``u * (n_vertices + 1) + v``, which no other pair shares,
+    and marked in a bitmap of (n_vertices + 1)**2 bits when that is at most
+    512 bits an edge, in a set of keys otherwise."""
 
     __slots__ = _fields = ("n_vertices", "edges")
 
@@ -428,8 +444,11 @@ class Graph(Value):
             raise InstanceError(f"graph edges must be a list, got {edges!r}")
         if not edges:
             raise InstanceError("graph has no edges")
-        seen: set[int] = set()
         width = n_vertices + 1
+        # the bitmap over the keys 0..width**2 - 1 where it is no larger
+        # than the set of keys would be, about 64 bytes an edge
+        marks = bytearray(width * width + 7 >> 3) if width * width <= 512 * len(edges) else None
+        seen: set[int] = set()
         checked = []
         for k, edge in enumerate(edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
@@ -444,9 +463,15 @@ class Graph(Value):
             if u == v:
                 raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
             key = u * width + v if u < v else v * width + u
-            if key in seen:
+            if marks is None:
+                duplicate = key in seen
+                seen.add(key)
+            else:
+                byte, bit = key >> 3, 1 << (key & 7)
+                duplicate = marks[byte] & bit
+                marks[byte] |= bit
+            if duplicate:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
-            seen.add(key)
             checked.append((u, v, as_exact(w)))
         super().__init__(n_vertices, tuple(checked))
 

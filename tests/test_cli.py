@@ -184,6 +184,14 @@ class TestSimCommands:
             assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
                            "--epsilon", epsilon) == expected
 
+    def test_an_epsilon_that_names_no_number_breaks_the_epsilon_rule(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"n": 2, "edges": [[1, 2, 1]]})
+        for epsilon in ("abc", "nan", "inf", ""):
+            expected = (2, "", f"invalid input: epsilon must lie in (0, 1/2), got {epsilon}\n")
+            assert run_cli(capsys, "sim-mm", "--input", path, "--epsilon", epsilon) == expected
+            assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
+                           "--epsilon", epsilon) == expected
+
     def test_sim_mst_io(self, tmp_path, capsys):
         edges = [[u, v, 1 + ((u * 7 + v) % 5)]
                  for u in range(1, 13) for v in range(u + 1, 13)]
@@ -499,7 +507,7 @@ CLI_PINS = [
     (("sweep", "--kind", "mm-io", "--sizes", "2,x", "--epsilon", "abc"), None, 2,
      "6aa54b9eeb075f502ca4d8313701ba04b7433b737b7c04b4860eedbd12165e51"),
     (("sweep", "--kind", "mm-io", "--sizes", "8", "--epsilon", "abc"), None, 2,
-     "6c5780ffc1ee7461c8fa6a168a9eedf325b28cceaa66b0a20d5e8bb52706bddf"),
+     "fc902f26fe410c9d9ddaf4072373c2af5ed67b5def283884aaea31af1dc82cfa"),
     (("drp-approx", "--input", "overflow.json"), None, 2,
      "0ba8013421cdb7144d35dadb6db004f6c18900189bb92e6e7db15c0ed6785612"),
     (("frobnicate",), None, 2,

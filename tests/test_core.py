@@ -1,14 +1,18 @@
+import json
 import random
 import re
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
 from parcost import (Assignment, AssignmentProblem, CostMatrix, GopInstance,
-                     GopSolution, InstanceError, SortInstance, TransferMatrix, as_exact,
-                     derive_transfer_and_load, drp_cost, gop_objective,
+                     GopSolution, Graph, InstanceError, SortInstance, TransferMatrix,
+                     as_exact, core, derive_transfer_and_load, drp_cost, gop_objective,
                      sort_io_term)
+from parcost.bench import gen_gop, gen_graph
+from parcost.core import gop_from_json, gop_to_json, graph_from_json, graph_to_json
 
 
 def test_as_exact_variants():
@@ -179,6 +183,100 @@ class TestSortInstance:
     def test_int_subclasses_other_than_bool_pass(self):
         Rank = IntEnum("Rank", "LOW HIGH")
         assert SortInstance(((Rank.LOW, 5), (Rank.HIGH,))).n == 3
+
+    def test_negative_values(self):
+        assert SortInstance(((-5, 0), (-1, 3))).values() == (-5, -1, 0, 3)
+        assert (first_error(SortInstance, ((-5, -1), (0, -5)))
+                == "duplicate element -5 (subset 2); elements must be distinct")
+
+    def test_duplicates_in_different_subsets(self):
+        assert (first_error(SortInstance, ((1, 9), (4,), (2, 9)))
+                == "duplicate element 9 (subset 3); elements must be distinct")
+        assert (first_error(SortInstance, ((7,), (3, 5), (), (5, 7)))
+                == "duplicate element 5 (subset 4); elements must be distinct")
+
+    def test_marks_serve_spans_up_to_32_values_an_element(self, monkeypatch):
+        sizes = bytearray_sizes(monkeypatch)
+        # n = 3: [-10, 85] holds 96 = 32 * 3 values, [-10, 86] one more
+        for hi, expected in ((85, [96]), (86, [])):
+            sizes.clear()
+            assert SortInstance(((-10, 0), (hi,))).n == 3
+            assert sizes == expected
+            sizes.clear()
+            assert (first_error(SortInstance, ((-10, hi), (hi,)))
+                    == f"duplicate element {hi} (subset 2); elements must be distinct")
+            assert sizes == expected
+
+    def test_values_near_10_to_the_30(self, monkeypatch):
+        sizes = bytearray_sizes(monkeypatch)
+        big = 10 ** 30
+        assert SortInstance(((big, -big), (big + 1,))).n == 3
+        assert (first_error(SortInstance, ((big, -big), (big + 1, big)))
+                == f"duplicate element {big} (subset 2); elements must be distinct")
+        assert sizes == []
+        # a narrow span takes the marks wherever it lies
+        assert SortInstance(((big, big + 2), (big + 1,))).n == 3
+        assert sizes == [3]
+
+    def test_gop_from_json_holds_no_set_of_the_values(self):
+        # CPython 3.11.7: 6.8 MB with a set of the 10^5 values, 1.8 MB with marks
+        data = json.loads(json.dumps(gop_to_json(gen_gop(10 ** 5, 4, 1))))
+        assert traced_peak(gop_from_json, data) <= 3 * 10 ** 6
+
+
+class TestGraphDuplicateMarks:
+    def test_the_bitmap_serves_up_to_512_keys_an_edge(self, monkeypatch):
+        sizes = bytearray_sizes(monkeypatch)
+        # width 32: 32**2 == 512 * 2 keys take 128 bytes; width 33 the set
+        for n, expected in ((31, [128]), (32, [])):
+            sizes.clear()
+            assert Graph(n, ((1, n, 1), (2, 3, 1))).n_edges == 2
+            assert sizes == expected
+            sizes.clear()
+            assert (first_error(Graph, n, ((1, n, 1), (n, 1, 1)))
+                    == f"duplicate undirected edge ({n},1)")
+            assert sizes == expected
+
+    def test_duplicates_on_the_edge_bits_of_a_byte_and_the_largest_key(self):
+        n = 10
+        complete = [(u, v, u + v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        assert Graph(n, complete).edges == tuple(complete)
+        # keys u * 11 + v: 16 is bit 0 of byte 2, 15 bit 7 of byte 1, and
+        # 109 = (n - 1) * (n + 1) + n the largest
+        for u, v, key in ((1, 5, 16), (1, 4, 15), (9, 10, 109)):
+            assert u * (n + 1) + v == key
+            assert (first_error(Graph, n, complete + [(v, u, 1)])
+                    == f"duplicate undirected edge ({v},{u})")
+            assert (first_error(Graph, n, [(u, v, 1), (2, 3, 1), (u, v, 2)])
+                    == f"duplicate undirected edge ({u},{v})")
+
+    def test_graph_from_json_holds_no_set_of_the_keys(self):
+        # CPython 3.11.7: 14.0 MB with a set of the 92,681 keys, 8.0 MB with
+        # the bitmap, most of it the edge tuples of the graph itself
+        data = json.loads(json.dumps(graph_to_json(gen_graph(2048, 92681, 1))))
+        assert traced_peak(graph_from_json, data) <= 9 * 10 ** 6
+
+
+def bytearray_sizes(monkeypatch) -> list[int]:
+    """The sizes of the bytearrays ``core`` makes, recorded as it makes them."""
+    sizes = []
+
+    def recording(size):
+        sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(core, "bytearray", recording, raising=False)
+    return sizes
+
+
+def traced_peak(build, *args) -> int:
+    """The peak bytes ``tracemalloc`` sees while ``build(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 UNIT_COST = CostMatrix([[0, 1], [1, 0]])

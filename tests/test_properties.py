@@ -4,8 +4,9 @@ redistribution weights against their definition and the scatter loop they
 replaced, of the sorting-IO term against its definition, of the matching
 runs against their Fraction oracles, of the IO simulators' invariants, of
 the instance JSON round trip, of ``bench._sample_range`` against
-``Random.sample`` and of ``Graph``'s edge checks against the tuple-keyed
-loop they replaced."""
+``Random.sample``, of ``Graph``'s edge checks against the tuple-keyed
+loop they replaced and of ``SortInstance``'s element checks against a loop
+over a set of the elements."""
 
 import json
 import math
@@ -344,6 +345,10 @@ def edge_lists(draw):
 @example((10 ** 30, [(10 ** 30 - 1, 10 ** 30, 1), (1, 2, 1), (10 ** 30, 10 ** 30 - 1, 1)]))
 @example((4, [(1, 4, 1), (2, 0, 1)]))
 @example((6, [(1, 6, 1), (2, 3, 1), (3, 4, 1)]))
+# n up to 6 takes the bitmap, as n = 31 with two edges does; n = 32 with
+# two edges, and n near 10^30, take the set
+@example((31, [(1, 31, 1), (31, 1, 1)]))
+@example((32, [(1, 32, 1), (32, 1, 1)]))
 def test_graph_refuses_as_the_tuple_keyed_check_did(case):
     n, edges = case
     expected = tuple_key_edge_check(n, edges)
@@ -354,3 +359,61 @@ def test_graph_refuses_as_the_tuple_keyed_check_did(case):
     else:
         assert expected is None
         assert graph.edges == tuple(edges)
+
+
+def set_keyed_element_check(subsets):
+    """``SortInstance``'s size, type and distinctness checks as one loop
+    over a set of the elements: the first refusal's message, or None."""
+    n, p = sum(map(len, subsets)), len(subsets)
+    if n < p:
+        return f"need at least one element per machine: n={n}, p={p}"
+    seen = set()
+    for i, subset in enumerate(subsets):
+        for value in subset:
+            if isinstance(value, bool) or not isinstance(value, int):
+                return f"subset {i + 1} holds a non-integer value: {value!r}"
+            if value in seen:
+                return f"duplicate element {value} (subset {i + 1}); elements must be distinct"
+            seen.add(value)
+    return None
+
+
+@st.composite
+def element_lists(draw):
+    """2 to 4 subsets holding up to 12 elements: mostly new integers around
+    0, -10^6 or +-10^30, spread so that [min, max] falls on either side of
+    32 values an element, and some repeated and non-integer ones."""
+    base = draw(st.sampled_from((0, -10 ** 6, 10 ** 30, -10 ** 30)))
+    spread = draw(st.sampled_from((4, 32, 200, 10 ** 31)))
+    new = st.integers(base - spread, base + spread)
+    subsets = [[] for _ in range(draw(st.integers(2, 4)))]
+    values = []
+    for _ in range(draw(st.integers(0, 12))):
+        how = draw(st.sampled_from(("new", "new", "new", "repeat", "non-integer")
+                                   if values else ("new",)))
+        if how == "new":
+            value = draw(new)
+        elif how == "repeat":
+            value = draw(st.sampled_from(values))
+        else:
+            value = draw(st.sampled_from((True, 2.0, 2.5, "3", None)))
+        values.append(value)
+        subsets[draw(st.integers(0, len(subsets) - 1))].append(value)
+    return tuple(map(tuple, subsets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(element_lists())
+@example(((1,), (64,)))
+@example(((1,), (65,)))
+@example(((1, 96), (96,)))
+@example(((-10 ** 30, 5), (10 ** 30, 5)))
+def test_sort_instance_refuses_as_the_set_keyed_check_did(subsets):
+    expected = set_keyed_element_check(subsets)
+    try:
+        inst = SortInstance(subsets)
+    except InstanceError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert inst.subsets == subsets
