@@ -25,6 +25,7 @@ arguments, so both trees time the same instances.
 from __future__ import annotations
 
 import argparse
+import atexit
 import hashlib
 import importlib.util
 import io
@@ -144,6 +145,29 @@ def _report_json_mst2048(_sweeps):
     return lambda: _report_json(report)
 
 
+def _load_mst2048(_sweeps):
+    from parcost import cli
+
+    # the file is written by a `parcost gen` child, so that the sample's own
+    # peak RSS is the load's and not the generator's
+    scratch = tempfile.TemporaryDirectory()
+    atexit.register(scratch.cleanup)
+    path = str(Path(scratch.name) / "mst2048.json")
+    subprocess.run([sys.executable, "-m", "parcost.cli", "gen", "--kind", "graph",
+                    "--n", "2048", "--m", "92681", "--seed", "1", "--output", path],
+                   check=True)
+    args = argparse.Namespace(input=path)
+    return lambda: cli._load(args, "graph")
+
+
+def _partition_mst2048(_sweeps):
+    from parcost.bench import gen_graph
+    from parcost.iosim import nowicki_partition_io
+
+    graph = gen_graph(2048, 92681, 1)
+    return lambda: nowicki_partition_io(graph)
+
+
 def _from_json(kind, make):
     def setup(_sweeps):
         from parcost import bench, core
@@ -191,6 +215,10 @@ LAYERS = {
     "core.graph_from_json:mst2048": (
         "graph_from_json on the parsed JSON of gen_graph(2048, 92681, 1)",
         _from_json("graph", lambda bench: bench.gen_graph(2048, 92681, 1))),
+    "cli._load:mst2048": (
+        "cli._load of gen_graph(2048, 92681, 1)'s JSON file, text to Graph", _load_mst2048),
+    "iosim.nowicki_partition_io:mst2048": (
+        "nowicki_partition_io(gen_graph(2048, 92681, 1))", _partition_mst2048),
     "core.gop_from_json:n1e5": (
         "gop_from_json on the parsed JSON of gen_gop(10**5, 4, 1)",
         _from_json("gop", lambda bench: bench.gen_gop(10 ** 5, 4, 1))),

@@ -26,20 +26,31 @@ _KINDS = {"drp": ("transfer", "cost"), "gop": ("subsets", "cost"),
           "graph": ("edges", "n"), "tspfb": ("weights", "n")}
 
 
-def _read_json(args) -> object:
+class _Ints(dict):
+    """Each JSON int spelling's int, made on its first lookup."""
+
+    def __missing__(self, spelling: str) -> int:
+        value = self[spelling] = int(spelling)
+        return value
+
+
+def _read_json(args, kind: str | None) -> object:
     if args.input in (None, "-"):
         text = sys.stdin.read()
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    if kind != "graph":
+        return json.loads(text)
+    # a graph names each vertex id about 2m/n times: one int per spelling
+    return json.loads(text, parse_int=_Ints().__getitem__)
 
 
 def _load(args, kind: str) -> object:
     # looked up on each call, so that a wrapped loader is the one run
     from . import core
 
-    return getattr(core, f"{kind}_from_json")(_read_json(args))
+    return getattr(core, f"{kind}_from_json")(_read_json(args, kind))
 
 
 def _num_out(value) -> int | float:
@@ -177,7 +188,7 @@ def _cmd_gen(args) -> dict:
 def _cmd_validate(args) -> dict:
     from . import core
 
-    data = _read_json(args)
+    data = _read_json(args, args.kind)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     for kind, fields in _KINDS.items():

@@ -472,7 +472,7 @@ class Graph(Value):
                 marks[byte] |= bit
             if duplicate:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
-            checked.append((u, v, as_exact(w)))
+            checked.append((u, v, w if type(w) is int else as_exact(w)))
         super().__init__(n_vertices, tuple(checked))
 
     @property

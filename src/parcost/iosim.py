@@ -134,11 +134,16 @@ def nowicki_partition_io(graph: Graph) -> IoReport:
     n = graph.n_vertices
     m = graph.n_edges
     groups = -(-m // n)
-    # the group of a vertex is monotone in it, so the smaller endpoint's
-    # group is the smaller group
-    bucket_sizes = [0] * groups
-    for u, v, _ in graph.edges:
-        bucket_sizes[(min(u, v) - 1) * groups // n] += 1
+    if groups == 1:
+        bucket_sizes = [m]
+    else:
+        # groups >= 2 means n < m, so this table of each vertex's group (entry
+        # 0 unused) is no longer than the edge list. The group of a vertex is
+        # monotone in it, so the smaller endpoint's group is the smaller group.
+        group_of = [(x - 1) * groups // n for x in range(n + 1)]
+        bucket_sizes = [0] * groups
+        for u, v, _ in graph.edges:
+            bucket_sizes[group_of[u if u < v else v]] += 1
     phases = [(f"scan[{i + 1},{j + 1}]", bucket_sizes[i], 0)
               for i in range(groups) for j in range(i, groups)]
     return IoReport(phases, {"analytic_io": m * groups, "groups": groups})

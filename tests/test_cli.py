@@ -205,6 +205,50 @@ class TestSimCommands:
         assert run_cli(capsys, "sim-mst-io", "--input", path, "--memory", "1") == (
             2, "", "invalid input: memory must be >= 2, got 1\n")
 
+    def test_an_int_past_the_digit_limit_is_bad_input(self, tmp_path, capsys):
+        # a graph file's ints are made by int() one spelling at a time, which
+        # refuses as the plain parse of every other file does
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "edges": [[1, 2, %s]]}' % ("7" * 5000))
+        for argv in (("sim-mst-io",), ("validate", "--kind", "graph"), ("validate",)):
+            assert run_cli(capsys, *argv, "--input", str(path)) == (
+                2, "", "invalid input: Exceeds the limit (4300 digits) for integer string "
+                       "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+                       "to increase the limit\n"), argv
+
+    def test_graph_files_parse_one_int_per_spelling(self, tmp_path, monkeypatch, capsys):
+        from parcost import cli
+
+        path = write_json(tmp_path, "g.json",
+                          {"n": 1001, "edges": [[1000, 1001, 1000], [1001, 999, 7]]})
+        data = cli._read_json(argparse.Namespace(input=path), "graph")
+        (a, b, w), (c, _, _) = data["edges"]
+        assert a is w and b is c is data["n"]
+        # graph loads and validate --kind graph take that parse; validate
+        # without a kind, which may read any kind, takes the plain one
+        kinds = []
+        read_json = cli._read_json
+        monkeypatch.setattr(cli, "_read_json",
+                            lambda args, kind: kinds.append(kind) or read_json(args, kind))
+        for argv in (("sim-mst-io",), ("sim-mm",), ("validate", "--kind", "graph"),
+                     ("validate",)):
+            assert run_cli(capsys, *argv, "--input", path)[0] == 0, argv
+        assert kinds == ["graph", "graph", "graph", None]
+
+    def test_graph_file_load_peaks_below_its_bound(self, tmp_path):
+        from parcost.bench import gen_graph
+        from parcost.cli import _load
+        from parcost.core import dumps_canonical, graph_to_json
+        from test_core import traced_peak
+
+        path = tmp_path / "g.json"
+        path.write_text(dumps_canonical(graph_to_json(gen_graph(2048, 92681, 1))))
+        # CPython 3.11.7, file text to Graph: 21.5 MB when json made an int
+        # for each of the 185,362 endpoint mentions, 17.0 MB with one int
+        # per spelling
+        args = argparse.Namespace(input=str(path))
+        assert traced_peak(_load, args, "graph") <= 18 * 10 ** 6
+
 
 class TestSweepAndGen:
     def test_mst_sweep_csv_ends_with_non(self, capsys):
@@ -584,6 +628,8 @@ BAD_GRAPHS = {
     "two-item-edge": ({"n": 3, "edges": [[1, 2]]},
                       "edge 1 is not a [u, v, weight] list: [1, 2]"),
     "no-edges": ({"n": 3, "edges": []}, "graph has no edges"),
+    "bool-weight": ({"n": 3, "edges": [[1, 2, 1], [2, 3, True]]},
+                    "booleans are not valid numeric entries"),
     "zero-n": ({"n": 0, "edges": []}, "n_vertices must be >= 1, got 0"),
 }
 

@@ -317,13 +317,19 @@ class TestNowickiPartition:
                             for v in range(u + 1, 13) if (u, v) != (3, 7))),
             *(gen_graph(n, m, seed=9)
               for n, m in ((30, 120), (64, 512), (100, 1500), (256, 2048))),
+            gen_graph(9, 10, seed=4),                              # two groups, n = m - 1
+            Graph(10 ** 30, ((1, 2, 1), (10 ** 30 - 1, 10 ** 30, 1), (5, 10 ** 30, 1))),
+            Graph(30, tuple((v, u, w) for u, v, w                  # larger endpoint first
+                            in gen_graph(30, 120, seed=9).edges)),
         ]
         group_counts = []
         for g in graphs:
-            groups = math.ceil(g.n_edges / g.n_vertices)
-            group = {v: (v - 1) * groups // g.n_vertices
-                     for v in range(1, g.n_vertices + 1)}
-            bucket_sizes = [sum(min(group[u], group[v]) == i for u, v, _ in g.edges)
+            n = g.n_vertices
+            groups = math.ceil(g.n_edges / n)
+            # vertex x is in group (x - 1) * groups // n, computed per
+            # endpoint so that n = 10^30 needs no table
+            bucket_sizes = [sum(min((u - 1) * groups // n, (v - 1) * groups // n) == i
+                                for u, v, _ in g.edges)
                             for i in range(groups)]
             report = nowicki_partition_io(g)
             assert report.phases == tuple(
@@ -334,7 +340,7 @@ class TestNowickiPartition:
             assert report.extras == {"analytic_io": g.n_edges * groups,
                                      "groups": groups}
             group_counts.append(groups)
-        assert group_counts == [1, 1, 6, 4, 8, 15, 8]
+        assert group_counts == [1, 1, 6, 4, 8, 15, 8, 2, 1, 4]
 
     def test_rejects_empty_graph_and_bad_memory(self):
         # the graph refuses to be empty; the model takes no memory, which

@@ -5,12 +5,16 @@ replaced, of the sorting-IO term against its definition, of the matching
 runs against their Fraction oracles, of the IO simulators' invariants, of
 the instance JSON round trip, of ``bench._sample_range`` against
 ``Random.sample``, of ``Graph``'s edge checks against the tuple-keyed
-loop they replaced and of ``SortInstance``'s element checks against a loop
-over a set of the elements."""
+loop they replaced, of ``SortInstance``'s element checks against a loop
+over a set of the elements and of the CLI's graph parse against the plain
+``json.loads``."""
 
+import argparse
+import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,6 +33,7 @@ from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E
                            dumps_canonical, gen_tspfb, gop_from_json, gop_to_json,
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
+from parcost.cli import _read_json  # noqa: E402
 from parcost.drp import _assignment_weights  # noqa: E402
 from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
@@ -417,3 +422,51 @@ def test_sort_instance_refuses_as_the_set_keyed_check_did(subsets):
     else:
         assert expected is None
         assert inst.subsets == subsets
+
+
+# int spellings as JSON writes them, and "-0", which it never writes
+ids = st.one_of(st.sampled_from(("1", "2", "3", "1000")), st.integers(1, 10 ** 30).map(str))
+bad_ids = st.sampled_from(("0", "-0", "-1", str(-10 ** 30)))
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph JSON text whose endpoints are pairs from a pool of 2 to 6 int
+    spellings, so that ids repeat, and sometimes a spelling of 0 or less.
+    n is 10^30 or a spelling from the pool; weights are ints, floats or
+    strings."""
+    pool = (draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+            + draw(st.lists(bad_ids, max_size=1)))
+    weight = st.one_of(
+        ids, bad_ids,
+        st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+        st.sampled_from(("1.5", "-0.0", "2e3", "1E-2", '"3/4"', '"-7/2"', '"4/2"',
+                         '"1/0"', '"x"')))
+    edges = ", ".join("[{}, {}, {}]".format(*draw(st.permutations(pool))[:2], draw(weight))
+                      for _ in range(draw(st.integers(1, 6))))
+    n = draw(st.one_of(st.just(str(10 ** 30)), st.sampled_from(pool)))
+    return f'{{"n": {n}, "edges": [{edges}]}}'
+
+
+def graph_or_refusal(data):
+    try:
+        return graph_from_json(data)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+@example('{"n": 1000, "edges": [[1000, -0, 0], [0, 1000, -0]]}')
+@example('{"n": 3, "edges": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]}')
+@example('{"n": 2, "edges": []}')
+def test_graph_parse_is_the_plain_parse(text):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        parsed = _read_json(argparse.Namespace(input=None), "graph")
+    finally:
+        sys.stdin = stdin
+    plain = json.loads(text)
+    assert parsed == plain and repr(parsed) == repr(plain)
+    assert graph_or_refusal(parsed) == graph_or_refusal(plain)
