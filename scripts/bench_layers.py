@@ -215,6 +215,10 @@ LAYERS = {
     "core.graph_from_json:mst2048": (
         "graph_from_json on the parsed JSON of gen_graph(2048, 92681, 1)",
         _from_json("graph", lambda bench: bench.gen_graph(2048, 92681, 1))),
+    "core.Graph:sparse": (
+        "graph_from_json on the parsed JSON of gen_graph(10**6, 10**4, 1), which "
+        "marks its edges in the dict",
+        _from_json("graph", lambda bench: bench.gen_graph(10 ** 6, 10 ** 4, 1))),
     "cli._load:mst2048": (
         "cli._load of gen_graph(2048, 92681, 1)'s JSON file, text to Graph", _load_mst2048),
     "iosim.nowicki_partition_io:mst2048": (

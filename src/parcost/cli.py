@@ -201,7 +201,10 @@ def _cmd_validate(args) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # text such as "abc" or "2.5" names no integer
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value

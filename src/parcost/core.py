@@ -21,6 +21,7 @@ import json
 import math
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence, Union
@@ -429,7 +430,7 @@ class Graph(Value):
     one edge and no edge twice, in either direction. Each edge u < v is keyed
     by the one int ``u * (n_vertices + 1) + v``, which no other pair shares,
     and marked in a bitmap of (n_vertices + 1)**2 bits when that is at most
-    512 bits an edge, in a set of keys otherwise."""
+    512 bits an edge, otherwise in a dict of the bitmap's marked bytes."""
 
     __slots__ = _fields = ("n_vertices", "edges")
 
@@ -445,10 +446,10 @@ class Graph(Value):
         if not edges:
             raise InstanceError("graph has no edges")
         width = n_vertices + 1
-        # the bitmap over the keys 0..width**2 - 1 where it is no larger
-        # than the set of keys would be, about 64 bytes an edge
-        marks = bytearray(width * width + 7 >> 3) if width * width <= 512 * len(edges) else None
-        seen: set[int] = set()
+        # the bitmap over the keys 0..width**2 - 1 where it is at most 512
+        # bits an edge, else only its marked bytes, by byte index
+        marks = (bytearray(width * width + 7 >> 3) if width * width <= 512 * len(edges)
+                 else defaultdict(int))
         checked = []
         for k, edge in enumerate(edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
@@ -463,13 +464,9 @@ class Graph(Value):
             if u == v:
                 raise InstanceError(f"edge {k + 1} is a self-loop at {u}")
             key = u * width + v if u < v else v * width + u
-            if marks is None:
-                duplicate = key in seen
-                seen.add(key)
-            else:
-                byte, bit = key >> 3, 1 << (key & 7)
-                duplicate = marks[byte] & bit
-                marks[byte] |= bit
+            byte, bit = key >> 3, 1 << (key & 7)
+            duplicate = marks[byte] & bit
+            marks[byte] |= bit
             if duplicate:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
             checked.append((u, v, w if type(w) is int else as_exact(w)))

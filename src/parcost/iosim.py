@@ -211,11 +211,10 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     All active edges share one weight ``w``, (1/n) * boost^t after t
     iterations. So the run keeps, per vertex, the sum of its frozen edges'
     weights and its count of active edges, and a vertex's load is
-    ``frozen_sum + degree * w``. Both values change only when an edge
-    freezes, O(m) additions over the whole run. After each boost the loads
-    of the vertices not yet frozen are computed once, one multiply-add
-    each, and serve both the iteration's maximum load and the next freeze
-    test. An edge's final weight is ``w`` at the moment it froze.
+    ``frozen_sum + degree * w``. Freezing an edge moves ``w`` from each
+    end's active part to its frozen part, so no load changes during a
+    freeze pass, and a frozen vertex has degree 0. An edge's final weight
+    is ``w`` at the moment it froze.
 
     The arithmetic is plain integers over the common denominator D of
     ``_matching_setup``, shared with ``mm_parallel_io_model``; ``w`` after
@@ -234,34 +233,26 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
         incident[v].append(k)
     degree = [len(edges) for edges in incident]
     frozen_vertices: set[int] = set()
-    live = list(range(1, n + 1))
     w = scaled[0]
-    loads = [degree[v] * w for v in live]
-    # a frozen vertex has no active edge left, so its load stays put
-    frozen_max = 0
 
     load_history: list[int] = []
     active = m
     while active:
         t = scan(active)
         # freeze pass, on the weights as they stand at the scan
-        newly = [v for v, load in zip(live, loads) if load >= bar]
-        for v in newly:
-            for k in incident[v]:
-                if frozen_at[k] is None:
-                    frozen_at[k] = t - 1
-                    active -= 1
-                    for end in graph.edges[k][:2]:
-                        frozen_sum[end] += w
-                        degree[end] -= 1
-            frozen_max = max(frozen_max, frozen_sum[v])
-        if newly:
-            frozen_vertices.update(newly)
-            live = [v for v in live if v not in frozen_vertices]
+        for v in range(1, n + 1):
+            if v not in frozen_vertices and frozen_sum[v] + degree[v] * w >= bar:
+                frozen_vertices.add(v)
+                for k in incident[v]:
+                    if frozen_at[k] is None:
+                        frozen_at[k] = t - 1
+                        active -= 1
+                        for end in graph.edges[k][:2]:
+                            frozen_sum[end] += w
+                            degree[end] -= 1
         w = scaled[t]
-        # the next freeze pass sees the same weights, so it reuses these loads
-        loads = [frozen_sum[v] + degree[v] * w for v in live]
-        load_history.append(max([frozen_max, *loads]))
+        # entry 0 stands for no vertex and is 0, below every load
+        load_history.append(max([part + d * w for part, d in zip(frozen_sum, degree)]))
 
     weight = [as_exact(Fraction(value, denominator)) for value in scaled]
     state = FractionalMatchingState(

@@ -108,15 +108,16 @@ class TestSolverCommands:
         path = write_json(tmp_path, "g.json",
                           {"p": 2, "subsets": [[3, 4], [1, 2]],
                            "cost": [[0, 1], [1, 0]]})
-        for guard in ("0", "-5"):
+        for guard in ("0", "-5", "abc", "2.5"):
+            message = f"argument --guard: must be a positive integer, got '{guard}'\n"
             code, out, err = run_cli(capsys, "gop-exact", "--input", path,
                                      "--guard", guard)
             assert (code, out) == (2, "")
-            assert "positive integer" in err
+            assert err.endswith(message)
             code, out, err = run_cli(capsys, "sweep", "--kind", "gop-ratio",
                                      "--sizes", "4", f"--guard={guard}")
             assert (code, out) == (2, "")
-            assert "positive integer" in err
+            assert err.endswith(message)
 
     def test_sweep_memory_below_two_is_bad_input(self, capsys):
         for kind in ("terasort-io", "mst-io"):
@@ -546,6 +547,11 @@ CLI_PINS = [
      "7af26b86edefd726684272fb5454cbe98885bb79e237f20b2b380b9bda0325ba"),
     (("gop-exact", "--input", "gop.json", "--guard", "0"), None, 2,
      "ac3c4e71932f5393f0a5adcb793c8f208a8f7bcc39a65e27eb531ca3c70577bb"),
+    # text that names no integer gets the same message as 0
+    (("gop-exact", "--guard", "abc"), None, 2,
+     "69188576903c9c6d0d6e00ff32d4eb80529cc8ebc0726d6ddf0fc8d47a3c69b6"),
+    (("sweep", "--kind", "gop-ratio", "--sizes", "4", "--guard", "2.5"), None, 2,
+     "40a92d34aecb73f7dfdbdab873784e5d03fd2b5de93e0c9a713f44fa0914b857"),
     (("sweep", "--kind", "drp-ratio", "--sizes", "2,x"), None, 2,
      "6aa54b9eeb075f502ca4d8313701ba04b7433b737b7c04b4860eedbd12165e51"),
     (("sweep", "--kind", "mm-io", "--sizes", "2,x", "--epsilon", "abc"), None, 2,

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tracemalloc
+from collections import defaultdict
 from enum import IntEnum
 from fractions import Fraction
 
@@ -227,7 +228,7 @@ class TestSortInstance:
 class TestGraphDuplicateMarks:
     def test_the_bitmap_serves_up_to_512_keys_an_edge(self, monkeypatch):
         sizes = bytearray_sizes(monkeypatch)
-        # width 32: 32**2 == 512 * 2 keys take 128 bytes; width 33 the set
+        # width 32: 32**2 == 512 * 2 keys take 128 bytes; width 33 the dict
         for n, expected in ((31, [128]), (32, [])):
             sizes.clear()
             assert Graph(n, ((1, n, 1), (2, 3, 1))).n_edges == 2
@@ -236,6 +237,23 @@ class TestGraphDuplicateMarks:
             assert (first_error(Graph, n, ((1, n, 1), (n, 1, 1)))
                     == f"duplicate undirected edge ({n},1)")
             assert sizes == expected
+
+    def test_a_wide_graph_keeps_only_the_marked_bytes(self, monkeypatch):
+        made = []
+
+        def recording(factory):
+            made.append(defaultdict(factory))
+            return made[-1]
+
+        monkeypatch.setattr(core, "defaultdict", recording)
+        n = 10 ** 30
+        edges = ((1, n, 1), (n - 1, 2, 1), (2, 3, 1))
+        assert Graph(n, edges).edges == edges
+        expected = defaultdict(int)
+        for u, v, _ in edges:
+            key = min(u, v) * (n + 1) + max(u, v)
+            expected[key >> 3] |= 1 << (key & 7)
+        assert made == [expected] and all(made[0].values())
 
     def test_duplicates_on_the_edge_bits_of_a_byte_and_the_largest_key(self):
         n = 10

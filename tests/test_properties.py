@@ -2,12 +2,12 @@
 splitter solvers against their brute-force oracles, of the collapsed
 redistribution weights against their definition and the scatter loop they
 replaced, of the sorting-IO term against its definition, of the matching
-runs against their Fraction oracles, of the IO simulators' invariants, of
-the instance JSON round trip, of ``bench._sample_range`` against
-``Random.sample``, of ``Graph``'s edge checks against the tuple-keyed
-loop they replaced, of ``SortInstance``'s element checks against a loop
-over a set of the elements and of the CLI's graph parse against the plain
-``json.loads``."""
+runs against their Fraction oracles and of the serial run against its
+cached form, of the IO simulators' invariants, of the instance JSON round
+trip, of ``bench._sample_range`` against ``Random.sample``, of ``Graph``'s
+edge checks against the tuple-keyed and the set-keyed loops they replaced,
+of ``SortInstance``'s element checks against a loop over a set of the
+elements and of the CLI's graph parse against the plain ``json.loads``."""
 
 import argparse
 import io
@@ -34,7 +34,10 @@ from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E
                            graph_from_json, graph_to_json, tspfb_from_json,
                            tspfb_to_json)
 from parcost.cli import _read_json  # noqa: E402
+from parcost.core import as_exact  # noqa: E402
 from parcost.drp import _assignment_weights  # noqa: E402
+from parcost.iosim import (FractionalMatchingState, _matching_setup,  # noqa: E402
+                           mm_serial_run)
 from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
                         buffer_terasort_simulate)
@@ -470,3 +473,162 @@ def test_graph_parse_is_the_plain_parse(text):
     plain = json.loads(text)
     assert parsed == plain and repr(parsed) == repr(plain)
     assert graph_or_refusal(parsed) == graph_or_refusal(plain)
+
+
+def cached_mm_serial_run(graph, epsilon):
+    """``mm_serial_run`` as it was with a cache of the live vertices and
+    their loads, recomputed once after each boost."""
+    n = graph.n_vertices
+    m = graph.n_edges
+    eps, denominator, scaled, bar, phases, scan = _matching_setup(n, epsilon)
+    frozen_at = [None] * m
+    frozen_sum = [0] * (n + 1)
+    incident = [[] for _ in range(n + 1)]
+    for k, (u, v, _) in enumerate(graph.edges):
+        incident[u].append(k)
+        incident[v].append(k)
+    degree = [len(edges) for edges in incident]
+    frozen_vertices = set()
+    live = list(range(1, n + 1))
+    w = scaled[0]
+    loads = [degree[v] * w for v in live]
+    frozen_max = 0
+    load_history = []
+    active = m
+    while active:
+        t = scan(active)
+        newly = [v for v, load in zip(live, loads) if load >= bar]
+        for v in newly:
+            for k in incident[v]:
+                if frozen_at[k] is None:
+                    frozen_at[k] = t - 1
+                    active -= 1
+                    for end in graph.edges[k][:2]:
+                        frozen_sum[end] += w
+                        degree[end] -= 1
+            frozen_max = max(frozen_max, frozen_sum[v])
+        if newly:
+            frozen_vertices.update(newly)
+            live = [v for v in live if v not in frozen_vertices]
+        w = scaled[t]
+        loads = [frozen_sum[v] + degree[v] * w for v in live]
+        load_history.append(max([frozen_max, *loads]))
+    weight = [as_exact(Fraction(value, denominator)) for value in scaled]
+    state = FractionalMatchingState(x=tuple(weight[c] for c in frozen_at),
+                                    frozen_vertices=frozenset(frozen_vertices),
+                                    epsilon=eps)
+    loads_seen = tuple(Fraction(load, denominator) for load in load_history)
+    return state, IoReport(phases, {"max_vertex_load_per_iteration": loads_seen})
+
+
+@st.composite
+def matching_graphs(draw):
+    """Graphs on up to 14 endpoints: random edges, often beside a star whose
+    hub freezes first and so freezes every edge of its leaves from the other
+    end, each edge written either way round, and up to 3 isolated vertices
+    above the largest endpoint."""
+    core = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(1, core + 1) for v in range(u + 1, core + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    leaves = draw(st.integers(0 if chosen else 1, 6))
+    chosen += [(1, core + leaf) for leaf in range(1, leaves + 1)]
+    edges = []
+    for u, v in chosen:
+        w = draw(st.integers(1, 9))
+        edges.append((v, u, w) if draw(st.booleans()) else (u, v, w))
+    return Graph(core + leaves + draw(st.integers(0, 3)), draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_graphs(),
+       st.sampled_from((Fraction(1, 100), Fraction(1, 10), Fraction(1, 7),
+                        Fraction(3, 10), Fraction(49, 100), 0.3)))
+@example(Graph(2, ((1, 2, 1),)), Fraction(1, 10))
+@example(Graph(7, ((2, 1, 1), (1, 3, 1), (4, 1, 1), (1, 5, 1))), Fraction(1, 100))
+def test_serial_matching_run_is_the_cached_run(graph, epsilon):
+    assert repr(mm_serial_run(graph, epsilon)) == repr(cached_mm_serial_run(graph, epsilon))
+
+
+def set_keyed_graph(n_vertices, edges):
+    """``Graph``'s edge loop as it was, marking keys in a bitmap at most 512
+    bits an edge and in a set of keys otherwise: the checked edges, or the
+    first refusal's message."""
+    width = n_vertices + 1
+    marks = bytearray(width * width + 7 >> 3) if width * width <= 512 * len(edges) else None
+    seen = set()
+    checked = []
+    for k, edge in enumerate(edges):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+            return f"edge {k + 1} is not a [u, v, weight] list: {edge!r}"
+        u, v, w = edge
+        if type(u) is not int or type(v) is not int:
+            return f"edge {k + 1} endpoints ({u!r},{v!r}) must be integers"
+        if not (1 <= u <= n_vertices) or not (1 <= v <= n_vertices):
+            return f"edge {k + 1} endpoints ({u},{v}) out of range 1..{n_vertices}"
+        if u == v:
+            return f"edge {k + 1} is a self-loop at {u}"
+        key = u * width + v if u < v else v * width + u
+        if marks is None:
+            duplicate = key in seen
+            seen.add(key)
+        else:
+            byte, bit = key >> 3, 1 << (key & 7)
+            duplicate = marks[byte] & bit
+            marks[byte] |= bit
+        if duplicate:
+            return f"duplicate undirected edge ({u},{v})"
+        checked.append((u, v, w))
+    return tuple(checked)
+
+
+@st.composite
+def graph_edge_lists(draw):
+    """1 to 10 edges on n up to 10^30, with n often the largest that takes
+    the bitmap or the least that does not: new edges, repeats of the first
+    or the last edge either way round, and self-loops, out-of-range and
+    non-int endpoints and malformed edges."""
+    m = draw(st.integers(1, 10))
+    # the largest n with (n + 1)**2 <= 512 * m
+    rule = math.isqrt(512 * m) - 1
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from((rule, rule + 1)),
+                       st.integers(1, 10 ** 30)))
+    vertex = st.one_of(st.integers(1, min(n, 40)), st.integers(max(1, n - 2), n))
+    kinds = ("new", "new", "new", "first", "last", "self-loop", "out-of-range",
+             "non-int", "malformed")
+    edges = []
+    for _ in range(m):
+        how = draw(st.sampled_from(kinds if edges else kinds[:1] + kinds[-3:]))
+        if how in ("first", "last"):
+            u, v = edges[0 if how == "first" else -1][:2]
+            if draw(st.booleans()):
+                u, v = v, u
+        else:
+            u = draw(vertex)
+            v = u if how == "self-loop" else draw(vertex)
+        if how == "out-of-range":
+            u, v = draw(st.permutations((u, draw(st.sampled_from((0, -1, n + 1))))))
+        elif how == "non-int":
+            u, v = draw(st.permutations((u, draw(st.sampled_from((True, 2.0, "3", None))))))
+        edge = [u, v, draw(st.integers(1, 9))]
+        edges.append(edge[:2] if how == "malformed" else tuple(edge))
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_edge_lists())
+# m = 1: n = 21 takes the bitmap and n = 22 the dict
+@example((21, [(1, 21, 1), (21, 1, 2)]))
+@example((22, [(22, 1, 1), (1, 22, 2)]))
+# m = 2 and n = 32 take the dict: keys 35 and 43 share a byte
+@example((32, [(1, 2, 1), (10, 1, 1)]))
+@example((10 ** 30, [(1, 10 ** 30, 1), (2, 3, 1), (10 ** 30, 1, 1)]))
+@example((10 ** 30, [(1, 2, 1), (3, 3, 1)]))
+@example((5, [(1, 2, 1), (2, "3", 1)]))
+def test_graph_checks_as_the_set_keyed_loop_did(case):
+    n, edges = case
+    expected = set_keyed_graph(n, edges)
+    try:
+        got = Graph(n, edges).edges
+    except InstanceError as exc:
+        got = str(exc)
+    assert got == expected
