@@ -40,6 +40,7 @@ import tarfile
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,16 +73,6 @@ def _gop_ratio_rows(sweeps):
     return lambda: [gop_solve_exact(g) for g in instances]
 
 
-def _on_gop(module, name, n, p, *args):
-    def setup(_sweeps):
-        from parcost.bench import gen_gop
-
-        function = getattr(importlib.import_module(f"parcost.{module}"), name)
-        g = gen_gop(n, p, 1)
-        return lambda: function(g, *args)
-    return setup
-
-
 def _gen_drp_rows(sweeps):
     from parcost.bench import SweepSpec, gen_drp
 
@@ -108,22 +99,21 @@ def _sweep(kind):
     return setup
 
 
+def _on(make, module, name, *args):
+    """Builds ``make(bench)`` untimed; the layer is ``module.name(it, *args)``."""
+    def setup(_sweeps):
+        from parcost import bench
+
+        function = getattr(importlib.import_module(f"parcost.{module}"), name)
+        data = make(bench)
+        return lambda: function(data, *args)
+    return setup
+
+
 def _call(module, name, *args):
     def setup(_sweeps):
         function = getattr(importlib.import_module(f"parcost.{module}"), name)
         return lambda: function(*args)
-    return setup
-
-
-def _mm300(name):
-    def setup(_sweeps):
-        from fractions import Fraction
-
-        from parcost.bench import gen_graph
-
-        function = getattr(importlib.import_module("parcost.iosim"), name)
-        g = gen_graph(300, 1200, 1)
-        return lambda: function(g, Fraction(1, 10))
     return setup
 
 
@@ -160,14 +150,6 @@ def _load_mst2048(_sweeps):
     return lambda: cli._load(args, "graph")
 
 
-def _partition_mst2048(_sweeps):
-    from parcost.bench import gen_graph
-    from parcost.iosim import nowicki_partition_io
-
-    graph = gen_graph(2048, 92681, 1)
-    return lambda: nowicki_partition_io(graph)
-
-
 def _from_json(kind, make):
     def setup(_sweeps):
         from parcost import bench, core
@@ -184,19 +166,19 @@ LAYERS = {
         "gop_solve_exact on the 320 rows of the seed-1 p=3 gop-ratio sweep", _gop_ratio_rows),
     "gopsort.gop_solve_exact:n40-p4": (
         "gop_solve_exact(gen_gop(40, 4, 1))",
-        _on_gop("gopsort", "gop_solve_exact", 40, 4, 10 ** 9)),
+        _on(lambda bench: bench.gen_gop(40, 4, 1), "gopsort", "gop_solve_exact", 10 ** 9)),
     "gopsort.gop_solve_exact:n60-p3": (
         "gop_solve_exact(gen_gop(60, 3, 1))",
-        _on_gop("gopsort", "gop_solve_exact", 60, 3, 10 ** 9)),
+        _on(lambda bench: bench.gen_gop(60, 3, 1), "gopsort", "gop_solve_exact", 10 ** 9)),
     "gopsort.gop_solve_exact:n20-p5": (
         "gop_solve_exact(gen_gop(20, 5, 1))",
-        _on_gop("gopsort", "gop_solve_exact", 20, 5, 10 ** 9)),
+        _on(lambda bench: bench.gen_gop(20, 5, 1), "gopsort", "gop_solve_exact", 10 ** 9)),
     "gopsort.gop_solve_approx:n1e5-p4": (
         "gop_solve_approx(gen_gop(10**5, 4, 1))",
-        _on_gop("gopsort", "gop_solve_approx", 10 ** 5, 4)),
+        _on(lambda bench: bench.gen_gop(10 ** 5, 4, 1), "gopsort", "gop_solve_approx")),
     "iosim.terasort_simulate:n1e5-p4": (
         "terasort_simulate(gen_gop(10**5, 4, 1), 1000)",
-        _on_gop("iosim", "terasort_simulate", 10 ** 5, 4, 1000)),
+        _on(lambda bench: bench.gen_gop(10 ** 5, 4, 1), "iosim", "terasort_simulate", 1000)),
     "drp._assignment_weights:p9": (
         "_assignment_weights(gen_drp(9, 1, 10, 20, 1)), 1000 times",
         _collapse(lambda bench, _drp: bench.gen_drp(9, 1, 10, 20, 1), 1000)),
@@ -222,15 +204,20 @@ LAYERS = {
     "cli._load:mst2048": (
         "cli._load of gen_graph(2048, 92681, 1)'s JSON file, text to Graph", _load_mst2048),
     "iosim.nowicki_partition_io:mst2048": (
-        "nowicki_partition_io(gen_graph(2048, 92681, 1))", _partition_mst2048),
+        "nowicki_partition_io(gen_graph(2048, 92681, 1))",
+        _on(lambda bench: bench.gen_graph(2048, 92681, 1), "iosim", "nowicki_partition_io")),
     "core.gop_from_json:n1e5": (
         "gop_from_json on the parsed JSON of gen_gop(10**5, 4, 1)",
         _from_json("gop", lambda bench: bench.gen_gop(10 ** 5, 4, 1))),
     "bench.gen_tspfb:n300": ("gen_tspfb(300, 1)", _call("bench", "gen_tspfb", 300, 1)),
     "iosim.mm_serial_run:mm300": (
-        "mm_serial_run(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_serial_run")),
+        "mm_serial_run(gen_graph(300, 1200, 1), 1/10)",
+        _on(lambda bench: bench.gen_graph(300, 1200, 1), "iosim", "mm_serial_run",
+            Fraction(1, 10))),
     "iosim.mm_parallel_io_model:mm300": (
-        "mm_parallel_io_model(gen_graph(300, 1200, 1), 1/10)", _mm300("mm_parallel_io_model")),
+        "mm_parallel_io_model(gen_graph(300, 1200, 1), 1/10)",
+        _on(lambda bench: bench.gen_graph(300, 1200, 1), "iosim", "mm_parallel_io_model",
+            Fraction(1, 10))),
     "cli._report_json:mst2048": (
         "_report_json(nowicki_partition_io(gen_graph(2048, 92681, 1))), 1081 phases",
         _report_json_mst2048),

@@ -98,7 +98,7 @@ def _exact_square(rows: Sequence[Sequence[object]], what: str,
         raise InstanceError(f"{what} must be a list of rows, got {rows!r}")
     p = len(rows)
     if p < min_p:
-        raise InstanceError(f"{what} needs at least {min_p} machines, got {p}")
+        raise InstanceError(f"{what} must be at least {min_p}-by-{min_p}, got {p}-by-{p}")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):

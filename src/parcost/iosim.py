@@ -6,9 +6,9 @@ so classifications stay model-fair:
 
 * One IO = one record moved between a machine's main memory and its external
   memory; block size is ignored.
-* ``io_sort_count(N, M)`` is the serial external-sort model: free for empty
-  input, a single scan when the data fits in memory, and N * ceil(log_M N)
-  otherwise.
+* ``io_sort_count(N, M)`` is the serial external-sort model N * k, with
+  k >= 1 the least integer such that M^k >= N: one scan when the data fits.
+  ``kruskal_serial_io(m, M)`` is ``io_sort_count(m, M) + m``.
 * The simulators count; they do no work that the counters do not need. The
   TeraSort and edge-partition counters have closed forms in the per-receiver
   and per-bucket record counts. The matching runs iterate, because each
@@ -94,10 +94,6 @@ def io_sort_count(records: int, memory: int) -> int:
         raise ParameterError(f"record count must be >= 0, got {records}")
     if memory < 2:
         raise ParameterError(f"memory must be >= 2, got {memory}")
-    if records == 0:
-        return 0
-    if records <= memory:
-        return records
     passes = 1
     reach = memory
     while reach < records:
@@ -108,10 +104,6 @@ def io_sort_count(records: int, memory: int) -> int:
 
 def kruskal_serial_io(m: int, memory: int) -> int:
     """Serial spanning-tree IO model: sort the m edges, then scan them once."""
-    if m < 0:
-        raise ParameterError(f"edge count must be >= 0, got {m}")
-    if m == 0:
-        return 0
     return io_sort_count(m, memory) + m
 
 
@@ -162,7 +154,7 @@ def _iteration_limit(n: int, eps: Fraction) -> int:
     ceil(log_{1/(1-eps)} n) + 1 iterations; the slack of 8 only guards
     against an implementation bug.
     """
-    return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8 if n > 1 else 8
+    return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8
 
 
 def _matching_setup(n: int, epsilon) -> tuple[
@@ -360,9 +352,8 @@ def terasort_simulate(g: GopInstance,
     quotas = _apportion(sample_size, [len(s) for s in local])
     sample: list[int] = []
     for data, quota in zip(local, quotas):
-        if quota:
-            sample.extend(data[(2 * k + 1) * len(data) // (2 * quota)]
-                          for k in range(quota))
+        sample.extend(data[(2 * k + 1) * len(data) // (2 * quota)]
+                      for k in range(quota))
     sample.sort()
     splitters = _equal_rank(sample, p)
 

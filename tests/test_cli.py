@@ -431,6 +431,7 @@ PIN_FILES = {
     "graph.json": {"n": 6, "edges": [[1, 2, 4], [1, 3, 1], [2, 3, 7], [3, 4, 2],
                                      [4, 5, 5], [5, 6, 3], [2, 6, "1/2"]]},
     "tspfb.json": {"n": 3, "weights": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
+    "tspfb1.json": {"n": 1, "weights": [[1]]},
     "overflow.json": {"p": 2, "transfer": [[0, 1], [1, 0]],
                       "cost": [[0, 3 * 10 ** 400], [7, 0]]},
     "list.json": [1, 2],
@@ -545,6 +546,9 @@ CLI_PINS = [
      "a3e838c1ce6dad94df8a3e110df7aacfc21511406a905df9b39db9fcaf23b738"),
     (("validate", "--input", "drp.json", "--kind", "gop"), None, 2,
      "7af26b86edefd726684272fb5454cbe98885bb79e237f20b2b380b9bda0325ba"),
+    # a size refusal names the matrix side
+    (("validate", "--input", "tspfb1.json"), None, 2,
+     "c37e4a12e7121fd7c622f69a9754640a8648526e08e3c52860727ab8b97fd613"),
     (("gop-exact", "--input", "gop.json", "--guard", "0"), None, 2,
      "ac3c4e71932f5393f0a5adcb793c8f208a8f7bcc39a65e27eb531ca3c70577bb"),
     # text that names no integer gets the same message as 0

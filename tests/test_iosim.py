@@ -228,7 +228,8 @@ class TestIoSortCount:
         assert io_sort_count(0, 16) == 0
 
     def test_fits_in_memory(self):
-        assert io_sort_count(8, 16) == 8
+        for records, memory in ((8, 16), (1, 2), (16, 16)):
+            assert io_sort_count(records, memory) == records
 
     def test_multi_pass(self):
         assert io_sort_count(1000, 10) == 3000
@@ -267,6 +268,13 @@ class TestKruskalSerialIo:
 
     def test_all_in_memory_is_two_scans(self):
         assert kruskal_serial_io(500, 500) == 1000
+
+    def test_checks_as_the_sort_does(self):
+        # no edge count is exempt from the memory check, 0 included
+        with pytest.raises(ParameterError, match="memory must be >= 2, got 1"):
+            kruskal_serial_io(0, 1)
+        with pytest.raises(ParameterError, match="record count must be >= 0, got -1"):
+            kruskal_serial_io(-1, 10)
 
 
 class TestGraph:
