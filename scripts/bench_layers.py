@@ -19,7 +19,8 @@ The sweep layers time the seed-1 plan-small sweeps, row by row or whole
 through ``run_sweep``: the sizes come from ``perfbench/workloads.py`` and
 the per-row seeds from the working tree's ``bench.row_seed``, computed once
 here and handed to every sample on stdin with the sweeps' ``SweepSpec``
-arguments, so both trees time the same instances.
+arguments, so both trees time the same instances. One more times io-sim's
+seed-1 ``terasort-io`` sweep whole, from its own ``SweepSpec`` arguments.
 """
 
 from __future__ import annotations
@@ -90,12 +91,14 @@ def _drp_ratio_rows(sweeps):
     return lambda: [_measure_drp_ratio(spec, p, seed) for p, seed in drp]
 
 
-def _sweep(kind):
+def _sweep(kind, **spec):
+    """``run_sweep(SweepSpec(kind, **spec))``; without ``spec``, plan-small's
+    sweep of that kind."""
     def setup(sweeps):
         from parcost.bench import SweepSpec, run_sweep
 
-        spec = SweepSpec(kind, **sweeps[kind]["spec"])
-        return lambda: run_sweep(spec)
+        sweep = SweepSpec(kind, **(spec or sweeps[kind]["spec"]))
+        return lambda: run_sweep(sweep)
     return setup
 
 
@@ -228,6 +231,9 @@ LAYERS = {
         "run_sweep on the seed-1 drp-ratio sweep, p 2-6, 200 trials", _sweep("drp-ratio")),
     "bench.run_sweep:gop-ratio-p3": (
         "run_sweep on the seed-1 p=3 gop-ratio sweep, 40 trials", _sweep("gop-ratio")),
+    "bench.run_sweep:terasort-io": (
+        "run_sweep on io-sim's seed-1 terasort-io sweep, sizes 1000,10000,100000",
+        _sweep("terasort-io", sizes=(1000, 10 ** 4, 10 ** 5), seed=1)),
 }
 
 

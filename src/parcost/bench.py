@@ -73,11 +73,16 @@ def _sample_range(rng: random.Random, size: int, k: int) -> list[int]:
     ``setsize``, else a set of the drawn indices, for which ``sample`` is
     called, as it builds no list. The pool branch is the partial
     Fisher-Yates shuffle ``sample`` runs (Durstenfeld, CACM 7(7), 1964),
-    with a dict that holds only the slots that moved: slot j holds j + 1
-    until a draw fills it with the last value still in the pool. Each index
-    is drawn by ``_below``'s rule, repeated inline. ``gen_gop``'s values
-    rest on this being ``sample`` draw for draw; the sweep CSV pins and the
-    benchmark's golden hashes would show a change.
+    over a zero-filled machine-int ``array``: slot j reads 0 while it still
+    holds j + 1, until a draw fills it with the last value still in the
+    pool. Slots take 4 bytes (typecode ``"i"``), 8 (``"q"``) when ``size``
+    is 2**31 or more; the pool branch reaches that size only at k >=
+    357,913,942 (3k >= 4**15), so the ``"q"`` case is not tested. ``array``
+    is imported here, so that a process that draws no pool never loads it,
+    a shared library. Each index is drawn by
+    ``_below``'s rule, repeated inline. ``gen_gop``'s values rest on this
+    being ``sample`` draw for draw; the sweep CSV pins and the benchmark's
+    golden hashes would show a change.
     """
     if not 0 <= k <= size:
         raise ValueError("Sample larger than population or is negative")
@@ -86,16 +91,18 @@ def _sample_range(rng: random.Random, size: int, k: int) -> list[int]:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if size > setsize:
         return rng.sample(range(1, size + 1), k)
+    from array import array
+
     getrandbits = rng.getrandbits
-    moved: dict[int, int] = {}
+    pool = array("i", bytes(4 * size)) if size < 2 ** 31 else array("q", bytes(8 * size))
     result = []
     for m in range(size, size - k, -1):
         bits = m.bit_length()
         j = getrandbits(bits)
         while j >= m:
             j = getrandbits(bits)
-        result.append(moved.get(j, j + 1))
-        moved[j] = moved.pop(m - 1, m)
+        result.append(pool[j] or j + 1)
+        pool[j] = pool[m - 1] or m
     return result
 
 

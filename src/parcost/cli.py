@@ -46,11 +46,24 @@ def _read_json(args, kind: str | None) -> object:
     return json.loads(text, parse_int=_Ints().__getitem__)
 
 
+def _edge_tuples(data: object) -> object:
+    """``data`` with each ``[u, v, w]`` edge list made a tuple, in place,
+    so that each list is freed as its tuple is made and ``Graph`` keeps the
+    tuple; a list of another length stays, for its error message."""
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if type(edges) is list:
+        for k, edge in enumerate(edges):
+            if type(edge) is list and len(edge) == 3:
+                edges[k] = tuple(edge)
+    return data
+
+
 def _load(args, kind: str) -> object:
     # looked up on each call, so that a wrapped loader is the one run
     from . import core
 
-    return getattr(core, f"{kind}_from_json")(_read_json(args, kind))
+    data = _read_json(args, kind)
+    return getattr(core, f"{kind}_from_json")(_edge_tuples(data) if kind == "graph" else data)
 
 
 def _num_out(value) -> int | float:
@@ -193,7 +206,7 @@ def _cmd_validate(args) -> dict:
         raise InstanceError("instance file must hold a JSON object")
     for kind, fields in _KINDS.items():
         if args.kind in (None, kind) and all(k in data for k in fields):
-            getattr(core, f"{kind}_from_json")(data)
+            getattr(core, f"{kind}_from_json")(_edge_tuples(data) if kind == "graph" else data)
             return {"valid": True, "kind": kind}
     raise InstanceError(
         "unrecognized instance layout; expected transfer/cost, subsets/cost, "

@@ -430,7 +430,8 @@ class Graph(Value):
     one edge and no edge twice, in either direction. Each edge u < v is keyed
     by the one int ``u * (n_vertices + 1) + v``, which no other pair shares,
     and marked in a bitmap of (n_vertices + 1)**2 bits when that is at most
-    512 bits an edge, otherwise in a dict of the bitmap's marked bytes."""
+    512 bits an edge, otherwise in a dict of the bitmap's marked bytes. A
+    caller's plain tuple edge with an int weight is kept, not copied."""
 
     __slots__ = _fields = ("n_vertices", "edges")
 
@@ -469,7 +470,8 @@ class Graph(Value):
             marks[byte] |= bit
             if duplicate:
                 raise InstanceError(f"duplicate undirected edge ({u},{v})")
-            checked.append((u, v, w if type(w) is int else as_exact(w)))
+            checked.append(edge if type(edge) is tuple and type(w) is int
+                           else (u, v, w if type(w) is int else as_exact(w)))
         super().__init__(n_vertices, tuple(checked))
 
     @property

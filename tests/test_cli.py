@@ -246,9 +246,41 @@ class TestSimCommands:
         path.write_text(dumps_canonical(graph_to_json(gen_graph(2048, 92681, 1))))
         # CPython 3.11.7, file text to Graph: 21.5 MB when json made an int
         # for each of the 185,362 endpoint mentions, 17.0 MB with one int
-        # per spelling
+        # per spelling, 10.4 MB once Graph keeps the loader's edge tuples
         args = argparse.Namespace(input=str(path))
-        assert traced_peak(_load, args, "graph") <= 18 * 10 ** 6
+        assert traced_peak(_load, args, "graph") <= 11 * 10 ** 6
+
+    def test_graph_loads_hand_graph_their_edges_as_tuples(self, tmp_path, monkeypatch,
+                                                          capsys):
+        from parcost import core
+
+        path = write_json(tmp_path, "g.json", {"n": 3, "edges": [[1, 2, 5], [2, 3, 7]]})
+        seen = []
+        graph_from_json = core.graph_from_json
+
+        def recording(data):
+            graph = graph_from_json(data)
+            seen.append((data["edges"], graph.edges))
+            return graph
+
+        monkeypatch.setattr(core, "graph_from_json", recording)
+        for argv in (("validate",), ("validate", "--kind", "graph"), ("sim-mm",),
+                     ("sim-mst-io",)):
+            assert run_cli(capsys, *argv, "--input", path)[0] == 0, argv
+        # each list was replaced by a tuple in place, and Graph kept the tuple
+        assert len(seen) == 4
+        for given, kept in seen:
+            assert given == [(1, 2, 5), (2, 3, 7)]
+            assert all(a is b for a, b in zip(given, kept, strict=True))
+
+    @pytest.mark.parametrize("edge", ([2, 3], [2, 3, 1, 4]), ids=("two", "four"))
+    def test_an_edge_list_not_of_three_keeps_its_list_spelling(self, edge, tmp_path,
+                                                                capsys):
+        path = write_json(tmp_path, "g.json", {"n": 3, "edges": [[1, 2, 1], edge]})
+        message = f"invalid input: edge 2 is not a [u, v, weight] list: {edge!r}\n"
+        for argv in (("validate",), ("validate", "--kind", "graph"), ("sim-mm",),
+                     ("sim-mst-io",)):
+            assert run_cli(capsys, *argv, "--input", path) == (2, "", message), argv
 
 
 class TestSweepAndGen:

@@ -275,6 +275,29 @@ class TestGraphDuplicateMarks:
         assert traced_peak(graph_from_json, data) <= 9 * 10 ** 6
 
 
+class TestGraphKeepsPlainEdges:
+    def test_a_plain_int_tuple_is_kept(self):
+        edges = ((1, 2, 5), (2, 3, 10 ** 30))
+        graph = Graph(3, edges)
+        assert all(kept is given for kept, given in zip(graph.edges, edges, strict=True))
+
+    def test_any_other_edge_is_built_anew(self):
+        class Edge(tuple):
+            pass
+
+        class Weight(IntEnum):
+            TWO = 2
+
+        given = [[1, 2, 5], Edge((2, 3, 4)), (3, 4, Fraction(6, 3)), (1, 4, 0.5),
+                 (1, 3, Weight.TWO)]
+        graph = Graph(4, given)
+        assert graph.edges == ((1, 2, 5), (2, 3, 4), (3, 4, 2), (1, 4, Fraction(1, 2)),
+                               (1, 3, 2))
+        for kept, edge in zip(graph.edges, given, strict=True):
+            assert type(kept) is tuple and kept is not edge
+        assert type(graph.edges[2][2]) is int and graph.edges[4][2] is Weight.TWO
+
+
 def bytearray_sizes(monkeypatch) -> list[int]:
     """The sizes of the bytearrays ``core`` makes, recorded as it makes them."""
     sizes = []
