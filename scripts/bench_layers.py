@@ -209,6 +209,9 @@ LAYERS = {
     "iosim.nowicki_partition_io:mst2048": (
         "nowicki_partition_io(gen_graph(2048, 92681, 1))",
         _on(lambda bench: bench.gen_graph(2048, 92681, 1), "iosim", "nowicki_partition_io")),
+    "core.drp_from_json:drp200": (
+        "drp_from_json on the parsed JSON of gen_drp(200, 1, 10, 20, 1)",
+        _from_json("drp", lambda bench: bench.gen_drp(200, 1, 10, 20, 1))),
     "core.gop_from_json:n1e5": (
         "gop_from_json on the parsed JSON of gen_gop(10**5, 4, 1)",
         _from_json("gop", lambda bench: bench.gen_gop(10 ** 5, 4, 1))),

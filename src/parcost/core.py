@@ -130,20 +130,14 @@ def _check_non_negative(entries: tuple[tuple[Rational, ...], ...], name: str) ->
             raise InstanceError(f"{name}[{i + 1}][{j + 1}] is negative: {row[j]}")
 
 
-def _check_costs(entries: tuple[tuple[Rational, ...], ...], name: str,
-                 allow_nonzero_diagonal: bool) -> None:
+def _check_costs(entries: tuple[tuple[Rational, ...], ...], name: str) -> None:
     """Raise on the first entry, in row-major order, that is not positive off
-    the diagonal, or not zero on it (not negative, when relaxed)."""
+    the diagonal, or negative on it."""
     for i, row in enumerate(entries):
-        diagonal = row[i]
-        if (min(row[:i] + row[i + 1:]) > 0
-                and (diagonal == 0 or allow_nonzero_diagonal and diagonal > 0)):
+        if min(row[:i] + row[i + 1:]) > 0 and row[i] >= 0:
             continue  # the common case: one check per row, no entry loop
         for j, value in enumerate(row):
             if i == j:
-                if value != 0 and not allow_nonzero_diagonal:
-                    raise InstanceError(
-                        f"{name}[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}")
                 if value < 0:
                     raise InstanceError(
                         f"{name}[{i + 1}][{j + 1}] is negative: {value}")
@@ -203,23 +197,18 @@ class CostMatrix(Value):
     """Per-unit communication costs between the p physical machines.
 
     ``entries[i-1][j-1]`` is the cost of moving one unit of data from
-    machine i to machine j. The diagonal is zero (local data is free) and
-    every off-diagonal entry must be strictly positive so that the ratio
-    of extreme link costs is well defined.
-
-    ``allow_nonzero_diagonal`` relaxes only the diagonal constraint; it
-    exists for the bipartite-tour reduction, whose edge weights land on the
-    diagonal as well. Ordinary instances should never set it.
+    machine i to machine j. Off the diagonal every entry is strictly
+    positive, so that the ratio of extreme link costs is well defined; on
+    it, non-negative. ``GopInstance`` requires a zero diagonal (local data
+    is free); the bipartite-tour reduction prices self-transfers.
     """
 
-    __slots__ = ("entries", "allow_nonzero_diagonal")
-    _fields = ("entries",)
+    __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: Sequence[Sequence[Rational]],
-                 allow_nonzero_diagonal: bool = False) -> None:
+    def __init__(self, entries: Sequence[Sequence[Rational]]) -> None:
         entries = _exact_square(entries, "cost matrix", min_p=2)
-        _check_costs(entries, "cost", allow_nonzero_diagonal)
-        super().__init__(entries, allow_nonzero_diagonal)
+        _check_costs(entries, "cost")
+        super().__init__(entries)
 
     @property
     def p(self) -> int:
@@ -292,7 +281,7 @@ class TspFbInstance(Value):
 
     def __init__(self, weights: Sequence[Sequence[Rational]]) -> None:
         weights = _exact_square(weights, "bipartite tour instance", min_p=2)
-        _check_costs(weights, "weights", allow_nonzero_diagonal=True)
+        _check_costs(weights, "weights")
         super().__init__(weights)
 
     @property
@@ -406,11 +395,16 @@ class SortInstance(Value):
 
 
 class GopInstance(Value):
-    """A sort instance plus the communication cost matrix of its cluster."""
+    """A sort instance plus the communication cost matrix of its cluster,
+    whose diagonal is zero: a machine's local data is free."""
 
     __slots__ = _fields = ("inst", "cost")
 
     def __init__(self, inst: SortInstance, cost: CostMatrix) -> None:
+        for i, row in enumerate(cost.entries):
+            if row[i] != 0:
+                raise InstanceError(
+                    f"cost[{i + 1}][{i + 1}] must be 0 on the diagonal, got {row[i]}")
         if inst.p != cost.p:
             raise InstanceError(
                 f"dimension mismatch: instance p={inst.p}, cost p={cost.p}")
@@ -592,10 +586,7 @@ def drp_to_json(inst: DrpInstance) -> dict:
 
 def drp_from_json(data: Mapping) -> DrpInstance:
     _require(data, ("p", "transfer", "cost"), "redistribution instance")
-    # the loader tolerates positive diagonals so that reduced tour instances
-    # (whose weights land on the diagonal too) survive a JSON round trip
-    inst = DrpInstance(TransferMatrix(data["transfer"]),
-                       CostMatrix(data["cost"], allow_nonzero_diagonal=True))
+    inst = DrpInstance(TransferMatrix(data["transfer"]), CostMatrix(data["cost"]))
     _check_size(data, "p", inst.p, "matrix size")
     return inst
 

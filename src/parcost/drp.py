@@ -106,9 +106,9 @@ def tspfb_to_drp(tour: TspFbInstance) -> DrpInstance:
 
     The transfer matrix is 0/1 with exactly two ones per row and per column,
     arranged as a single alternating cycle; the cost matrix is the weight
-    matrix verbatim (its diagonal may be positive, hence the relaxed cost
-    matrix). Every assignment of the result traces a Hamiltonian tour whose
-    weight equals the assignment's cost.
+    matrix verbatim, positive diagonal included. Every assignment of the
+    result traces a Hamiltonian tour whose weight equals the assignment's
+    cost.
     """
     n = tour.n
     if n < 3:
@@ -121,7 +121,7 @@ def tspfb_to_drp(tour: TspFbInstance) -> DrpInstance:
         column_degree[a - 1] += 1
         column_degree[b - 1] += 1
     assert all(d == 2 for d in column_degree), "position graph must be 2-regular"
-    cost = CostMatrix(tour.weights, allow_nonzero_diagonal=True)
+    cost = CostMatrix(tour.weights)
     return DrpInstance(TransferMatrix(tuple(tuple(r) for r in transfer)), cost)
 
 

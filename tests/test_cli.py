@@ -464,6 +464,7 @@ PIN_FILES = {
                                      [4, 5, 5], [5, 6, 3], [2, 6, "1/2"]]},
     "tspfb.json": {"n": 3, "weights": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
     "tspfb1.json": {"n": 1, "weights": [[1]]},
+    "gopdiag.json": {"p": 2, "subsets": [[1, 2], [3, 4]], "cost": [[0, 1], [1, 3]]},
     "overflow.json": {"p": 2, "transfer": [[0, 1], [1, 0]],
                       "cost": [[0, 3 * 10 ** 400], [7, 0]]},
     "list.json": [1, 2],
@@ -581,6 +582,9 @@ CLI_PINS = [
     # a size refusal names the matrix side
     (("validate", "--input", "tspfb1.json"), None, 2,
      "c37e4a12e7121fd7c622f69a9754640a8648526e08e3c52860727ab8b97fd613"),
+    # a gop cost matrix needs a zero diagonal
+    (("gop-exact", "--input", "gopdiag.json"), None, 2,
+     "7c9ff2b5cec506dab6c24b548becc9a4b5778edcb0573b83b726808a0e15547b"),
     (("gop-exact", "--input", "gop.json", "--guard", "0"), None, 2,
      "ac3c4e71932f5393f0a5adcb793c8f208a8f7bcc39a65e27eb531ca3c70577bb"),
     # text that names no integer gets the same message as 0

@@ -28,6 +28,8 @@ def test_as_exact_variants():
         as_exact("7")
     with pytest.raises(InstanceError):
         as_exact(True)
+    with pytest.raises(InstanceError, match="^unsupported numeric type: list$"):
+        as_exact([1])
 
 
 class TestCostMatrix:
@@ -39,8 +41,14 @@ class TestCostMatrix:
         assert c.off_diagonal() == (1, 2)
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(InstanceError, match=r"cost\[2\]\[2\]"):
-            CostMatrix([[0, 1], [1, 3]])
+        # the zero diagonal is the GOP model's rule, so GopInstance holds it,
+        # and a diagonal fault is named before a machine-count mismatch
+        cost = CostMatrix([[0, 1], [1, 3]])
+        message = r"^cost\[2\]\[2\] must be 0 on the diagonal, got 3$"
+        with pytest.raises(InstanceError, match=message):
+            GopInstance(SortInstance(((1, 2), (3, 4))), cost)
+        with pytest.raises(InstanceError, match=message):
+            GopInstance(SortInstance(((1,), (2,), (3,))), cost)
 
     def test_rejects_negative(self):
         with pytest.raises(InstanceError, match=r"cost\[1\]\[2\]"):
@@ -59,7 +67,7 @@ class TestCostMatrix:
             CostMatrix([[0]])
 
     def test_relaxed_diagonal_for_reductions(self):
-        c = CostMatrix([[3, 1], [1, 4]], allow_nonzero_diagonal=True)
+        c = CostMatrix([[3, 1], [1, 4]])
         assert c.cost(1, 1) == 3
 
 
@@ -108,12 +116,10 @@ def first_error(make, *args):
     return None
 
 
-def entry_by_entry(rows, allow_nonzero_diagonal):
+def entry_by_entry(rows):
     """The first cost-matrix error in row-major order, entry by entry."""
     for i, row in enumerate(rows):
         for j, value in enumerate(row):
-            if i == j and value != 0 and not allow_nonzero_diagonal:
-                return f"cost[{i + 1}][{j + 1}] must be 0 on the diagonal, got {value}"
             if i == j and value < 0:
                 return f"cost[{i + 1}][{j + 1}] is negative: {value}"
             if i != j and value <= 0:
@@ -131,9 +137,17 @@ class TestFirstBadEntryIsNamed:
             p = rng.randint(2, 5)
             rows = [[rng.choice((0, 1, 2, -1, Fraction(1, 2))) for _ in range(p)]
                     for _ in range(p)]
-            for allow in (False, True):
-                assert (first_error(CostMatrix, rows, allow)
-                        == entry_by_entry(rows, allow))
+            assert first_error(CostMatrix, rows) == entry_by_entry(rows)
+            # rows the cost rule accepts: GopInstance names the first
+            # nonzero diagonal entry
+            rows = [[rng.choice((0, 0, 1, Fraction(1, 2))) if i == j
+                     else rng.choice((1, 2, Fraction(1, 2))) for j in range(p)]
+                    for i in range(p)]
+            inst = SortInstance(tuple((k,) for k in range(p)))
+            bad = [k for k in range(p) if rows[k][k] != 0]
+            expected = (f"cost[{bad[0] + 1}][{bad[0] + 1}] must be 0 on the diagonal, "
+                        f"got {rows[bad[0]][bad[0]]}" if bad else None)
+            assert first_error(GopInstance, inst, CostMatrix(rows)) == expected
 
     @pytest.mark.parametrize("make, name", [(TransferMatrix, "transfer"),
                                             (AssignmentProblem, "weights")])

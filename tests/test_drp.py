@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from parcost import (CostMatrix, DrpInstance, GuardError,
+from parcost import (Assignment, CostMatrix, DrpInstance, GuardError,
                      InstanceError, TransferMatrix, TspFbInstance, drp_brute,
                      drp_cost, drp_solve_approx, drp_solve_exact,
                      ratio_bound, tspfb_brute, tspfb_to_drp)
@@ -110,15 +110,16 @@ class TestRatioBound:
         assert ratio_bound(c) == 9
 
     def test_none_when_local_data_is_not_free(self):
-        # the drp loader takes such a cost matrix for reduce-tspfb; here the
+        # the library takes the cost matrix the CLI takes, with the figures
+        # test_drp_approx_has_no_bound_where_local_data_costs pins: the
         # approximation pays 1000 against an optimum of 10, so no max/min
         # bound holds
-        cost = CostMatrix([[100, 1], [1, 100]], allow_nonzero_diagonal=True)
+        cost = CostMatrix([[100, 1], [1, 100]])
         inst = DrpInstance(TransferMatrix([[5, 0], [0, 5]]), cost)
-        assert drp_solve_exact(inst)[1] == 10 and drp_solve_approx(inst)[1] == 1000
+        assert drp_solve_exact(inst) == (Assignment((2, 1)), 10)
+        assert drp_solve_approx(inst)[1] == 1000
         assert ratio_bound(cost) is None
-        relaxed = CostMatrix([[0, 3], [1, 0]], allow_nonzero_diagonal=True)
-        assert ratio_bound(relaxed) == 3
+        assert ratio_bound(CostMatrix([[0, 3], [1, 0]])) == 3
 
     def test_at_least_one(self):
         rng = random.Random(53)
@@ -192,7 +193,7 @@ class TestReduction:
             TspFbInstance(rows)
         assert str(tour.value) == "weights" + message
         with pytest.raises(InstanceError) as cost:
-            CostMatrix(rows, allow_nonzero_diagonal=True)
+            CostMatrix(rows)
         assert str(cost.value) == "cost" + message
 
 

@@ -574,3 +574,9 @@ class TestClassifier:
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ParameterError):
             classify_io_optimality([(10, 1, 2), (10, 1, 2), (20, 1, 2)])
+
+    @pytest.mark.parametrize("parallel, serial", [(-1, 2), (1, 0)])
+    def test_rejects_bad_counters(self, parallel, serial):
+        with pytest.raises(ParameterError, match="^size 20: counters must satisfy "
+                                                 "parallel >= 0 and serial > 0$"):
+            classify_io_optimality([(10, 1, 2), (20, parallel, serial), (40, 1, 2)])

@@ -254,6 +254,13 @@ class TestLapBrute:
             relabeled = Assignment(tuple(sigma[m - 1] for m in a1.mapping))
             assert assignment_cost(prob2, relabeled) == c2
 
+    def test_assignment_cost_refuses_another_size(self):
+        prob = AssignmentProblem([[4, 1, 3], [2, 0, 5], [3, 2, 2]])
+        assert assignment_cost(prob, Assignment((2, 1, 3))) == 5
+        with pytest.raises(InstanceError,
+                           match="^dimension mismatch: problem p=3, assignment p=2$"):
+            assignment_cost(prob, Assignment((2, 1)))
+
 
 class TestDrpToLap:
     def test_column_sum_construction(self):

@@ -117,11 +117,6 @@ def test_copies_and_pickles_are_equal(cls, kwargs, args, text):
         assert type(clone) is cls and clone == obj and repr(clone) == text
 
 
-def test_copies_keep_allow_nonzero_diagonal():
-    relaxed = CostMatrix(((1, 2), (3, 4)), allow_nonzero_diagonal=True)
-    assert pickle.loads(pickle.dumps(relaxed)).allow_nonzero_diagonal is True
-
-
 def test_same_entries_in_different_matrix_classes_differ():
     assert CostMatrix(ENTRIES) != TransferMatrix(ENTRIES)
     assert TransferMatrix(ENTRIES) != CostMatrix(ENTRIES)
@@ -133,25 +128,12 @@ def test_different_field_values_differ():
     assert SweepSpec("drp-ratio", (2,)) != SweepSpec("drp-ratio", (2,), trials=2)
 
 
-def test_allow_nonzero_diagonal_is_left_out_of_eq_hash_and_repr():
-    plain = CostMatrix(ENTRIES)
-    relaxed = CostMatrix(entries=ENTRIES, allow_nonzero_diagonal=True)
-    assert plain.allow_nonzero_diagonal is False
-    assert relaxed.allow_nonzero_diagonal is True
-    assert plain == relaxed and hash(plain) == hash(relaxed)
-    assert repr(relaxed) == "CostMatrix(entries=((0, 1), (2, 0)))"
-    assert CostMatrix(((1, 2), (3, 4)), True).cost(1, 1) == 1
-    with pytest.raises(AttributeError):
-        relaxed.allow_nonzero_diagonal = False
-
-
 def test_defaults():
     spec = SweepSpec(kind="mm-io", sizes=[4, 8])
     assert (spec.trials, spec.seed, spec.cost_low, spec.cost_high, spec.mass_max,
             spec.p, spec.memory, spec.epsilon, spec.edge_factor, spec.guard) == (
         1, 0, 1, 10, 20, None, None, Fraction(1, 10), 4, None)
     assert spec.sizes == (4, 8)
-    assert CostMatrix(ENTRIES).allow_nonzero_diagonal is False
 
 
 def test_sweep_spec_reads_epsilon_as_text_or_number():
