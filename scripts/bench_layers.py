@@ -21,6 +21,11 @@ the per-row seeds from the working tree's ``bench.row_seed``, computed once
 here and handed to every sample on stdin with the sweeps' ``SweepSpec``
 arguments, so both trees time the same instances. One more times io-sim's
 seed-1 ``terasort-io`` sweep whole, from its own ``SweepSpec`` arguments.
+
+The ``cli.run`` layers time a whole request process instead: one fresh
+``python -m parcost.cli`` on a file written untimed, its stdout hashed.
+Their peak RSS and ``tracemalloc`` figures are the sampling process's own,
+not the request's.
 """
 
 from __future__ import annotations
@@ -138,19 +143,33 @@ def _report_json_mst2048(_sweeps):
     return lambda: _report_json(report)
 
 
+def _gen_file(name, *gen_args):
+    """Path of a file that a ``parcost gen`` child writes, so that the
+    sample's own peak RSS is not the generator's."""
+    scratch = tempfile.TemporaryDirectory()
+    atexit.register(scratch.cleanup)
+    path = str(Path(scratch.name) / name)
+    subprocess.run([sys.executable, "-m", "parcost.cli", "gen", *gen_args, "--output", path],
+                   check=True)
+    return path
+
+
 def _load_mst2048(_sweeps):
     from parcost import cli
 
-    # the file is written by a `parcost gen` child, so that the sample's own
-    # peak RSS is the load's and not the generator's
-    scratch = tempfile.TemporaryDirectory()
-    atexit.register(scratch.cleanup)
-    path = str(Path(scratch.name) / "mst2048.json")
-    subprocess.run([sys.executable, "-m", "parcost.cli", "gen", "--kind", "graph",
-                    "--n", "2048", "--m", "92681", "--seed", "1", "--output", path],
-                   check=True)
-    args = argparse.Namespace(input=path)
+    args = argparse.Namespace(input=_gen_file(
+        "mst2048.json", "--kind", "graph", "--n", "2048", "--m", "92681", "--seed", "1"))
     return lambda: cli._load(args, "graph")
+
+
+def _process(command, name, *gen_args):
+    """One fresh ``python -m parcost.cli command --input FILE``, its stdout
+    the result."""
+    def setup(_sweeps):
+        argv = [sys.executable, "-m", "parcost.cli", command,
+                "--input", _gen_file(name, *gen_args)]
+        return lambda: subprocess.run(argv, check=True, capture_output=True).stdout
+    return setup
 
 
 def _from_json(kind, make):
@@ -206,6 +225,13 @@ LAYERS = {
         _from_json("graph", lambda bench: bench.gen_graph(10 ** 6, 10 ** 4, 1))),
     "cli._load:mst2048": (
         "cli._load of gen_graph(2048, 92681, 1)'s JSON file, text to Graph", _load_mst2048),
+    "cli.run:drp-exact-p9": (
+        "one fresh python -m parcost.cli drp-exact on gen --kind drp --p 9 --seed 1",
+        _process("drp-exact", "drp9.json", "--kind", "drp", "--p", "9", "--seed", "1")),
+    "cli.run:mst2048": (
+        "one fresh python -m parcost.cli sim-mst-io on gen_graph(2048, 92681, 1)'s file",
+        _process("sim-mst-io", "mst2048.json",
+                 "--kind", "graph", "--n", "2048", "--m", "92681", "--seed", "1")),
     "iosim.nowicki_partition_io:mst2048": (
         "nowicki_partition_io(gen_graph(2048, 92681, 1))",
         _on(lambda bench: bench.gen_graph(2048, 92681, 1), "iosim", "nowicki_partition_io")),

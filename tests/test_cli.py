@@ -1,12 +1,17 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from parcost import cli
 from parcost.cli import build_parser, main
 
 DRP_EXAMPLE = {"p": 2, "transfer": [[0, 5], [3, 0]], "cost": [[0, 1], [1, 0]]}
@@ -445,6 +450,91 @@ class TestErrorHandling:
         _, first, _ = run_cli(capsys, "drp-exact", "--input", path)
         _, second, _ = run_cli(capsys, "drp-exact", "--input", path)
         assert first == second
+
+
+class TestProcessEntry:
+    """``cli.run`` pauses the collector for the process's one request, on
+    the premise that a request's only cyclic garbage is its parser."""
+
+    def test_cyclic_garbage_is_the_parsers_at_every_input_size(self, tmp_path, capsys):
+        from parcost import bench, core
+
+        instances = {
+            "graph20": ("graph", bench.gen_graph(20, 40, 1)),
+            "graph500": ("graph", bench.gen_graph(500, 5000, 1)),
+            "gop12": ("gop", bench.gen_gop(12, 3, 1)),
+            "gop1e4": ("gop", bench.gen_gop(10 ** 4, 4, 1)),
+            "drp3": ("drp", bench.gen_drp(3, 1, 10, 20, 1)),
+            "drp60": ("drp", bench.gen_drp(60, 1, 10, 20, 1)),
+        }
+        paths = {name: write_json(tmp_path, f"{name}.json",
+                                  getattr(core, f"{kind}_to_json")(inst))
+                 for name, (kind, inst) in instances.items()}
+        runs = [
+            *(("sim-mst-io", "--input", paths[name]) for name in ("graph20", "graph500")),
+            *(("sim-terasort", "--input", paths[name]) for name in ("gop12", "gop1e4")),
+            *(("drp-approx", "--input", paths[name]) for name in ("drp3", "drp60")),
+            ("validate", "--input", paths["graph500"]),
+            # n = 40 rows are over the guard and skipped
+            ("sweep", "--kind", "gop-ratio", "--sizes", "4,40", "--p", "3",
+             "--trials", "2", "--guard", "1000"),
+            ("gop-exact", "--input", paths["gop1e4"], "--guard", "5"),
+            ("drp-exact", "--input", str(tmp_path / "missing.json")),
+        ]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            build_parser()
+            parser_garbage = gc.collect()
+            garbage = {}
+            for argv in runs:
+                code = main(list(argv))
+                capsys.readouterr()
+                garbage[argv] = (code, gc.collect())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert parser_garbage > 0
+        assert [code for code, _ in garbage.values()] == [0] * 8 + [1, 2]
+        assert {argv: count for argv, (_, count) in garbage.items()} == dict.fromkeys(
+            runs, parser_garbage)
+
+    def test_run_hands_main_a_paused_collector_and_exits_with_its_code(self):
+        code = """
+import gc
+from parcost import cli
+
+def main():
+    print(gc.isenabled(), gc.get_freeze_count() > 0)
+    return 3
+
+cli.main = main
+cli.run()
+"""
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "False True\n", "")
+
+    def test_main_leaves_the_callers_collector_as_it_found_it(self, capsys):
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        try:
+            for pause in (False, True):
+                gc.disable() if pause else gc.enable()
+                for argv in (["gen", "--kind", "drp"], ["frobnicate"]):
+                    main(argv)
+                    assert (gc.isenabled(), gc.get_freeze_count()) == (not pause, frozen)
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        capsys.readouterr()
+
+    def test_the_console_script_is_run(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert 'parcost = "parcost.cli:run"' in pyproject.read_text().splitlines()
+        assert callable(cli.run)
 
 
 # --- byte pins ---------------------------------------------------------------

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from parcost import iosim
 from parcost import (CostMatrix, GopInstance, Graph, InstanceError, IoOptimality,
                      IoReport, ParameterError, SortInstance, classify_io_optimality,
                      equal_splitters, io_sort_count, kruskal_serial_io,
                      mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
                      terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
-from parcost.core import as_exact, derive_transfer_and_load
+from parcost.core import as_exact, derive_transfer_and_load, drp_cost
 from parcost.errors import GuardError
 from parcost.iosim import (MIN_EPSILON, FractionalMatchingState, Phase, _apportion,
                            _as_epsilon, _iteration_limit)
@@ -522,6 +523,49 @@ def test_terasort_matches_buffer_oracle():
             ) if hit)
     assert covered == {"M = 2", "M = p", "M = n", "M > n", "an empty machine",
                        "c = kM", "c = kM + 1"}
+
+
+def test_terasort_counts_each_run_like_derive_transfer_and_load(monkeypatch):
+    # terasort_simulate bisects each machine's sorted run at the splitters;
+    # the transfer matrix it prices and the loads it cuts the outputs at must
+    # be derive_transfer_and_load's per-record counts. The splitters are
+    # sample records, so values equal to a splitter are always covered.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    priced = []
+
+    def recording_drp_cost(transfer, cost, assignment):
+        priced.append(transfer)
+        return drp_cost(transfer, cost, assignment)
+
+    monkeypatch.setattr(iosim, "drp_cost", recording_drp_cost)
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.integers(2, 6))
+        values = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=p, max_size=200,
+                               unique=True))
+        owners = draw(st.lists(st.integers(0, p - 1), min_size=len(values),
+                               max_size=len(values)))
+        subsets = tuple(tuple(v for v, owner in zip(values, owners) if owner == i)
+                        for i in range(p))
+        costs = [[0 if i == j else draw(st.integers(1, 9)) for j in range(p)]
+                 for i in range(p)]
+        memory = draw(st.integers(p, 2 * len(values)))
+        return GopInstance(SortInstance(subsets), CostMatrix(costs)), memory
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, memory = case
+        priced.clear()
+        outputs, report = terasort_simulate(g, memory)
+        transfer, loads = derive_transfer_and_load(g.inst, report.extras["splitters"])
+        assert priced == [transfer]
+        assert tuple(map(len, outputs)) == loads
+        assert report.phases[1][1] == sum(memory * ((c - 1) // memory) for c in loads if c)
+
+    check()
 
 
 class TestIoReport:
