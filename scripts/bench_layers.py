@@ -71,12 +71,27 @@ def _plan_small_sweeps() -> dict[str, dict]:
             for kind, spec in specs.items()}
 
 
-def _gop_ratio_rows(sweeps):
-    from parcost.bench import gen_gop
-    from parcost.gopsort import gop_solve_exact
+def _gop_ratio_rows(name):
+    """``gopsort.name`` on each row of plan-small's gop-ratio sweep. ``drp``,
+    which ``gop_solve_approx`` imports on its first call, is imported untimed."""
+    def setup(sweeps):
+        from parcost import drp, gopsort  # noqa: F401
+        from parcost.bench import gen_gop
 
-    instances = [gen_gop(n, 3, seed) for n, seed in sweeps["gop-ratio"]["rows"]]
-    return lambda: [gop_solve_exact(g) for g in instances]
+        solve = getattr(gopsort, name)
+        instances = [gen_gop(n, 3, seed) for n, seed in sweeps["gop-ratio"]["rows"]]
+        return lambda: [solve(g) for g in instances]
+    return setup
+
+
+def _derive_n1e5(_sweeps):
+    from parcost.bench import gen_gop
+    from parcost.core import derive_transfer_and_load
+    from parcost.gopsort import equal_splitters
+
+    inst = gen_gop(10 ** 5, 4, 1).inst
+    splitters = equal_splitters(inst)
+    return lambda: derive_transfer_and_load(inst, splitters)
 
 
 def _gen_drp_rows(sweeps):
@@ -185,7 +200,11 @@ def _from_json(kind, make):
 # layer -> (what one sample runs, setup returning the timed callable)
 LAYERS = {
     "gopsort.gop_solve_exact:gop-ratio-rows": (
-        "gop_solve_exact on the 320 rows of the seed-1 p=3 gop-ratio sweep", _gop_ratio_rows),
+        "gop_solve_exact on the 320 rows of the seed-1 p=3 gop-ratio sweep",
+        _gop_ratio_rows("gop_solve_exact")),
+    "gopsort.gop_solve_approx:gop-ratio-rows": (
+        "gop_solve_approx on the 320 rows of the seed-1 p=3 gop-ratio sweep",
+        _gop_ratio_rows("gop_solve_approx")),
     "gopsort.gop_solve_exact:n40-p4": (
         "gop_solve_exact(gen_gop(40, 4, 1))",
         _on(lambda bench: bench.gen_gop(40, 4, 1), "gopsort", "gop_solve_exact", 10 ** 9)),
@@ -198,6 +217,13 @@ LAYERS = {
     "gopsort.gop_solve_approx:n1e5-p4": (
         "gop_solve_approx(gen_gop(10**5, 4, 1))",
         _on(lambda bench: bench.gen_gop(10 ** 5, 4, 1), "gopsort", "gop_solve_approx")),
+    "core.derive_transfer_and_load:n1e5-p4": (
+        "derive_transfer_and_load(gen_gop(10**5, 4, 1).inst) at its equal_splitters",
+        _derive_n1e5),
+    "cli.run:gop-approx-gop1e5": (
+        "one fresh python -m parcost.cli gop-approx on gen --kind gop --n 100000 --p 4 "
+        "--seed 1", _process("gop-approx", "gop1e5.json",
+                             "--kind", "gop", "--n", "100000", "--p", "4", "--seed", "1")),
     "iosim.terasort_simulate:n1e5-p4": (
         "terasort_simulate(gen_gop(10**5, 4, 1), 1000)",
         _on(lambda bench: bench.gen_gop(10 ** 5, 4, 1), "iosim", "terasort_simulate", 1000)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
@@ -391,7 +391,7 @@ class SortInstance(Value):
 
     def values(self) -> tuple[int, ...]:
         """All elements in ascending order."""
-        return tuple(sorted(v for s in self.subsets for v in s))
+        return tuple(sorted(chain.from_iterable(self.subsets)))
 
 
 class GopInstance(Value):
@@ -532,22 +532,33 @@ def _equal_rank(values: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(values[(k * len(values)) // p - 1] for k in range(1, p))
 
 
+def _interval_counts(runs: Sequence[Sequence[int]],
+                     splitters: Sequence[int]) -> tuple[TransferMatrix, tuple[int, ...]]:
+    """Machine i's count in (s_{j-1}, s_j] from its ascending run i:
+    ``bisect_right(run, s_j) - bisect_right(run, s_{j-1})``, p(p - 1)
+    bisections in all. Returns the count matrix and its column sums."""
+    splitters = _check_splitters(splitters, len(runs))
+    rows = []
+    for run in runs:
+        low, row = 0, []
+        for s in splitters:
+            high = bisect_right(run, s)
+            row.append(high - low)
+            low = high
+        rows.append((*row, len(run) - low))
+    transfer = TransferMatrix(tuple(rows))
+    return transfer, transfer.column_sums()
+
+
 def derive_transfer_and_load(inst: SortInstance,
                              splitters: Sequence[int]) -> tuple[TransferMatrix, tuple[int, ...]]:
     """Count elements per (machine, interval) for the given splitters.
 
     Interval j is the half-open range (splitter_{j-1}, splitter_j], with
     sentinels -inf and +inf at the ends. Returns the p-by-p count matrix and
-    the per-interval loads L (its column sums); the loads always sum to n.
-    """
-    p = inst.p
-    splitters = _check_splitters(splitters, p)
-    counts = [[0] * p for _ in range(p)]
-    for i, subset in enumerate(inst.subsets):
-        for value in subset:
-            counts[i][bisect_left(splitters, value)] += 1
-    transfer = TransferMatrix(tuple(tuple(row) for row in counts))
-    return transfer, transfer.column_sums()
+    the per-interval loads L (its column sums), which always sum to n: the
+    ``_interval_counts`` of a sorted copy of each machine's elements."""
+    return _interval_counts(list(map(sorted, inst.subsets)), splitters)
 
 
 def sort_io_term(loads: Sequence[int]) -> float:
@@ -568,7 +579,7 @@ def gop_objective(g: GopInstance, splitters: Sequence[int],
     """
     # derive_transfer_and_load checks the splitter rule first
     transfer, loads = derive_transfer_and_load(g.inst, splitters)
-    universe = set(g.inst.values())
+    universe = set(chain.from_iterable(g.inst.subsets))
     for s in splitters:
         if s not in universe:
             raise InstanceError(f"splitter {s} is not an element of the instance")

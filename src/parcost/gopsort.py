@@ -8,13 +8,13 @@ subproblem with the unit-cost assignment surrogate.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, compress, islice, permutations, repeat
+from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat
 from math import comb, factorial, inf
 from operator import add, sub
 
 from .constants import DEFAULT_WORK_GUARD
 from .core import (Assignment, GopInstance, GopSolution, SortInstance, _equal_rank,
-                   derive_transfer_and_load, sort_io_term)
+                   _interval_counts, sort_io_term)
 from .errors import GuardError
 
 # splitter sets are priced this many at a time, so the columns take
@@ -112,17 +112,15 @@ def gop_solve_approx(g: GopInstance, exact_assignment: bool = False) -> GopSolut
     With ``exact_assignment=True`` the embedded redistribution subproblem is
     solved exactly instead (an extension for comparison runs; the default
     matches the plain approximation). Polynomial time either way: both
-    subproblem solvers are O(p^3) assignment solves.
+    subproblem solvers are O(p^3) assignment solves. Both ``equal_splitters``
+    and the ``_interval_counts`` are taken from each machine's sorted run.
     """
     # imported here, so that gop-exact loads neither drp nor lap
     from .drp import DrpInstance, drp_solve_approx, drp_solve_exact
 
-    inst, cost = g.inst, g.cost
-    splitters = equal_splitters(inst)
-    transfer, loads = derive_transfer_and_load(inst, splitters)
-    sub = DrpInstance(transfer, cost)
-    if exact_assignment:
-        assignment, comm = drp_solve_exact(sub)
-    else:
-        assignment, comm = drp_solve_approx(sub)
+    runs = list(map(sorted, g.inst.subsets))
+    splitters = _equal_rank(sorted(chain.from_iterable(runs)), g.p)
+    transfer, loads = _interval_counts(runs, splitters)
+    solve = drp_solve_exact if exact_assignment else drp_solve_approx
+    assignment, comm = solve(DrpInstance(transfer, g.cost))
     return GopSolution(splitters, assignment, comm, sort_io_term(loads))

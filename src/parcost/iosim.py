@@ -20,14 +20,13 @@ so classifications stay model-fair:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Callable, Mapping, Sequence
 
-from .core import (Assignment, GopInstance, Graph, Rational, TransferMatrix, Value,
-                   _as_epsilon, _check_splitters, _equal_rank, as_exact, drp_cost)
+from .core import (Assignment, GopInstance, Graph, Rational, Value, _as_epsilon,
+                   _equal_rank, _interval_counts, as_exact, drp_cost)
 from .errors import GuardError, InstanceError, ParameterError
 
 Phase = tuple[str, int, Rational]
@@ -340,10 +339,8 @@ def terasort_simulate(g: GopInstance,
 
     No record is pushed through a buffer: the receivers' record counts are
     the splitter intervals' loads, and the per-machine outputs are the
-    globally sorted data cut at those loads. Each machine's run is sorted,
-    so its count in interval j, (s_{j-1}, s_j], is
-    ``bisect_right(run, s_j) - bisect_right(run, s_{j-1})``: p(p-1)
-    bisections, where ``core.derive_transfer_and_load`` bisects every record.
+    globally sorted data cut at those loads. The counts are
+    ``core._interval_counts`` on each machine's sorted run.
     """
     inst, cost = g.inst, g.cost
     p, n = inst.p, inst.n
@@ -365,13 +362,7 @@ def terasort_simulate(g: GopInstance,
     comm_broadcast = sum((p - 1) * cost.cost(1, j) for j in range(2, p + 1))
     phase1: Phase = ("sample-and-split", sample_size, comm_sample + comm_broadcast)
 
-    _check_splitters(splitters, p)
-    rows = []
-    for data in local:
-        ends = [0, *(bisect_right(data, s) for s in splitters), len(data)]
-        rows.append(tuple(b - a for a, b in zip(ends, ends[1:])))
-    transfer = TransferMatrix(tuple(rows))
-    loads = transfer.column_sums()
+    transfer, loads = _interval_counts(local, splitters)
     comm_shuffle = drp_cost(transfer, cost, Assignment.identity(p))
     spills = sum(memory * ((c - 1) // memory) for c in loads if c)
     phase2: Phase = ("redistribute", spills, comm_shuffle)

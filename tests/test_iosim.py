@@ -7,8 +7,8 @@ import pytest
 
 from parcost import iosim
 from parcost import (CostMatrix, GopInstance, Graph, InstanceError, IoOptimality,
-                     IoReport, ParameterError, SortInstance, classify_io_optimality,
-                     equal_splitters, io_sort_count, kruskal_serial_io,
+                     IoReport, ParameterError, SortInstance, TransferMatrix,
+                     classify_io_optimality, equal_splitters, io_sort_count, kruskal_serial_io,
                      mm_parallel_io_model, mm_serial_run, nowicki_partition_io,
                      terasort_simulate)
 from parcost.bench import gen_gop, gen_graph
@@ -16,6 +16,19 @@ from parcost.core import as_exact, derive_transfer_and_load, drp_cost
 from parcost.errors import GuardError
 from parcost.iosim import (MIN_EPSILON, FractionalMatchingState, Phase, _apportion,
                            _as_epsilon, _iteration_limit)
+
+
+# Test-only oracle of the interval counts: each record is bisected into its
+# interval (s_{j-1}, s_j] on its own, as the package counted before it
+# bisected sorted runs, and the loads are the counts' column sums.
+
+def per_record_counts(inst: SortInstance, splitters) -> tuple[TransferMatrix, tuple[int, ...]]:
+    p = inst.p
+    counts = [[0] * p for _ in range(p)]
+    for i, subset in enumerate(inst.subsets):
+        for value in subset:
+            counts[i][bisect_left(splitters, value)] += 1
+    return TransferMatrix(counts), tuple(map(sum, zip(*counts)))
 
 
 # Test-only oracles: the matching runs as first written, summing every
@@ -136,7 +149,7 @@ def buffer_terasort_simulate(
     phase1: Phase = ("sample-and-split", io_sample,
                      as_exact(comm_sample + comm_broadcast))
 
-    transfer, _ = derive_transfer_and_load(inst, splitters)
+    transfer, _ = per_record_counts(inst, splitters)
     comm_shuffle = sum(transfer.amount(i, j) * cost.cost(i, j)
                        for i in range(1, p + 1) for j in range(1, p + 1))
     spills = 0
@@ -526,10 +539,11 @@ def test_terasort_matches_buffer_oracle():
 
 
 def test_terasort_counts_each_run_like_derive_transfer_and_load(monkeypatch):
-    # terasort_simulate bisects each machine's sorted run at the splitters;
-    # the transfer matrix it prices and the loads it cuts the outputs at must
-    # be derive_transfer_and_load's per-record counts. The splitters are
-    # sample records, so values equal to a splitter are always covered.
+    # terasort_simulate and derive_transfer_and_load both count through
+    # core._interval_counts, so each is held to the per-record oracle: the
+    # transfer matrix TeraSort prices and the loads it cuts the outputs at
+    # must be its counts. The splitters are sample records, so values equal
+    # to a splitter are always covered.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     priced = []
@@ -560,8 +574,10 @@ def test_terasort_counts_each_run_like_derive_transfer_and_load(monkeypatch):
         g, memory = case
         priced.clear()
         outputs, report = terasort_simulate(g, memory)
-        transfer, loads = derive_transfer_and_load(g.inst, report.extras["splitters"])
+        splitters = report.extras["splitters"]
+        transfer, loads = per_record_counts(g.inst, splitters)
         assert priced == [transfer]
+        assert derive_transfer_and_load(g.inst, splitters) == (transfer, loads)
         assert tuple(map(len, outputs)) == loads
         assert report.phases[1][1] == sum(memory * ((c - 1) // memory) for c in loads if c)
 

@@ -3,7 +3,9 @@ splitter solvers against their brute-force oracles, of the collapsed
 redistribution weights against their definition and the scatter loop they
 replaced, of the sorting-IO term against its definition, of the matching
 runs against their Fraction oracles and of the serial run against its
-cached form, of the IO simulators' invariants, of the instance JSON round
+cached form, of the IO simulators' invariants, of the interval counts of
+``derive_transfer_and_load`` and ``gop_solve_approx`` against the
+per-record count they replaced, of the instance JSON round
 trip, of ``bench._sample_range`` against ``Random.sample``, of ``Graph``'s
 edge checks against the tuple-keyed and the set-keyed loops they replaced,
 of ``SortInstance``'s element checks against a loop over a set of the
@@ -27,6 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from parcost import (Assignment, AssignmentProblem, CostMatrix, DrpInstance,  # noqa: E402
                      GopInstance, Graph, InstanceError, IoReport, SortInstance, TransferMatrix, TspFbInstance, drp_brute, drp_cost, drp_solve_approx,
                      drp_solve_exact, gop_objective, gop_solve_approx, gop_solve_exact,
+                     GopSolution, derive_transfer_and_load, equal_splitters,
                      lap_brute, lap_solve, ratio_bound, sort_io_term, terasort_simulate,
                      tspfb_to_drp)
 from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E402
@@ -40,7 +43,7 @@ from parcost.iosim import (FractionalMatchingState, _matching_setup,  # noqa: E4
                            mm_serial_run)
 from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
-                        buffer_terasort_simulate)
+                        buffer_terasort_simulate, per_record_counts)
 
 
 @st.composite
@@ -213,6 +216,45 @@ def test_terasort_output_is_a_sorted_permutation(run):
     assert flat == sorted(flat)
     assert sorted(flat) == sorted(v for s in g.inst.subsets for v in s)
     assert (outputs, report) == buffer_terasort_simulate(g, memory)
+
+
+@st.composite
+def counted_gop_instances(draw):
+    """p 2-6 machines, some possibly empty, holding up to 200 distinct ints
+    with negatives, and p - 1 strictly ascending splitters drawn from the
+    elements and from the ints around them."""
+    p = draw(st.integers(2, 6))
+    values = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=p, max_size=200,
+                           unique=True))
+    owners = draw(st.lists(st.integers(0, p - 1), min_size=len(values),
+                           max_size=len(values)))
+    subsets = tuple(tuple(v for v, o in zip(values, owners) if o == i)
+                    for i in range(p))
+    cost = [[0 if i == j else draw(st.integers(1, 9)) for j in range(p)]
+            for i in range(p)]
+    splitter = st.one_of(st.sampled_from(values), st.integers(-10 ** 6 - 2, 10 ** 6 + 2))
+    splitters = draw(st.lists(splitter, min_size=p - 1, max_size=p - 1, unique=True))
+    return GopInstance(SortInstance(subsets), CostMatrix(cost)), tuple(sorted(splitters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_gop_instances())
+def test_derive_transfer_and_load_is_the_per_record_count(case):
+    g, splitters = case
+    assert derive_transfer_and_load(g.inst, splitters) == per_record_counts(g.inst, splitters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_gop_instances(), st.booleans())
+def test_gop_solve_approx_is_equal_splitters_then_per_record_counts(case, exact_assignment):
+    # the approximation as composed before it counted on sorted runs
+    g, _ = case
+    splitters = equal_splitters(g.inst)
+    transfer, loads = per_record_counts(g.inst, splitters)
+    solve = drp_solve_exact if exact_assignment else drp_solve_approx
+    assignment, comm = solve(DrpInstance(transfer, g.cost))
+    assert (gop_solve_approx(g, exact_assignment=exact_assignment)
+            == GopSolution(splitters, assignment, comm, sort_io_term(loads)))
 
 
 phase_lists = st.lists(st.tuples(
