@@ -23,7 +23,8 @@ arguments, so both trees time the same instances. One more times io-sim's
 seed-1 ``terasort-io`` sweep whole, from its own ``SweepSpec`` arguments.
 
 The ``cli.run`` layers time a whole request process instead: one fresh
-``python -m parcost.cli`` on a file written untimed, its stdout hashed.
+``python -m parcost.cli``, on a file written untimed or running a sweep,
+its stdout hashed.
 Their peak RSS and ``tracemalloc`` figures are the sampling process's own,
 not the request's.
 """
@@ -177,13 +178,28 @@ def _load_mst2048(_sweeps):
     return lambda: cli._load(args, "graph")
 
 
-def _process(command, name, *gen_args):
-    """One fresh ``python -m parcost.cli command --input FILE``, its stdout
-    the result."""
+def _request(*argv):
+    """One fresh ``python -m parcost.cli *argv``, its stdout the result."""
     def setup(_sweeps):
-        argv = [sys.executable, "-m", "parcost.cli", command,
-                "--input", _gen_file(name, *gen_args)]
-        return lambda: subprocess.run(argv, check=True, capture_output=True).stdout
+        command = [sys.executable, "-m", "parcost.cli", *argv]
+        return lambda: subprocess.run(command, check=True, capture_output=True).stdout
+    return setup
+
+
+def _process(command, name, *gen_args):
+    """``_request(command, "--input", FILE)`` on a file ``gen`` writes untimed."""
+    def setup(sweeps):
+        return _request(command, "--input", _gen_file(name, *gen_args))(sweeps)
+    return setup
+
+
+def _sweep_csv(kind):
+    """``sweep_to_csv`` on plan-small's sweep of that kind, run untimed."""
+    def setup(sweeps):
+        from parcost.bench import SweepSpec, run_sweep, sweep_to_csv
+
+        header, rows = run_sweep(SweepSpec(kind, **sweeps[kind]["spec"]))
+        return lambda: sweep_to_csv(header, rows)
     return setup
 
 
@@ -284,6 +300,14 @@ LAYERS = {
         "solves, bound, ratio)", _drp_ratio_rows),
     "bench.run_sweep:drp-ratio-p2-6": (
         "run_sweep on the seed-1 drp-ratio sweep, p 2-6, 200 trials", _sweep("drp-ratio")),
+    "bench.sweep_to_csv:drp-ratio-p2-6": (
+        "sweep_to_csv on the 1001-row table of the seed-1 drp-ratio sweep, p 2-6, "
+        "200 trials", _sweep_csv("drp-ratio")),
+    "cli.run:sweep-drp-ratio": (
+        "one fresh python -m parcost.cli sweep --kind drp-ratio --sizes 2,3,4,5,6 "
+        "--trials 200 --seed 1",
+        _request("sweep", "--kind", "drp-ratio", "--sizes", "2,3,4,5,6", "--trials", "200",
+                 "--seed", "1")),
     "bench.run_sweep:gop-ratio-p3": (
         "run_sweep on the seed-1 p=3 gop-ratio sweep, 40 trials", _sweep("gop-ratio")),
     "bench.run_sweep:terasort-io": (

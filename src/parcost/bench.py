@@ -10,7 +10,6 @@ among forked workers, one per usable CPU. The instance JSON codecs are
 
 from __future__ import annotations
 
-import io
 import marshal
 import math
 import os
@@ -388,13 +387,12 @@ def _fork_worker(share: Callable[[int, int], Iterator[tuple]], worker: int,
 
 
 def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    """The header and each row, cells joined by commas, a line each: the
+    bytes ``csv.writer`` writes, as no cell needs quoting. A cell is a column
+    name, ``_fmt`` of an int, a float, a bool or None, or a fixed word
+    (``ok``, ``skipped``, ``all``, ``summary``, a classification), so none
+    holds a comma, a quote or a line break, and every row has several cells."""
+    return "".join(",".join(line) + "\n" for line in (header, *rows))
 
 
 # A sweep kind's measure function builds one instance for a size and trial

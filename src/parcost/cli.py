@@ -16,7 +16,7 @@ from itertools import chain
 
 from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
                         DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
-from .errors import GuardError, InstanceError
+from .errors import GuardError, InstanceError, ParameterError
 
 # A handler returns its result, a JSON value or CSV text, for main to write.
 # It imports the codecs, solvers and simulators it uses in its body, so a
@@ -37,21 +37,18 @@ class _Ints(dict):
 
 
 def _read_json(args, kind: str | None) -> object:
+    """The file's JSON as ``core.{kind}_from_json`` takes it. A graph names
+    each vertex id about 2m/n times, so its parse makes one int per spelling.
+    Each ``[u, v, w]`` list under ``"edges"`` becomes a tuple in place, once
+    the text is dropped, so each list is freed as the tuple ``Graph`` keeps
+    is made; a list of another length stays, for its error message."""
     if args.input in (None, "-"):
         text = sys.stdin.read()
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    if kind != "graph":
-        return json.loads(text)
-    # a graph names each vertex id about 2m/n times: one int per spelling
-    return json.loads(text, parse_int=_Ints().__getitem__)
-
-
-def _edge_tuples(data: object) -> object:
-    """``data`` with each ``[u, v, w]`` edge list made a tuple, in place,
-    so that each list is freed as its tuple is made and ``Graph`` keeps the
-    tuple; a list of another length stays, for its error message."""
+    data = json.loads(text, parse_int=_Ints().__getitem__ if kind == "graph" else None)
+    del text
     edges = data.get("edges") if isinstance(data, dict) else None
     if type(edges) is list:
         for k, edge in enumerate(edges):
@@ -64,8 +61,7 @@ def _load(args, kind: str) -> object:
     # looked up on each call, so that a wrapped loader is the one run
     from . import core
 
-    data = _read_json(args, kind)
-    return getattr(core, f"{kind}_from_json")(_edge_tuples(data) if kind == "graph" else data)
+    return getattr(core, f"{kind}_from_json")(_read_json(args, kind))
 
 
 def _num_out(value) -> int | float:
@@ -179,7 +175,11 @@ def _cmd_sweep(args) -> dict | str:
     # SweepSpec holds the defaults; sizes convert first, so their error wins
     spec = {name: value for name in SweepSpec._fields
             if (value := getattr(args, name)) is not None}
-    spec["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        spec["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:  # text such as "2,x" names no integer
+        raise ParameterError(
+            f"sizes must be comma-separated integers, got {args.sizes!r}") from None
     header, rows = run_sweep(SweepSpec(**spec))
     if args.format == "json":
         return {"header": list(header), "rows": [list(r) for r in rows]}
@@ -208,7 +208,7 @@ def _cmd_validate(args) -> dict:
         raise InstanceError("instance file must hold a JSON object")
     for kind, fields in _KINDS.items():
         if args.kind in (None, kind) and all(k in data for k in fields):
-            getattr(core, f"{kind}_from_json")(_edge_tuples(data) if kind == "graph" else data)
+            getattr(core, f"{kind}_from_json")(data)
             return {"valid": True, "kind": kind}
     raise InstanceError(
         "unrecognized instance layout; expected transfer/cost, subsets/cost, "
@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--guard", type=_positive_int,
                      help=f"gop-ratio work cap on C(n,p-1)*p! (default {DEFAULT_WORK_GUARD})")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--csv", dest="format", action="store_const", const="csv",
-                     help="force CSV output (the default)")
     sub.add_argument("--output")
 
     sub = _command(subs, "gen", _cmd_gen, "generate a random instance", instance=False)

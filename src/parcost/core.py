@@ -115,11 +115,10 @@ def _exact_square(rows: Sequence[Sequence[object]], what: str,
 
 def _check_ints(values: tuple, what: str) -> None:
     """Raise on the first entry that is a bool or not an int; int subclasses
-    other than bool pass. The type-set test keeps the all-int case cheap."""
-    if not set(map(type, values)) <= {int}:
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InstanceError(f"{what} {values}: entry {value!r} is not an integer")
+    other than bool pass."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InstanceError(f"{what} {values}: entry {value!r} is not an integer")
 
 
 def _check_non_negative(entries: tuple[tuple[Rational, ...], ...], name: str) -> None:
@@ -507,9 +506,7 @@ def drp_cost(transfer: TransferMatrix, cost: CostMatrix, assignment: Assignment)
         row = transfer.entries[i]
         cost_row = cost.entries[i]
         for j in range(p):
-            t = row[j]
-            if t:
-                total += t * cost_row[assignment.mapping[j] - 1]
+            total += row[j] * cost_row[assignment.mapping[j] - 1]
     return as_exact(total)
 
 

@@ -239,6 +239,27 @@ def test_sweep_csv_bytes_are_pinned(spec, digest):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+def csv_writer_table(header, rows) -> str:
+    """The table as ``csv.writer`` writes it, which ``sweep_to_csv`` did
+    before it joined the cells: the oracle for the join."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in SWEEP_PINS],
+                         ids=[f"{s['kind']}-{i}" for i, (s, _) in enumerate(SWEEP_PINS)])
+def test_sweep_csv_is_what_csv_writer_writes(spec):
+    # the pinned cases hold every kind, skipped rows and each summary row
+    header, rows = run_sweep(SweepSpec(**spec))
+    assert sweep_to_csv(header, rows) == csv_writer_table(header, rows)
+
+
 def test_sweep_json_bytes_are_pinned(capsys):
     from parcost.cli import main
 

@@ -585,7 +585,7 @@ CLI_PINS = [
     (("sim-mst-io", "--help"), None, 0,
      "0432da586bce6580cd3a1c9a181283c70cc9929428ff314cb1572decd9314804"),
     (("sweep", "--help"), None, 0,
-     "53bca4a0a42047b67b44c94c1ad03a5c766aa94c89c962e78c5172b8170ad56b"),
+     "542e4ddfca4ed36ecf7752c022f15a348315bdaa1b4c002a7c41b6f9cb977e63"),
     (("gen", "--help"), None, 0,
      "98f1815fd5fc5552c8d03bea60121625e2951118761035ba9fe7953bce564007"),
     (("validate", "--help"), None, 0,
@@ -681,11 +681,12 @@ CLI_PINS = [
     (("gop-exact", "--guard", "abc"), None, 2,
      "69188576903c9c6d0d6e00ff32d4eb80529cc8ebc0726d6ddf0fc8d47a3c69b6"),
     (("sweep", "--kind", "gop-ratio", "--sizes", "4", "--guard", "2.5"), None, 2,
-     "40a92d34aecb73f7dfdbdab873784e5d03fd2b5de93e0c9a713f44fa0914b857"),
+     "faa04b38458b85ce8c19b22f14e9c86fe8f0c2850427107f267ec260ea24cca9"),
+    # sizes that name no integer get their own message, and convert first
     (("sweep", "--kind", "drp-ratio", "--sizes", "2,x"), None, 2,
-     "6aa54b9eeb075f502ca4d8313701ba04b7433b737b7c04b4860eedbd12165e51"),
+     "945dacfb16ba5fb2498fdea0018a1ab4e769e5a6b7260af6ce2777781778b4cc"),
     (("sweep", "--kind", "mm-io", "--sizes", "2,x", "--epsilon", "abc"), None, 2,
-     "6aa54b9eeb075f502ca4d8313701ba04b7433b737b7c04b4860eedbd12165e51"),
+     "945dacfb16ba5fb2498fdea0018a1ab4e769e5a6b7260af6ce2777781778b4cc"),
     (("sweep", "--kind", "mm-io", "--sizes", "8", "--epsilon", "abc"), None, 2,
      "fc902f26fe410c9d9ddaf4072373c2af5ed67b5def283884aaea31af1dc82cfa"),
     (("drp-approx", "--input", "overflow.json"), None, 2,

@@ -126,6 +126,14 @@ def test_drp_ratio_sweep_loads_no_sorting_or_simulator():
         "bench", "core", "drp", "lap"}
 
 
+@pytest.mark.parametrize("kind, size", [
+    ("drp-ratio", "2"), ("gop-ratio", "4"), ("terasort-io", "100"), ("mst-io", "16"),
+    ("mm-io", "8")])
+def test_csv_sweep_loads_no_csv_module(kind, size):
+    # a sweep's CSV is its cells joined by commas, as no cell needs quoting
+    assert "csv" not in child_modules("sweep", "--kind", kind, "--sizes", size)
+
+
 def test_bare_package_import_loads_no_submodule():
     code = ("import json, sys; import parcost; "
             "print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))")

