@@ -292,6 +292,13 @@ LAYERS = {
         "mm_parallel_io_model(gen_graph(300, 1200, 1), 1/10)",
         _on(lambda bench: bench.gen_graph(300, 1200, 1), "iosim", "mm_parallel_io_model",
             Fraction(1, 10))),
+    "cli.run:sim-mm-mm300": (
+        "one fresh python -m parcost.cli sim-mm on gen --kind graph --n 300 --m 1200 --seed 1",
+        _process("sim-mm", "mm300.json",
+                 "--kind", "graph", "--n", "300", "--m", "1200", "--seed", "1")),
+    "cli.run:sweep-mm-io": (
+        "one fresh python -m parcost.cli sweep --kind mm-io --sizes 50,100,200 --seed 1",
+        _request("sweep", "--kind", "mm-io", "--sizes", "50,100,200", "--seed", "1")),
     "cli._report_json:mst2048": (
         "_report_json(nowicki_partition_io(gen_graph(2048, 92681, 1))), 1081 phases",
         _report_json_mst2048),

@@ -220,6 +220,8 @@ class SweepSpec(Value):
             raise ParameterError(f"p must be >= 2, got {p}")
         if memory is not None and memory < 2:
             raise ParameterError(f"memory must be >= 2, got {memory}")
+        if edge_factor < 1:
+            raise ParameterError(f"edge_factor must be >= 1, got {edge_factor}")
         _check_seed(seed)
         super().__init__(kind, sizes, trials, seed, cost_low, cost_high, mass_max, p,
                          memory, epsilon, edge_factor, guard)
@@ -248,7 +250,8 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
     One row per (size, trial) in deterministic order, then a summary row
     holding the maximum ratio and, for IO sweeps, the classification.
     A gop-ratio row over the work guard is marked ``skipped`` and the sweep
-    continues.
+    continues; when every row is skipped, so is the summary, its ratio
+    blank.
 
     Rows are independent, so k processes share them: row (size, trial) runs
     on worker ``trial % k``, with k the usable CPUs but at most
@@ -293,7 +296,7 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
         k, shares = 1, [share(0, 1)]
     streams = list(map(iter, shares))
     rows = []
-    max_ratio = 0.0
+    ratios = []
     per_size: list[tuple[int, int, int]] = []
     for size in spec.sizes:
         par_total = ser_total = 0
@@ -301,12 +304,12 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
             cells, ratio, parallel_io, serial_io = next(streams[trial % k])
             rows.append(cells)
             if ratio is not None:
-                max_ratio = max(max_ratio, ratio)
+                ratios.append(ratio)
             par_total += parallel_io
             ser_total += serial_io
         per_size.append((size, par_total, ser_total))
-    summary = {**settings, header[0]: "all", "trial": "summary", "status": "ok",
-               "ratio": max_ratio}
+    summary = {**settings, header[0]: "all", "trial": "summary",
+               "status": "ok" if ratios else "skipped", "ratio": max(ratios, default=None)}
     if io_sweep:
         from .iosim import IoOptimality, classify_io_optimality
 

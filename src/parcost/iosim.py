@@ -11,7 +11,7 @@ so classifications stay model-fair:
   ``kruskal_serial_io(m, M)`` is ``io_sort_count(m, M) + m``.
 * The simulators count; they do no work that the counters do not need. The
   TeraSort and edge-partition counters have closed forms in the per-receiver
-  and per-bucket record counts. The matching runs iterate, because each
+  and per-bucket record counts. The matching run iterates, because each
   iteration's active-edge count depends on the freezes before it.
 * Simulators are deterministic; two runs on equal inputs produce equal
   reports.
@@ -23,7 +23,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (Assignment, GopInstance, Graph, Rational, Value, _as_epsilon,
                    _equal_rank, _interval_counts, as_exact, drp_cost)
@@ -141,8 +141,8 @@ def nowicki_partition_io(graph: Graph) -> IoReport:
     return IoReport(phases, {"analytic_io": m * groups, "groups": groups})
 
 
-#: The least epsilon the matching runs take, checked before their iteration
-#: cap L: L grows as 1/epsilon, and so does the bit length of their L + 1
+#: The least epsilon the matching run takes, checked before its iteration
+#: cap L: L grows as 1/epsilon, and so does the bit length of its L + 1
 #: integers.
 MIN_EPSILON = Fraction(1, 100)
 
@@ -155,38 +155,6 @@ def _iteration_limit(n: int, eps: Fraction) -> int:
     against an implementation bug.
     """
     return math.ceil(math.log(n) / math.log(float(1 / (1 - eps)))) + 8
-
-
-def _matching_setup(n: int, epsilon) -> tuple[
-        Fraction, int, list[int], int, list[Phase], Callable[[int], int]]:
-    """The set-up both matching runs share, in the integers they count in.
-
-    With epsilon = a/b and L the iteration cap, every weight is a multiple
-    of 1/D, D = n * (b - a)^L: an edge boosted c times weighs
-    (1/n) * (b / (b - a))^c = b^c * (b - a)^(L - c) / D. Returns, in order:
-    epsilon as a Fraction; D; the numerators for c = 0..L; the freeze bar
-    ceil((b - 2a) * D / b), the least numerator of a load that reaches
-    1 - 2*epsilon, so a freeze test on integer numerators is exact; the
-    run's phase list; and ``scan(active)``, which logs the next iteration
-    with its count of active edges and returns how many iterations have
-    begun, raising past the cap L.
-    """
-    eps = _as_epsilon(epsilon)
-    if eps < MIN_EPSILON:
-        raise ParameterError(f"epsilon must be at least {MIN_EPSILON}, got {eps}")
-    a, b = eps.numerator, eps.denominator
-    limit = _iteration_limit(n, eps)
-    denominator = n * (b - a) ** limit
-    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
-    phases: list[Phase] = []
-
-    def scan(active: int) -> int:
-        if len(phases) == limit:
-            raise RuntimeError("matching run failed to terminate within its bound")
-        phases.append((f"iteration {len(phases) + 1}", active, 0))
-        return len(phases)
-
-    return eps, denominator, scaled, -(-(b - 2 * a) * denominator // b), phases, scan
 
 
 def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoReport]:
@@ -208,14 +176,25 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     freeze pass, and a frozen vertex has degree 0. An edge's final weight
     is ``w`` at the moment it froze.
 
-    The arithmetic is plain integers over the common denominator D of
-    ``_matching_setup``, shared with ``mm_parallel_io_model``; ``w`` after
-    t boosts is ``scaled[t] / D``. The weights and loads it reports are
-    built as Fractions at the end.
+    The arithmetic is plain integers. With epsilon = a/b and L the
+    iteration cap, every weight is a multiple of 1/D, D = n * (b - a)^L:
+    an edge boosted c times weighs (1/n) * (b / (b - a))^c =
+    b^c * (b - a)^(L - c) / D, so ``w`` after t boosts is ``scaled[t] / D``.
+    The freeze bar is ceil((b - 2a) * D / b), the least numerator of a load
+    that reaches 1 - 2*epsilon, so a freeze test on integer numerators is
+    exact. The weights and loads it reports are built as Fractions at the
+    end.
     """
+    eps = _as_epsilon(epsilon)
+    if eps < MIN_EPSILON:
+        raise ParameterError(f"epsilon must be at least {MIN_EPSILON}, got {eps}")
     n = graph.n_vertices
     m = graph.n_edges
-    eps, denominator, scaled, bar, phases, scan = _matching_setup(n, epsilon)
+    a, b = eps.numerator, eps.denominator
+    limit = _iteration_limit(n, eps)
+    denominator = n * (b - a) ** limit
+    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
+    bar = -(-(b - 2 * a) * denominator // b)
     # frozen_at[k]: the iteration in which edge k froze, its count of boosts
     frozen_at: list[int | None] = [None] * m
     frozen_sum = [0] * (n + 1)
@@ -227,10 +206,14 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
     frozen_vertices: set[int] = set()
     w = scaled[0]
 
+    phases: list[Phase] = []
     load_history: list[int] = []
     active = m
     while active:
-        t = scan(active)
+        t = len(phases) + 1
+        if t > limit:
+            raise RuntimeError("matching run failed to terminate within its bound")
+        phases.append((f"iteration {t}", active, 0))
         # freeze pass, on the weights as they stand at the scan
         for v in range(1, n + 1):
             if v not in frozen_vertices and frozen_sum[v] + degree[v] * w >= bar:
@@ -258,44 +241,12 @@ def mm_serial_run(graph: Graph, epsilon) -> tuple[FractionalMatchingState, IoRep
 
 
 def mm_parallel_io_model(graph: Graph, epsilon) -> IoReport:
-    """IO profile of the parallelized matching: identical per-iteration counts.
+    """IO profile of the parallelized matching: the serial run's phases.
 
     Round compression changes the scheduling but not the iteration count or
-    the set of active edges, so the parallel IO sequence equals the serial
-    one. This model replays the same freeze/boost dynamics but recomputes the
-    active-edge count each iteration by scanning the edge list against the
-    frozen-vertex set, independently of the serial run's edge bookkeeping;
-    it stays a separate replay so that comparing the two (acceptance
-    criterion 08) checks one against the other.
-
-    Its arithmetic is plain integers, the numerators over D of
-    ``_matching_setup``. Each iteration sums an edge's numerator, indexed by
-    its count of boosts, per vertex over the whole edge list, and compares
-    the sums with the freeze bar, still exact.
+    the set of active edges, so the parallel IO sequence is the serial one.
     """
-    n = graph.n_vertices
-    _, _, scaled, bar, phases, scan = _matching_setup(n, epsilon)
-    ends = [(u, v) for u, v, _ in graph.edges]
-    boosts = [0] * len(ends)
-    frozen = [False] * (n + 1)
-
-    while True:
-        active = [k for k, (u, v) in enumerate(ends) if not (frozen[u] or frozen[v])]
-        if not active:
-            break
-        scan(len(active))
-        loads = [0] * (n + 1)
-        for (u, v), c in zip(ends, boosts):
-            loads[u] += scaled[c]
-            loads[v] += scaled[c]
-        for v in range(1, n + 1):
-            if loads[v] >= bar:
-                frozen[v] = True
-        for k in active:
-            u, v = ends[k]
-            if not (frozen[u] or frozen[v]):
-                boosts[k] += 1
-    return IoReport(phases)
+    return IoReport(mm_serial_run(graph, epsilon)[1].phases)
 
 
 def _apportion(total: int, counts: Sequence[int]) -> list[int]:

@@ -25,6 +25,7 @@ from parcost.bench import (dumps_canonical, drp_to_json, drp_from_json,
                            gop_from_json, gop_to_json, graph_from_json,
                            graph_to_json, tspfb_from_json, tspfb_to_json)
 from parcost.iosim import IoOptimality
+from test_iosim import fraction_mm_parallel_io_model
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -230,7 +231,10 @@ def test_criterion_08_matching_io_optimality():
         graph = gen_graph(n, 3 * n, seed=n)
         state, serial = mm_serial_run(graph, epsilon)
         parallel = mm_parallel_io_model(graph, epsilon)
-        all_equal &= serial.phases == parallel.phases
+        # the model is the serial run's phases, so the check is the
+        # independent Fraction replay of the freeze/boost dynamics
+        replay = fraction_mm_parallel_io_model(graph, epsilon)
+        all_equal &= serial.phases == replay.phases == parallel.phases
         loads_ok &= all(state.vertex_load(graph, v) <= 1
                         for v in range(1, n + 1))
         bound = math.ceil(math.log(n) / math.log(float(1 / (1 - epsilon)))) + 1

@@ -139,6 +139,10 @@ class TestSweeps:
             for p in (1, 0, -2):
                 with pytest.raises(ParameterError, match="p must be >= 2"):
                     SweepSpec(kind=kind, sizes=(64,), p=p)
+        for edge_factor in (0, -1):
+            with pytest.raises(ParameterError,
+                               match=f"edge_factor must be >= 1, got {edge_factor}"):
+                SweepSpec(kind="mm-io", sizes=(8,), edge_factor=edge_factor)
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),
@@ -156,6 +160,15 @@ class TestSweeps:
         statuses = {r[0]: r[3] for r in rows[:-1]}
         assert statuses["4"] == "ok"
         assert statuses["30"] == "skipped"
+
+    def test_all_skipped_sweep_has_a_skipped_summary(self):
+        # no row is measured, so there is no maximum ratio to report
+        header, rows = run_sweep(SweepSpec(kind="gop-ratio", sizes=(30, 40),
+                                           trials=2, seed=5, p=3))
+        assert [r[3] for r in rows] == ["skipped"] * 5
+        summary = rows[-1]
+        assert summary[2] == "summary"
+        assert summary[header.index("ratio")] == ""
 
     def test_drp_ratio_has_no_guard(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(3, 12),
@@ -212,7 +225,7 @@ SWEEP_PINS = [
     (dict(kind="gop-ratio", sizes=(4, 30), seed=5, p=3),
      "0aa6b479d046f1b602fcf5f6e48dd3faff117bb317c4ab1f55bd9120277629a4"),
     (dict(kind="gop-ratio", sizes=(30, 40), seed=5, p=3),
-     "29022edb22327c4a3b5c68ffaf07c9995279ce661074a1a849dead106eb98c82"),
+     "1117177b774c1a2ce18e8ae7081d029d8c2d0b15420d792e71ec46e992b2ba3e"),
     (dict(kind="gop-ratio", sizes=(6, 8), trials=2, seed=9, guard=10 ** 4),
      "b1213c8ed53c89cd559e1ba49f1a4db6a42b54b7546b5c98e5a502e8e28777e4"),
     (dict(kind="terasort-io", sizes=(1000, 2000, 4000), trials=2, seed=11, memory=100),

@@ -140,6 +140,12 @@ class TestSolverCommands:
                 assert (code, out) == (2, "")
                 assert f"p must be >= 2, got {p}" in err
 
+    def test_sweep_edge_factor_below_one_is_bad_input(self, capsys):
+        for edge_factor in ("0", "-1"):
+            assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
+                           "--edge-factor", edge_factor) == (
+                2, "", f"invalid input: edge_factor must be >= 1, got {edge_factor}\n")
+
 
 class TestSimCommands:
     def test_sim_terasort(self, tmp_path, capsys):

@@ -425,7 +425,7 @@ class TestMatchingRuns:
         for n, m, seed in ((10, 15, 1), (25, 60, 2), (40, 100, 3)):
             g = gen_graph(n, m, seed=seed)
             _, serial = mm_serial_run(g, Fraction(1, 10))
-            parallel = mm_parallel_io_model(g, Fraction(1, 10))
+            parallel = fraction_mm_parallel_io_model(g, Fraction(1, 10))
             assert serial.phases == parallel.phases
             assert serial.total_io == parallel.total_io
 

@@ -39,8 +39,8 @@ from parcost.bench import (_sample_range, drp_from_json, drp_to_json,  # noqa: E
 from parcost.cli import _read_json  # noqa: E402
 from parcost.core import as_exact  # noqa: E402
 from parcost.drp import _assignment_weights  # noqa: E402
-from parcost.iosim import (FractionalMatchingState, _matching_setup,  # noqa: E402
-                           mm_serial_run)
+from parcost.iosim import (FractionalMatchingState, _as_epsilon,  # noqa: E402
+                           _iteration_limit, mm_serial_run)
 from test_acceptance import _oracle_gop  # noqa: E402
 from test_iosim import (assert_matching_runs_match_oracles,  # noqa: E402
                         buffer_terasort_simulate, per_record_counts)
@@ -521,10 +521,17 @@ def test_graph_parse_is_the_plain_parse(text):
 
 def cached_mm_serial_run(graph, epsilon):
     """``mm_serial_run`` as it was with a cache of the live vertices and
-    their loads, recomputed once after each boost."""
+    their loads, recomputed once after each boost, over the same integer
+    scale: numerators over D = n * (b - a)^L for epsilon = a/b."""
     n = graph.n_vertices
     m = graph.n_edges
-    eps, denominator, scaled, bar, phases, scan = _matching_setup(n, epsilon)
+    eps = _as_epsilon(epsilon)
+    a, b = eps.numerator, eps.denominator
+    limit = _iteration_limit(n, eps)
+    denominator = n * (b - a) ** limit
+    scaled = [b ** c * (b - a) ** (limit - c) for c in range(limit + 1)]
+    bar = -(-(b - 2 * a) * denominator // b)
+    phases = []
     frozen_at = [None] * m
     frozen_sum = [0] * (n + 1)
     incident = [[] for _ in range(n + 1)]
@@ -540,7 +547,9 @@ def cached_mm_serial_run(graph, epsilon):
     load_history = []
     active = m
     while active:
-        t = scan(active)
+        t = len(phases) + 1
+        assert t <= limit
+        phases.append((f"iteration {t}", active, 0))
         newly = [v for v, load in zip(live, loads) if load >= bar]
         for v in newly:
             for k in incident[v]:
