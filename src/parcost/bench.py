@@ -223,6 +223,14 @@ class SweepSpec(Value):
         if edge_factor < 1:
             raise ParameterError(f"edge_factor must be >= 1, got {edge_factor}")
         _check_seed(seed)
+        # a kind with a machine count needs a value per machine; mst-io's
+        # floor(n^1.5) edges first fit a simple graph at n = 6
+        if "p" in _SWEEPS[kind][1]:
+            least = _SWEEPS[kind][1]["p"] if p is None else p
+        else:
+            least = 6 if kind == "mst-io" else 2
+        if sizes[0] < least:
+            raise ParameterError(f"sizes must be >= {least} for {kind}, got {sizes}")
         super().__init__(kind, sizes, trials, seed, cost_low, cost_high, mass_max, p,
                          memory, epsilon, edge_factor, guard)
 
@@ -449,14 +457,13 @@ def _measure_mst(spec: SweepSpec, n: int, seed: int) -> dict:
 
 
 def _measure_mm(spec: SweepSpec, n: int, seed: int) -> dict:
-    from .iosim import mm_parallel_io_model, mm_serial_run
+    from .iosim import mm_serial_run
 
     m = min(n * (n - 1) // 2, spec.edge_factor * n)
-    graph = gen_graph(n, m, seed)
-    _, serial_report = mm_serial_run(graph, spec.epsilon)
-    return {"m": m, "iterations": len(serial_report.phases),
-            "parallel_io": mm_parallel_io_model(graph, spec.epsilon).total_io,
-            "serial_io": serial_report.total_io}
+    _, report = mm_serial_run(gen_graph(n, m, seed), spec.epsilon)
+    # the parallel profile is the run's phases: iosim.mm_parallel_io_model's rule
+    return {"m": m, "iterations": len(report.phases),
+            "parallel_io": report.total_io, "serial_io": report.total_io}
 
 
 # kind -> (header, spec field defaults, measure), in constants.SWEEP_KINDS order

@@ -139,18 +139,18 @@ def _cmd_sim_terasort(args) -> dict:
 
 
 def _cmd_sim_mm(args) -> dict:
-    from .iosim import mm_parallel_io_model, mm_serial_run
+    from .iosim import mm_serial_run
 
-    graph = _load(args, "graph")
-    state, serial_report = mm_serial_run(graph, args.epsilon)
-    parallel_report = mm_parallel_io_model(graph, args.epsilon)
+    state, report = mm_serial_run(_load(args, "graph"), args.epsilon)
+    # the parallel profile is the run's phases: iosim.mm_parallel_io_model's rule
+    profile = _report_json(report)
     return {
-        "iterations": len(serial_report.phases),
-        "serial": _report_json(serial_report),
-        "parallel": _report_json(parallel_report),
+        "iterations": len(report.phases),
+        "serial": profile,
+        "parallel": profile,
         "frozen_vertices": sorted(state.frozen_vertices),
         # the last entry is the maximum vertex load after the final iteration
-        "max_vertex_load": float(serial_report.extras["max_vertex_load_per_iteration"][-1]),
+        "max_vertex_load": float(report.extras["max_vertex_load_per_iteration"][-1]),
     }
 
 
@@ -203,11 +203,14 @@ def _cmd_gen(args) -> dict:
 def _cmd_validate(args) -> dict:
     from . import core
 
-    data = _read_json(args, args.kind)
+    if args.kind is not None:  # its loader names the field a file lacks
+        _load(args, args.kind)
+        return {"valid": True, "kind": args.kind}
+    data = _read_json(args, None)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
     for kind, fields in _KINDS.items():
-        if args.kind in (None, kind) and all(k in data for k in fields):
+        if all(k in data for k in fields):
             getattr(core, f"{kind}_from_json")(data)
             return {"valid": True, "kind": kind}
     raise InstanceError(

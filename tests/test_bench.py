@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import threading
 from fractions import Fraction
 
@@ -143,6 +144,18 @@ class TestSweeps:
             with pytest.raises(ParameterError,
                                match=f"edge_factor must be >= 1, got {edge_factor}"):
                 SweepSpec(kind="mm-io", sizes=(8,), edge_factor=edge_factor)
+        # each kind's least size: a machine count's p, else what its generator takes
+        for kind, sizes, p, least in (("drp-ratio", (1, 2), None, 2),
+                                      ("gop-ratio", (1,), None, 2),
+                                      ("gop-ratio", (2, 3), 3, 3),
+                                      ("terasort-io", (3, 64), None, 4),
+                                      ("mst-io", (5, 6), None, 6),
+                                      ("mm-io", (1,), None, 2)):
+            message = f"sizes must be >= {least} for {kind}, got {sizes}"
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                SweepSpec(kind=kind, sizes=sizes, p=p)
+            header, rows = run_sweep(SweepSpec(kind=kind, sizes=(least,), p=p))
+            assert rows[0][header.index("status")] == "ok"
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -145,6 +146,15 @@ class TestSolverCommands:
             assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "8",
                            "--edge-factor", edge_factor) == (
                 2, "", f"invalid input: edge_factor must be >= 1, got {edge_factor}\n")
+
+    def test_sweep_size_below_the_kinds_least_is_bad_input(self, capsys):
+        for kind, sizes, flags, message in (
+                ("mm-io", "1", (), "sizes must be >= 2 for mm-io, got (1,)"),
+                ("mst-io", "5,6", (), "sizes must be >= 6 for mst-io, got (5, 6)"),
+                ("terasort-io", "2,8", ("--p", "3"),
+                 "sizes must be >= 3 for terasort-io, got (2, 8)")):
+            assert run_cli(capsys, "sweep", "--kind", kind, "--sizes", sizes, *flags) == (
+                2, "", f"invalid input: {message}\n")
 
 
 class TestSimCommands:
@@ -406,6 +416,19 @@ class TestErrorHandling:
             path = write_json(tmp_path, "bad.json", data)
             assert run_cli(capsys, command, "--input", path) == (
                 2, "", f"invalid input: {message}\n"), message
+
+    def test_validate_kind_names_the_field_the_file_lacks(self, tmp_path, capsys):
+        # validate --kind K reads the file with K's loader, as K's commands do
+        for name, kind, message in (
+                ("drp.json", "graph", "graph is missing the 'n' field"),
+                ("tspfb.json", "graph", "graph is missing the 'edges' field"),
+                ("drp.json", "gop", "sorting instance is missing the 'subsets' field"),
+                ("graph.json", "tspfb",
+                 "bipartite tour instance is missing the 'weights' field"),
+                ("list.json", "drp", "redistribution instance must be a JSON object")):
+            path = write_json(tmp_path, name, PIN_FILES[name])
+            assert run_cli(capsys, "validate", "--input", path, "--kind", kind) == (
+                2, "", f"invalid input: {message}\n"), (name, kind)
 
     def test_numeric_strings_must_be_num_den(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"p": 2, "transfer": [[0, "0.5"], [3, 0]],
@@ -673,8 +696,9 @@ CLI_PINS = [
      "2d505d7bde5402b351b0bc63477850dcf30d3b15606baf0e398f672042b26bc8"),
     (("validate", "--input", "list.json"), None, 2,
      "a3e838c1ce6dad94df8a3e110df7aacfc21511406a905df9b39db9fcaf23b738"),
+    # --kind K loads with K's loader, which names the field the file lacks
     (("validate", "--input", "drp.json", "--kind", "gop"), None, 2,
-     "7af26b86edefd726684272fb5454cbe98885bb79e237f20b2b380b9bda0325ba"),
+     "4c79c51b2cbc4810705910a731ea001e03de46710c005310727e0b8bbd49e7e9"),
     # a size refusal names the matrix side
     (("validate", "--input", "tspfb1.json"), None, 2,
      "c37e4a12e7121fd7c622f69a9754640a8648526e08e3c52860727ab8b97fd613"),
@@ -837,3 +861,98 @@ def test_size_field_must_be_an_integer(kind, size, tmp_path, capsys):
     path = write_json(tmp_path, "i.json", {key: 2, **fields})
     assert run_cli(capsys, "validate", "--input", path) == (
         0, '{"kind":"%s","valid":true}\n' % kind, "")
+
+
+# --- each result once --------------------------------------------------------
+# A request computes each result once: no solver or simulator entry point is
+# called twice with equal arguments within one request, or within one sweep
+# row. Their callers import them in their bodies, so the wrapped module
+# attribute is the one a request runs.
+
+ENTRY_POINTS = {"drp": ("drp_solve_exact", "drp_solve_approx", "tspfb_to_drp"),
+                "lap": ("lap_solve",),
+                "gopsort": ("gop_solve_exact", "gop_solve_approx"),
+                "iosim": ("terasort_simulate", "mm_serial_run", "mm_parallel_io_model",
+                          "nowicki_partition_io")}
+
+ONCE_REQUESTS = [
+    ("drp-exact", "--input", "drp.json"),
+    ("drp-approx", "--input", "drp.json"),
+    ("gop-exact", "--input", "gop.json"),
+    ("gop-approx", "--input", "gop.json"),
+    ("gop-approx", "--input", "gop.json", "--exact-assignment"),
+    ("reduce-tspfb", "--input", "tspfb.json"),
+    ("sim-terasort", "--input", "gop.json"),
+    ("sim-mm", "--input", "graph.json"),
+    ("sim-mst-io", "--input", "graph.json"),
+    ("sweep", "--kind", "drp-ratio", "--sizes", "2,3", "--trials", "2"),
+    ("gen", "--kind", "drp"),
+    ("validate", "--input", "drp.json"),
+]
+
+ONCE_SWEEPS = [
+    {"kind": "drp-ratio", "sizes": (2, 3, 4)},
+    {"kind": "gop-ratio", "sizes": (4, 6), "p": 3},
+    {"kind": "terasort-io", "sizes": (64, 128)},
+    {"kind": "mst-io", "sizes": (8, 16)},
+    {"kind": "mm-io", "sizes": (8, 16)},
+]
+
+
+def record_entry_points(monkeypatch) -> list:
+    """Wrap each entry point to append (name, args, kwargs) to the returned
+    list before it runs, and run every sweep row in this process."""
+    from parcost import bench
+
+    calls = []
+
+    def recorder(name, fn):
+        def recording(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return recording
+
+    for module_name, names in ENTRY_POINTS.items():
+        module = importlib.import_module(f"parcost.{module_name}")
+        for name in names:
+            monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    return calls
+
+
+def repeated_calls(calls) -> list[str]:
+    """The name of each call whose name and arguments equal an earlier one's."""
+    return [call[0] for k, call in enumerate(calls) if call in calls[:k]]
+
+
+@pytest.mark.parametrize("argv", ONCE_REQUESTS, ids=" ".join)
+def test_a_request_runs_each_entry_point_once_per_input(argv, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, data in PIN_FILES.items():
+        write_json(tmp_path, name, data)
+    calls = record_entry_points(monkeypatch)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert bool(calls) == (argv[0] not in ("gen", "validate"))
+    assert repeated_calls(calls) == []
+
+
+@pytest.mark.parametrize("spec", ONCE_SWEEPS, ids=[s["kind"] for s in ONCE_SWEEPS])
+def test_a_sweep_row_runs_each_entry_point_once_per_input(spec, monkeypatch):
+    from parcost import bench
+
+    calls = record_entry_points(monkeypatch)
+    header, defaults, measure = bench._SWEEPS[spec["kind"]]
+    rows = []
+
+    def measure_once(*args, **kwargs):
+        calls.clear()
+        cells = measure(*args, **kwargs)
+        rows.append(list(calls))
+        return cells
+
+    monkeypatch.setitem(bench._SWEEPS, spec["kind"], (header, defaults, measure_once))
+    bench.run_sweep(bench.SweepSpec(**spec, trials=2))
+    assert len(rows) == 2 * len(spec["sizes"])
+    for row in rows:
+        assert row and repeated_calls(row) == []
