@@ -186,10 +186,11 @@ def _request(*argv):
     return setup
 
 
-def _process(command, name, *gen_args):
-    """``_request(command, "--input", FILE)`` on a file ``gen`` writes untimed."""
+def _process(command, name, *gen_args, flags=()):
+    """``_request(command, "--input", FILE, *flags)`` on a file ``gen`` writes
+    untimed."""
     def setup(sweeps):
-        return _request(command, "--input", _gen_file(name, *gen_args))(sweeps)
+        return _request(command, "--input", _gen_file(name, *gen_args), *flags)(sweeps)
     return setup
 
 
@@ -270,6 +271,18 @@ LAYERS = {
     "cli.run:drp-exact-p9": (
         "one fresh python -m parcost.cli drp-exact on gen --kind drp --p 9 --seed 1",
         _process("drp-exact", "drp9.json", "--kind", "drp", "--p", "9", "--seed", "1")),
+    # plan-large's median group: a small solve, or a file read, behind the start
+    "cli.run:drp-approx-p9": (
+        "one fresh python -m parcost.cli drp-approx on gen --kind drp --p 9 --seed 1",
+        _process("drp-approx", "drp9.json", "--kind", "drp", "--p", "9", "--seed", "1")),
+    "cli.run:gop-exact-gop60": (
+        "one fresh python -m parcost.cli gop-exact --guard 237120 on gen --kind gop "
+        "--n 60 --p 3 --seed 1",
+        _process("gop-exact", "gop60.json", "--kind", "gop", "--n", "60", "--p", "3",
+                 "--seed", "1", flags=("--guard", "237120"))),
+    "cli.run:validate-drp200": (
+        "one fresh python -m parcost.cli validate on gen --kind drp --p 200 --seed 1",
+        _process("validate", "drp200.json", "--kind", "drp", "--p", "200", "--seed", "1")),
     "cli.run:mst2048": (
         "one fresh python -m parcost.cli sim-mst-io on gen_graph(2048, 92681, 1)'s file",
         _process("sim-mst-io", "mst2048.json",

@@ -193,22 +193,29 @@ def gen_tspfb(n: int, seed: int) -> TspFbInstance:
 
 class SweepSpec(Value):
     """What to sweep and how: kind, ascending sizes, trials per size, seed,
-    and the model knobs the kind needs. ``guard`` is gop-ratio's work guard;
-    None means the default. ``epsilon`` is read first, whatever the kind."""
+    and the model knobs the kind reads. A knob left None takes its default;
+    one set for a kind that does not read it is refused. ``guard`` is
+    gop-ratio's work guard; None means the default."""
 
     __slots__ = _fields = ("kind", "sizes", "trials", "seed", "cost_low",
                            "cost_high", "mass_max", "p", "memory", "epsilon",
                            "edge_factor", "guard")
 
     def __init__(self, kind: str, sizes: Sequence[int], trials: int = 1, seed: int = 0,
-                 cost_low: int = DEFAULT_COST_LOW, cost_high: int = DEFAULT_COST_HIGH,
-                 mass_max: int = DEFAULT_MASS_MAX, p: int | None = None,
-                 memory: int | None = None, epsilon: Fraction | str = DEFAULT_EPSILON,
-                 edge_factor: int = 4, guard: int | None = None) -> None:
-        epsilon = _as_epsilon(epsilon)
+                 cost_low: int | None = None, cost_high: int | None = None,
+                 mass_max: int | None = None, p: int | None = None,
+                 memory: int | None = None, epsilon: Fraction | str | None = None,
+                 edge_factor: int | None = None, guard: int | None = None) -> None:
         if kind not in SWEEP_KINDS:
             raise ParameterError(
                 f"unknown sweep kind {kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
+        reads, least = _SWEEPS[kind][3:]
+        knobs = (cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard)
+        for name, value in zip(self.__slots__[4:], knobs):
+            if value is not None and name not in reads:
+                raise ParameterError(
+                    f"{kind} does not read {name}; it reads {', '.join(reads)}")
+        epsilon = _as_epsilon(DEFAULT_EPSILON if epsilon is None else epsilon)
         sizes = tuple(sizes)
         if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ParameterError(f"sizes must be non-empty and ascending, got {sizes}")
@@ -220,19 +227,24 @@ class SweepSpec(Value):
             raise ParameterError(f"p must be >= 2, got {p}")
         if memory is not None and memory < 2:
             raise ParameterError(f"memory must be >= 2, got {memory}")
-        if edge_factor < 1:
+        if edge_factor is not None and edge_factor < 1:
             raise ParameterError(f"edge_factor must be >= 1, got {edge_factor}")
         _check_seed(seed)
-        # a kind with a machine count needs a value per machine; mst-io's
-        # floor(n^1.5) edges first fit a simple graph at n = 6
-        if "p" in _SWEEPS[kind][1]:
-            least = _SWEEPS[kind][1]["p"] if p is None else p
-        else:
-            least = 6 if kind == "mst-io" else 2
+        least = least if p is None else p
         if sizes[0] < least:
             raise ParameterError(f"sizes must be >= {least} for {kind}, got {sizes}")
-        super().__init__(kind, sizes, trials, seed, cost_low, cost_high, mass_max, p,
-                         memory, epsilon, edge_factor, guard)
+        super().__init__(
+            kind, sizes, trials, seed,
+            DEFAULT_COST_LOW if cost_low is None else cost_low,
+            DEFAULT_COST_HIGH if cost_high is None else cost_high,
+            DEFAULT_MASS_MAX if mass_max is None else mass_max, p, memory, epsilon,
+            4 if edge_factor is None else edge_factor, guard)
+
+    def __reduce__(self):
+        # a knob the kind does not read goes back unset, as the spec was made
+        reads = _SWEEPS[self.kind][3]
+        return type(self), tuple(getattr(self, name) if k < 4 or name in reads else None
+                                 for k, name in enumerate(self.__slots__))
 
 
 def _fmt(value) -> str:
@@ -270,7 +282,7 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
     child holds only the calling thread and would inherit any lock another
     thread held.
     """
-    header, defaults, measure = _SWEEPS[spec.kind]
+    header, defaults, measure = _SWEEPS[spec.kind][:3]
     settings = {name: default if getattr(spec, name) is None else getattr(spec, name)
                 for name, default in defaults.items()}
     io_sweep = "classification" in header
@@ -466,21 +478,26 @@ def _measure_mm(spec: SweepSpec, n: int, seed: int) -> dict:
             "parallel_io": report.total_io, "serial_io": report.total_io}
 
 
-# kind -> (header, spec field defaults, measure), in constants.SWEEP_KINDS order
+# kind -> (header, spec field defaults, measure, the knobs the kind reads, its
+# least size), in constants.SWEEP_KINDS order. A kind with a machine count
+# takes sizes from its p up; mst-io's floor(n^1.5) edges first fit a simple
+# graph at n = 6.
 _SWEEPS = {
     "drp-ratio": (("p", "trial", "status", "exact_cost", "approx_cost",
                    "ratio", "bound", "within_bound"),
-                  {}, _measure_drp_ratio),
+                  {}, _measure_drp_ratio, ("cost_low", "cost_high", "mass_max"), 2),
     "gop-ratio": (("n", "p", "trial", "status", "exact_total", "approx_total",
                    "ratio", "bound", "within_bound"),
-                  {"p": 2, "guard": DEFAULT_WORK_GUARD}, _measure_gop_ratio),
+                  {"p": 2, "guard": DEFAULT_WORK_GUARD}, _measure_gop_ratio,
+                  ("p", "guard", "cost_low", "cost_high"), 2),
     "terasort-io": (("n", "trial", "status", "parallel_io", "serial_io", "ratio",
                      "classification"),
-                    {"p": 4, "memory": DEFAULT_MEMORY}, _measure_terasort),
+                    {"p": 4, "memory": DEFAULT_MEMORY}, _measure_terasort,
+                    ("p", "memory", "cost_low", "cost_high"), 4),
     "mst-io": (("n", "m", "trial", "status", "parallel_io", "analytic_io",
                 "serial_io", "ratio", "classification"),
-               {}, _measure_mst),
+               {}, _measure_mst, ("memory",), 6),
     "mm-io": (("n", "m", "trial", "status", "iterations", "parallel_io",
                "serial_io", "ratio", "classification"),
-              {}, _measure_mm),
+              {}, _measure_mm, ("epsilon", "edge_factor"), 2),
 }

@@ -8,11 +8,11 @@ codes: 0 success, 1 guard/infeasible, 2 bad input.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
                         DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
@@ -224,101 +224,130 @@ def _positive_int(text: str) -> int:
     except ValueError:  # text such as "abc" or "2.5" names no integer
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
-def _command(subs, name: str, handler, help: str, instance: bool = True):
-    """Add a subcommand run by `handler`, with --input and --output if `instance`."""
-    sub = subs.add_parser(name, help=help)
-    if instance:
-        sub.add_argument("--input", help="instance JSON file ('-' or omitted: stdin)")
-        sub.add_argument("--output", help="result file ('-' or omitted: stdout)")
-    sub.set_defaults(handler=handler)
-    return sub
+# The command table: each command's handler, its help, and its options, each
+# flag with its add_argument keywords, in help order. build_parser builds
+# argparse from it and _read_argv reads a plain argv by it, so a request that
+# argparse would take as it is needs no parser.
+_IO = {"--input": {"help": "instance JSON file ('-' or omitted: stdin)"},
+       "--output": {"help": "result file ('-' or omitted: stdout)"}}
+_INT = {"type": int}
+_COMMANDS = {
+    "drp-exact": (_cmd_drp_exact,
+                  "exact redistribution optimum (Hungarian method, O(p^3))", _IO),
+    "drp-approx": (_cmd_drp_approx, "assignment-surrogate approximation", _IO),
+    "gop-exact": (_cmd_gop_exact, "exhaustive splitter+assignment optimum", {
+        **_IO, "--guard": {"type": _positive_int, "default": DEFAULT_WORK_GUARD,
+                           "help": "work cap on C(n,p-1)*p! (default %(default)s)"}}),
+    "gop-approx": (_cmd_gop_approx, "equal splitters + surrogate assignment", {
+        **_IO, "--exact-assignment": {
+            "action": "store_true",
+            "help": "solve the redistribution subproblem exactly (extension)"}}),
+    "reduce-tspfb": (_cmd_reduce_tspfb,
+                     "encode a bipartite tour instance as a redistribution instance", _IO),
+    "sim-terasort": (_cmd_sim_terasort, "three-phase range-partition sort", {
+        **_IO, "--memory": {"type": int, "default": DEFAULT_MEMORY,
+                            "help": "main-memory records per machine (default %(default)s)"},
+        "--with-output": {"action": "store_true",
+                          "help": "include the sorted records in the result"}}),
+    "sim-mm": (_cmd_sim_mm, "fractional matching IO profile", {
+        **_IO, "--epsilon": {"default": DEFAULT_EPSILON,
+                             "help": "boost parameter in (0, 1/2), e.g. 0.1 or 1/10"}}),
+    "sim-mst-io": (_cmd_sim_mst_io, "edge-partition spanning-forest IO", {
+        **_IO, "--memory": {"type": int,
+                            "help": "serial-model memory (default: vertex count)"}}),
+    "sweep": (_cmd_sweep, "cost/ratio tables over a size sweep", {
+        "--kind": {"required": True, "choices": SWEEP_KINDS},
+        "--sizes": {"required": True,
+                    "help": "comma-separated ascending sizes, e.g. 64,256,1024"},
+        "--trials": _INT, "--seed": _INT, "--cost-low": _INT, "--cost-high": _INT,
+        "--mass-max": _INT,
+        "--p": {"type": int, "help": "machine count where the kind needs one"},
+        "--memory": _INT, "--epsilon": {}, "--edge-factor": _INT,
+        "--guard": {"type": _positive_int,
+                    "help": "gop-ratio work cap on C(n,p-1)*p! "
+                            f"(default {DEFAULT_WORK_GUARD})"},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+        "--output": {}}),
+    "gen": (_cmd_gen, "generate a random instance", {
+        "--kind": {"required": True, "choices": tuple(_KINDS)},
+        "--seed": {"type": int, "default": 0}, "--p": {"type": int, "default": 4},
+        "--n": {"type": int, "default": 16}, "--m": {"type": int, "default": 32},
+        "--cost-low": {"type": int, "default": DEFAULT_COST_LOW},
+        "--cost-high": {"type": int, "default": DEFAULT_COST_HIGH},
+        "--mass-max": {"type": int, "default": DEFAULT_MASS_MAX},
+        "--output": {}}),
+    "validate": (_cmd_validate, "check an instance file's invariants", {
+        **_IO, "--kind": {"choices": tuple(_KINDS),
+                          "help": "expected instance kind (default: sniff by fields)"}}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="parcost",
         description="Solvers and IO simulators for redistribution planning "
                     "on clusters with non-uniform link costs.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _command(subs, "drp-exact", _cmd_drp_exact,
-             "exact redistribution optimum (Hungarian method, O(p^3))")
-    _command(subs, "drp-approx", _cmd_drp_approx, "assignment-surrogate approximation")
-
-    sub = _command(subs, "gop-exact", _cmd_gop_exact,
-                   "exhaustive splitter+assignment optimum")
-    sub.add_argument("--guard", type=_positive_int, default=DEFAULT_WORK_GUARD,
-                     help="work cap on C(n,p-1)*p! (default %(default)s)")
-
-    sub = _command(subs, "gop-approx", _cmd_gop_approx,
-                   "equal splitters + surrogate assignment")
-    sub.add_argument("--exact-assignment", action="store_true",
-                     help="solve the redistribution subproblem exactly (extension)")
-
-    _command(subs, "reduce-tspfb", _cmd_reduce_tspfb,
-             "encode a bipartite tour instance as a redistribution instance")
-
-    sub = _command(subs, "sim-terasort", _cmd_sim_terasort, "three-phase range-partition sort")
-    sub.add_argument("--memory", type=int, default=DEFAULT_MEMORY,
-                     help="main-memory records per machine (default %(default)s)")
-    sub.add_argument("--with-output", action="store_true",
-                     help="include the sorted records in the result")
-
-    sub = _command(subs, "sim-mm", _cmd_sim_mm, "fractional matching IO profile")
-    sub.add_argument("--epsilon", default=DEFAULT_EPSILON,
-                     help="boost parameter in (0, 1/2), e.g. 0.1 or 1/10")
-
-    sub = _command(subs, "sim-mst-io", _cmd_sim_mst_io, "edge-partition spanning-forest IO")
-    sub.add_argument("--memory", type=int,
-                     help="serial-model memory (default: vertex count)")
-
-    sub = _command(subs, "sweep", _cmd_sweep, "cost/ratio tables over a size sweep",
-                   instance=False)
-    sub.add_argument("--kind", required=True, choices=SWEEP_KINDS)
-    sub.add_argument("--sizes", required=True,
-                     help="comma-separated ascending sizes, e.g. 64,256,1024")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--cost-low", type=int)
-    sub.add_argument("--cost-high", type=int)
-    sub.add_argument("--mass-max", type=int)
-    sub.add_argument("--p", type=int, help="machine count where the kind needs one")
-    sub.add_argument("--memory", type=int)
-    sub.add_argument("--epsilon")
-    sub.add_argument("--edge-factor", type=int)
-    sub.add_argument("--guard", type=_positive_int,
-                     help=f"gop-ratio work cap on C(n,p-1)*p! (default {DEFAULT_WORK_GUARD})")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output")
-
-    sub = _command(subs, "gen", _cmd_gen, "generate a random instance", instance=False)
-    sub.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--p", type=int, default=4)
-    sub.add_argument("--n", type=int, default=16)
-    sub.add_argument("--m", type=int, default=32)
-    sub.add_argument("--cost-low", type=int, default=DEFAULT_COST_LOW)
-    sub.add_argument("--cost-high", type=int, default=DEFAULT_COST_HIGH)
-    sub.add_argument("--mass-max", type=int, default=DEFAULT_MASS_MAX)
-    sub.add_argument("--output")
-
-    sub = _command(subs, "validate", _cmd_validate, "check an instance file's invariants")
-    sub.add_argument("--kind", choices=tuple(_KINDS),
-                     help="expected instance kind (default: sniff by fields)")
-
+    for name, (handler, help, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help)
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a plain argv: a
+    command, then its flags, each spelled out and given at most once, each
+    but a switch followed by a value that does not start with "-", that its
+    type takes and its choices hold, and every required flag given. None
+    for any other argv, which argparse then reads, answers or refuses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = options.get(flag)
+        if option is None or flag in given:
+            return None
+        # a store_true switch takes no value; a flag at the end reads "-"
+        value = "action" in option or next(tokens, "-")
+        if value is not True:
+            if value.startswith("-"):
+                return None
+            try:
+                value = option.get("type", str)(value)
+            except Exception:  # argparse words the refusal
+                return None
+            if value not in option.get("choices", (value,)):
+                return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, option in options.items():
+        if flag not in given and "required" in option:
+            return None
+        # a flag not given takes its default, a switch False
+        setattr(args, flag[2:].replace("-", "_"),
+                given.get(flag, "action" not in option and option.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         result = args.handler(args)
         if not isinstance(result, str):
@@ -348,9 +377,10 @@ def main(argv=None) -> int:
         return 2
 
 
-# The process entry. A request builds only acyclic data: its cyclic garbage is
-# the parser, 541 objects at any input size (tests/test_cli.py checks), so the
-# collector is paused. Freezing takes the objects tracked at start-up out of
+# The process entry. A request builds only acyclic data: one that _read_argv
+# takes leaves no cyclic garbage, and one that argparse reads leaves the
+# parser, about 540 objects, at any input size (tests/test_cli.py checks), so
+# the collector is paused. Freezing takes the objects tracked at start-up out of
 # every pass, the exit-time pass included, and a forked sweep worker never
 # writes their GC headers (the fork recipe in gc.freeze's documentation).
 def run() -> None:

@@ -22,13 +22,14 @@ import math
 import re
 from bisect import bisect_right
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence, Union
 
 from .errors import InstanceError, ParameterError
 
-Rational = Union[int, Fraction]
+# fractions loads where a number is not an int, so an int-only request skips
+# it and the decimal module it imports
+Rational = Union[int, "Fraction"]
 
 #: Tolerance for comparisons that involve the binary64 IO term.
 FLOAT_TOLERANCE = 1e-9
@@ -46,15 +47,17 @@ def as_exact(value: object) -> Rational:
         raise InstanceError("booleans are not valid numeric entries")
     if isinstance(value, int):
         return value
+    import fractions  # binds faster than a from-import, once per non-int entry
+
     if isinstance(value, str):
         if re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", value) is None:
             raise InstanceError(f"a numeric string must read \"num/den\", got {value!r}")
-        value = Fraction(value)
+        value = fractions.Fraction(value)
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise InstanceError(f"non-finite numeric entry: {value!r}")
-        value = Fraction(value)
-    if isinstance(value, Fraction):
+        value = fractions.Fraction(value)
+    if isinstance(value, fractions.Fraction):
         return int(value) if value.denominator == 1 else value
     raise InstanceError(f"unsupported numeric type: {type(value).__name__}")
 
@@ -74,6 +77,8 @@ def _exact_out(value: Rational) -> int | float | str:
 
 def _as_epsilon(epsilon) -> Fraction:
     """The epsilon rule: a number, or text that ``Fraction`` reads, in (0, 1/2)."""
+    from fractions import Fraction
+
     try:
         eps = Fraction(epsilon) if isinstance(epsilon, str) else Fraction(as_exact(epsilon))
     except (ValueError, ZeroDivisionError):  # text such as "abc" or "1/0" names no number

@@ -12,7 +12,6 @@ local data is free, never more than max/min link cost times the optimum.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from operator import mul
 
@@ -70,7 +69,12 @@ def ratio_bound(cost: CostMatrix) -> Rational | None:
     if any(row[i] for i, row in enumerate(cost.entries)):
         return None
     off = cost.off_diagonal()
-    return as_exact(Fraction(max(off), min(off)))
+    high, low = max(off), min(off)
+    if high % low == 0:  # the int as_exact would make, without loading fractions
+        return high // low
+    import fractions
+
+    return as_exact(fractions.Fraction(high, low))
 
 
 def _tour_columns(n: int) -> tuple[tuple[int, int], ...]:

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import pickle
 import re
 import threading
 from fractions import Fraction
@@ -156,6 +157,29 @@ class TestSweeps:
                 SweepSpec(kind=kind, sizes=sizes, p=p)
             header, rows = run_sweep(SweepSpec(kind=kind, sizes=(least,), p=p))
             assert rows[0][header.index("status")] == "ok"
+
+    def test_spec_refuses_a_knob_its_kind_does_not_read(self):
+        values = {"cost_low": 2, "cost_high": 5, "mass_max": 7, "p": 3, "memory": 4,
+                  "epsilon": "1/5", "edge_factor": 3, "guard": 10}
+        reads = {"drp-ratio": ("cost_low", "cost_high", "mass_max"),
+                 "gop-ratio": ("p", "guard", "cost_low", "cost_high"),
+                 "terasort-io": ("p", "memory", "cost_low", "cost_high"),
+                 "mst-io": ("memory",), "mm-io": ("epsilon", "edge_factor")}
+        assert {kind: row[3] for kind, row in bench._SWEEPS.items()} == reads
+        for kind, names in reads.items():
+            plain = run_sweep(SweepSpec(kind, (16,)))
+            for name, value in values.items():
+                if name in names:
+                    spec = SweepSpec(kind, (16,), **{name: value})
+                    assert pickle.loads(pickle.dumps(spec)) == spec
+                    # a knob the kind reads moves its rows; terasort-io's
+                    # costs price its shuffle, which a row does not print
+                    if kind != "terasort-io" or name == "memory":
+                        assert run_sweep(spec) != plain, (kind, name)
+                    continue
+                message = f"{kind} does not read {name}; it reads {', '.join(names)}"
+                with pytest.raises(ParameterError, match=re.escape(message)):
+                    SweepSpec(kind, (8,), **{name: value})
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),
@@ -370,7 +394,7 @@ def test_skipped_rows_in_every_share(monkeypatch):
 
 def failing_rows(monkeypatch, failures):
     """Make the drp-ratio rows named by (p, trial) of a seed-5 sweep raise."""
-    header, defaults, measure = bench._SWEEPS["drp-ratio"]
+    header, defaults, measure, *row = bench._SWEEPS["drp-ratio"]
     by_seed = {bench.row_seed(5, p, trial): error for (p, trial), error in failures.items()}
 
     def measure_or_fail(spec, p, seed):
@@ -378,7 +402,7 @@ def failing_rows(monkeypatch, failures):
             raise by_seed[seed]
         return measure(spec, p, seed)
 
-    monkeypatch.setitem(bench._SWEEPS, "drp-ratio", (header, defaults, measure_or_fail))
+    monkeypatch.setitem(bench._SWEEPS, "drp-ratio", (header, defaults, measure_or_fail, *row))
     return SweepSpec(kind="drp-ratio", sizes=(2, 3, 4), trials=4, seed=5)
 
 

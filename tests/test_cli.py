@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -319,17 +321,40 @@ class TestSweepAndGen:
         assert all(getattr(args, name) is None
                    for name in ("trials", "seed", "cost_low", "cost_high", "mass_max",
                                 "epsilon", "edge_factor"))
+        # the defaults of the knobs drp-ratio reads, spelled out
         spelled = ["--trials", "1", "--seed", "0", "--cost-low", "1", "--cost-high", "10",
-                   "--mass-max", "20", "--epsilon", "1/10", "--edge-factor", "4"]
+                   "--mass-max", "20"]
         short = run_cli(capsys, *argv)
         assert short[0] == 0 and short[1].startswith("p,trial,status")
         assert run_cli(capsys, *argv, *spelled) == short
+        # a knob the kind does not read is refused, even at its default
+        assert run_cli(capsys, *argv, "--epsilon", "1/10") == (
+            2, "", "invalid input: drp-ratio does not read epsilon; "
+                   "it reads cost_low, cost_high, mass_max\n")
 
     def test_sweep_refuses_an_epsilon_out_of_range_whatever_the_kind(self, capsys):
-        # drp-ratio runs no matching, yet SweepSpec reads every epsilon
-        assert run_cli(capsys, "sweep", "--kind", "drp-ratio", "--sizes", "2",
+        # mm-io reads epsilon and refuses one out of range; drp-ratio reads
+        # none, so it refuses any
+        assert run_cli(capsys, "sweep", "--kind", "mm-io", "--sizes", "2",
                        "--epsilon", "0.9") == (
             2, "", "invalid input: epsilon must lie in (0, 1/2), got 9/10\n")
+        assert run_cli(capsys, "sweep", "--kind", "drp-ratio", "--sizes", "2",
+                       "--epsilon", "0.9") == (
+            2, "", "invalid input: drp-ratio does not read epsilon; "
+                   "it reads cost_low, cost_high, mass_max\n")
+
+    def test_sweep_refuses_a_knob_its_kind_does_not_read(self, capsys):
+        for kind, flag, value, knob in (
+                ("drp-ratio", "--p", "9", "p"), ("drp-ratio", "--memory", "50", "memory"),
+                ("drp-ratio", "--edge-factor", "3", "edge_factor"),
+                ("gop-ratio", "--memory", "50", "memory"),
+                ("terasort-io", "--guard", "5", "guard"),
+                ("mst-io", "--cost-low", "2", "cost_low"),
+                ("mm-io", "--p", "7", "p"), ("mm-io", "--guard", "3", "guard")):
+            code, out, err = run_cli(capsys, "sweep", "--kind", kind, "--sizes", "8",
+                                     flag, value)
+            assert (code, out) == (2, ""), (kind, flag)
+            assert err.startswith(f"invalid input: {kind} does not read {knob}; "), err
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "drp-ratio",
@@ -483,7 +508,8 @@ class TestErrorHandling:
 
 class TestProcessEntry:
     """``cli.run`` pauses the collector for the process's one request, on
-    the premise that a request's only cyclic garbage is its parser."""
+    the premise that a request's only cyclic garbage is argparse's parser,
+    which a request that ``_read_argv`` takes never builds."""
 
     def test_cyclic_garbage_is_the_parsers_at_every_input_size(self, tmp_path, capsys):
         from parcost import bench, core
@@ -499,7 +525,8 @@ class TestProcessEntry:
         paths = {name: write_json(tmp_path, f"{name}.json",
                                   getattr(core, f"{kind}_to_json")(inst))
                  for name, (kind, inst) in instances.items()}
-        runs = [
+        # the reader takes these, so no parser is built
+        read = [
             *(("sim-mst-io", "--input", paths[name]) for name in ("graph20", "graph500")),
             *(("sim-terasort", "--input", paths[name]) for name in ("gop12", "gop1e4")),
             *(("drp-approx", "--input", paths[name]) for name in ("drp3", "drp60")),
@@ -510,6 +537,14 @@ class TestProcessEntry:
             ("gop-exact", "--input", paths["gop1e4"], "--guard", "5"),
             ("drp-exact", "--input", str(tmp_path / "missing.json")),
         ]
+        # argparse reads these spellings: "=", an abbreviation, a repeat
+        parsed = [
+            ("drp-approx", f"--input={paths['drp3']}"),
+            ("sim-mst-io", "--in", paths["graph500"]),
+            ("sweep", "--kind", "gop-ratio", "--sizes", "4,40", "--p", "3",
+             "--trials", "2", "--guard=1000"),
+            ("gop-exact", "--input", paths["gop12"], "--guard", "5", "--guard", "5"),
+        ]
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -517,7 +552,7 @@ class TestProcessEntry:
             build_parser()
             parser_garbage = gc.collect()
             garbage = {}
-            for argv in runs:
+            for argv in read + parsed:
                 code = main(list(argv))
                 capsys.readouterr()
                 garbage[argv] = (code, gc.collect())
@@ -525,9 +560,9 @@ class TestProcessEntry:
             if was_enabled:
                 gc.enable()
         assert parser_garbage > 0
-        assert [code for code, _ in garbage.values()] == [0] * 8 + [1, 2]
-        assert {argv: count for argv, (_, count) in garbage.items()} == dict.fromkeys(
-            runs, parser_garbage)
+        assert [code for code, _ in garbage.values()] == [0] * 8 + [1, 2] + [0, 0, 0, 1]
+        assert {argv: count for argv, (_, count) in garbage.items()} == {
+            **dict.fromkeys(read, 0), **dict.fromkeys(parsed, parser_garbage)}
 
     def test_run_hands_main_a_paused_collector_and_exits_with_its_code(self):
         code = """
@@ -942,7 +977,7 @@ def test_a_sweep_row_runs_each_entry_point_once_per_input(spec, monkeypatch):
     from parcost import bench
 
     calls = record_entry_points(monkeypatch)
-    header, defaults, measure = bench._SWEEPS[spec["kind"]]
+    header, defaults, measure, *row = bench._SWEEPS[spec["kind"]]
     rows = []
 
     def measure_once(*args, **kwargs):
@@ -951,8 +986,118 @@ def test_a_sweep_row_runs_each_entry_point_once_per_input(spec, monkeypatch):
         rows.append(list(calls))
         return cells
 
-    monkeypatch.setitem(bench._SWEEPS, spec["kind"], (header, defaults, measure_once))
+    monkeypatch.setitem(bench._SWEEPS, spec["kind"], (header, defaults, measure_once, *row))
     bench.run_sweep(bench.SweepSpec(**spec, trials=2))
     assert len(rows) == 2 * len(spec["sizes"])
     for row in rows:
         assert row and repeated_calls(row) == []
+
+
+# --- the table reader --------------------------------------------------------
+# main reads a plain argv with cli._read_argv and leaves every other one to
+# argparse, so the reader must return None or exactly argparse's namespace.
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def parsed(argv) -> dict | None:
+    """vars() of argparse's namespace for argv; None where argparse exits,
+    as for help or a refusal."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_reader_agrees(argv) -> bool:
+    """Whether the reader took argv, after checking it agrees with argparse."""
+    read = cli._read_argv(list(argv))
+    if read is not None:
+        assert vars(read) == parsed(list(argv)), argv
+    return read is not None
+
+
+def perfbench_argvs() -> list[list[str]]:
+    """Every process argv of every perfbench workload, --input included."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads  # dataclass needs its module
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules["workloads"]
+    argvs = []
+    for make in workloads.WORKLOADS.values():
+        for request in make(1)[1]:
+            for k, stage in enumerate(request.stages):
+                first = k == 0 and request.instance
+                argvs.append([*stage, *(["--input", f"{request.instance}.json"] if first else [])])
+    return argvs
+
+
+def test_the_reader_takes_every_perfbench_argv():
+    argvs = perfbench_argvs()
+    assert len(argvs) == 18 + 4 * 2 + 10 + 15
+    assert all(assert_reader_agrees(argv) for argv in argvs)
+
+
+SWEEP_ARGVS = [
+    ("sweep", "--kind", "mst-io", "--sizes", "64,256,1024,4096"),
+    ("sweep", "--kind", "drp-ratio", "--sizes", "2,3", "--trials", "1", "--seed", "0",
+     "--cost-low", "1", "--cost-high", "10", "--mass-max", "20"),
+    ("sweep", "--kind", "drp-ratio", "--sizes", "2,3", "--epsilon", "1/10"),
+    ("sweep", "--kind", "mm-io", "--sizes", "2", "--epsilon", "0.9"),
+    ("sweep", "--kind", "drp-ratio", "--sizes", "2,3", "--format", "json"),
+    ("sweep", "--kind", "gop-ratio", "--sizes", "4,40", "--p", "3", "--trials", "2",
+     "--guard", "1000"),
+    ("sweep", "--kind", "gop-ratio", "--sizes", "4", "--guard", "0"),
+    ("sweep", "--kind", "drp-ratio", "--sizes", "2", "--p", "-1"),
+    ("sweep", "--kind", "nope", "--sizes", "2"),
+    ("sweep", "--sizes", "2"),
+    ("sweep", "--kind", "drp-ratio"),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in CLI_PINS] + SWEEP_ARGVS + ONCE_REQUESTS,
+                         ids=" ".join)
+def test_the_reader_agrees_with_argparse(argv):
+    assert_reader_agrees(argv)
+
+
+def test_the_reader_leaves_help_refusals_and_other_spellings_to_argparse():
+    for argv in (["--help"], ["drp-exact", "-h"], ["drp-exact", "--in", "x"],
+                 ["drp-exact", "--input=x"], ["drp-exact", "--input", "x", "--input", "y"],
+                 ["drp-exact", "--input"], ["drp-exact", "x"], ["gen", "--seed", "-1"],
+                 ["gop-exact", "--guard", "0"], ["gen", "--kind", "nope"], ["gen"],
+                 ["sim-mm", "--input", "-"], ["frobnicate"], []):
+        assert cli._read_argv(argv) is None, argv
+
+
+def test_the_reader_agrees_with_argparse_on_drawn_argv():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    words = ["-h", "--help", "-5", "--", "-", "", "0", "1", "3", "2,3", "abc", "1/10",
+             "0.5", "csv", "json", "drp", "gop", "graph", "drp-ratio", "mm-io", "x.json"]
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "--help"]))
+        options = cli._COMMANDS.get(command, (None, None, {"--input": {}}))[2]
+        flags = list(options)
+        spellings = [*(f"{flag}={word}" for flag in flags for word in ("1", "drp")),
+                     *(flag[:k] for flag in flags for k in range(3, len(flag)))]
+        token = st.sampled_from(flags + words + spellings) | st.text(max_size=4)
+        # a flag and a value, one of its choices where it has them
+        pair = st.sampled_from(flags).flatmap(lambda flag: st.tuples(
+            st.just(flag), st.sampled_from([*words, *options[flag].get("choices", ())])))
+        group = st.one_of(*[pair.map(list)] * 3, token.map(lambda t: [t]))
+        tokens = draw(st.lists(group, max_size=5))
+        return [command, *(t for group in tokens for t in group)]
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        assert_reader_agrees(argv)
+
+    check()

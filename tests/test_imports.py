@@ -76,6 +76,44 @@ def test_noop_start_loads_no_solver_and_no_dataclasses():
     assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
+def test_noop_start_builds_argparse():
+    # build_parser imports argparse in its body, so the no-op start still
+    # times it, and a request that the table reader takes does not
+    assert "argparse" in child_modules()
+
+
+# one int-input run of each command
+COMMAND_RUNS = {
+    "drp-exact": ("--input", "drp"), "drp-approx": ("--input", "drp"),
+    "gop-exact": ("--input", "gop"), "gop-approx": ("--input", "gop"),
+    "reduce-tspfb": ("--input", "tspfb"), "sim-terasort": ("--input", "gop"),
+    "sim-mm": ("--input", "graph"), "sim-mst-io": ("--input", "graph"),
+    "sweep": ("--kind", "drp-ratio", "--sizes", "2,3"), "gen": ("--kind", "drp"),
+    "validate": ("--input", "drp"),
+}
+
+
+def run_argv(command: str, files) -> list[str]:
+    flags = list(COMMAND_RUNS[command])
+    if flags[0] == "--input":
+        flags[1] = files[flags[1]]
+    return [command, *flags]
+
+
+@pytest.mark.parametrize("command", COMMAND_RUNS)
+def test_a_plain_request_loads_no_argparse(files, command):
+    modules = child_modules(*run_argv(command, files))
+    assert not modules & {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("drp-exact", "drp"), ("drp-approx", "drp"), ("gop-exact", "gop"), ("gop-approx", "gop"),
+    ("reduce-tspfb", "tspfb"), *(("validate", kind) for kind in INSTANCES)])
+def test_an_int_only_solve_loads_no_fractions(files, command, kind):
+    modules = child_modules(command, "--input", files[kind])
+    assert not modules & {"fractions", "decimal"}
+
+
 @pytest.mark.parametrize("command", ["drp-exact", "drp-approx"])
 def test_drp_commands_load_no_sorting_or_simulator(files, command):
     modules = child_modules(command, "--input", files["drp"])
