@@ -37,9 +37,15 @@ GRAPH_WEIGHT_MAX = 100
 TSPFB_WEIGHT_MAX = 20
 
 
+def _is_int(value) -> bool:
+    """The integer rule of a seed, a size, a count and an int knob: an int
+    that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
     """The seed rule: a 64-bit unsigned integer."""
-    if not 0 <= seed < 2 ** 64:
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
@@ -193,9 +199,10 @@ def gen_tspfb(n: int, seed: int) -> TspFbInstance:
 
 class SweepSpec(Value):
     """What to sweep and how: kind, ascending sizes, trials per size, seed,
-    and the model knobs the kind reads. A knob left None takes its default;
-    one set for a kind that does not read it is refused. ``guard`` is
-    gop-ratio's work guard; None means the default."""
+    and the model knobs the kind reads. The kind's ``_SWEEPS`` row is the one
+    home of those knobs, their defaults and its least size. A spec holds each
+    knob its kind reads, at the value given or that default, and None for the
+    rest, which are refused if set. ``guard`` is gop-ratio's work guard."""
 
     __slots__ = _fields = ("kind", "sizes", "trials", "seed", "cost_low",
                            "cost_high", "mass_max", "p", "memory", "epsilon",
@@ -209,14 +216,25 @@ class SweepSpec(Value):
         if kind not in SWEEP_KINDS:
             raise ParameterError(
                 f"unknown sweep kind {kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
-        reads, least = _SWEEPS[kind][3:]
-        knobs = (cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard)
-        for name, value in zip(self.__slots__[4:], knobs):
-            if value is not None and name not in reads:
+        knobs, least = _SWEEPS[kind][2:]
+        names = self.__slots__[4:]
+        given = (cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard)
+        for name, value in zip(names, given):
+            if value is not None and name not in knobs:
                 raise ParameterError(
-                    f"{kind} does not read {name}; it reads {', '.join(reads)}")
-        epsilon = _as_epsilon(DEFAULT_EPSILON if epsilon is None else epsilon)
+                    f"{kind} does not read {name}; it reads {', '.join(knobs)}")
+        for name, value in zip(names, given):
+            if value is not None and name != "epsilon" and not _is_int(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard = (
+            knobs.get(name) if value is None else value for name, value in zip(names, given))
+        if epsilon is not None:
+            epsilon = _as_epsilon(epsilon)
         sizes = tuple(sizes)
+        if not all(map(_is_int, sizes)):
+            raise ParameterError(f"sizes must be integers, got {sizes}")
+        if not _is_int(trials):
+            raise ParameterError(f"trials must be an integer, got {trials!r}")
         if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ParameterError(f"sizes must be non-empty and ascending, got {sizes}")
         if trials < 1:
@@ -230,21 +248,11 @@ class SweepSpec(Value):
         if edge_factor is not None and edge_factor < 1:
             raise ParameterError(f"edge_factor must be >= 1, got {edge_factor}")
         _check_seed(seed)
-        least = least if p is None else p
+        least = p if least is None else least
         if sizes[0] < least:
             raise ParameterError(f"sizes must be >= {least} for {kind}, got {sizes}")
-        super().__init__(
-            kind, sizes, trials, seed,
-            DEFAULT_COST_LOW if cost_low is None else cost_low,
-            DEFAULT_COST_HIGH if cost_high is None else cost_high,
-            DEFAULT_MASS_MAX if mass_max is None else mass_max, p, memory, epsilon,
-            4 if edge_factor is None else edge_factor, guard)
-
-    def __reduce__(self):
-        # a knob the kind does not read goes back unset, as the spec was made
-        reads = _SWEEPS[self.kind][3]
-        return type(self), tuple(getattr(self, name) if k < 4 or name in reads else None
-                                 for k, name in enumerate(self.__slots__))
+        super().__init__(kind, sizes, trials, seed, cost_low, cost_high, mass_max, p,
+                         memory, epsilon, edge_factor, guard)
 
 
 def _fmt(value) -> str:
@@ -282,9 +290,9 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
     child holds only the calling thread and would inherit any lock another
     thread held.
     """
-    header, defaults, measure = _SWEEPS[spec.kind][:3]
-    settings = {name: default if getattr(spec, name) is None else getattr(spec, name)
-                for name, default in defaults.items()}
+    header, measure, knobs = _SWEEPS[spec.kind][:3]
+    # the knobs a row prints, as gop-ratio's p
+    shown = {name: getattr(spec, name) for name in knobs if name in header}
     io_sweep = "classification" in header
 
     def share(worker: int, k: int) -> Iterator[tuple]:
@@ -293,10 +301,10 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
         maximum since ``float`` never reverses an order; None if skipped."""
         for size in spec.sizes:
             for trial in range(worker, spec.trials, k):
-                row = {**settings, header[0]: size, "trial": trial}
+                row = {**shown, header[0]: size, "trial": trial}
                 seed = row_seed(spec.seed, size, trial)
                 try:
-                    row.update(measure(spec, size, seed, **settings))
+                    row.update(measure(spec, size, seed))
                 except GuardError:
                     row["status"] = "skipped"
                     ratio = None
@@ -328,7 +336,7 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[tuple[str, ...], 
             par_total += parallel_io
             ser_total += serial_io
         per_size.append((size, par_total, ser_total))
-    summary = {**settings, header[0]: "all", "trial": "summary",
+    summary = {**shown, header[0]: "all", "trial": "summary",
                "status": "ok" if ratios else "skipped", "ratio": max(ratios, default=None)}
     if io_sweep:
         from .iosim import IoOptimality, classify_io_optimality
@@ -419,10 +427,9 @@ def sweep_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 # A sweep kind's measure function builds one instance for a size and trial
-# seed and returns its cells by column name; run_sweep adds the size, trial,
-# status and summary cells, and for IO kinds each row's ratio. The spec
-# fields a kind defaults are resolved once per sweep and passed to every
-# measure call; one named like a column is printed in every row.
+# seed, reading its knobs from the spec, and returns its cells by column
+# name; run_sweep adds the size, trial, status and summary cells, for IO
+# kinds each row's ratio, and each knob named like a column.
 
 def _measure_drp_ratio(spec: SweepSpec, p: int, seed: int) -> dict:
     from .drp import drp_solve_approx, drp_solve_exact, ratio_bound
@@ -436,12 +443,12 @@ def _measure_drp_ratio(spec: SweepSpec, p: int, seed: int) -> dict:
             "bound": bound, "within_bound": ratio <= bound}
 
 
-def _measure_gop_ratio(spec: SweepSpec, n: int, seed: int, p: int, guard: int) -> dict:
+def _measure_gop_ratio(spec: SweepSpec, n: int, seed: int) -> dict:
     from .drp import ratio_bound
     from .gopsort import gop_solve_approx, gop_solve_exact
 
-    g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-    exact = gop_solve_exact(g, work_guard=guard).total_cost
+    g = gen_gop(n, spec.p, seed, spec.cost_low, spec.cost_high)
+    exact = gop_solve_exact(g, work_guard=spec.guard).total_cost
     approx = gop_solve_approx(g).total_cost
     bound = max(float(ratio_bound(g.cost)), 2.0)
     ratio = 1.0 if exact == 0 else approx / exact
@@ -449,12 +456,12 @@ def _measure_gop_ratio(spec: SweepSpec, n: int, seed: int, p: int, guard: int) -
             "bound": bound, "within_bound": ratio <= bound + FLOAT_TOLERANCE}
 
 
-def _measure_terasort(spec: SweepSpec, n: int, seed: int, p: int, memory: int) -> dict:
+def _measure_terasort(spec: SweepSpec, n: int, seed: int) -> dict:
     from .iosim import io_sort_count, terasort_simulate
 
-    g = gen_gop(n, p, seed, spec.cost_low, spec.cost_high)
-    _, report = terasort_simulate(g, memory)
-    return {"parallel_io": report.total_io, "serial_io": io_sort_count(n, memory)}
+    g = gen_gop(n, spec.p, seed, spec.cost_low, spec.cost_high)
+    _, report = terasort_simulate(g, spec.memory)
+    return {"parallel_io": report.total_io, "serial_io": io_sort_count(n, spec.memory)}
 
 
 def _measure_mst(spec: SweepSpec, n: int, seed: int) -> dict:
@@ -478,26 +485,28 @@ def _measure_mm(spec: SweepSpec, n: int, seed: int) -> dict:
             "parallel_io": report.total_io, "serial_io": report.total_io}
 
 
-# kind -> (header, spec field defaults, measure, the knobs the kind reads, its
-# least size), in constants.SWEEP_KINDS order. A kind with a machine count
-# takes sizes from its p up; mst-io's floor(n^1.5) edges first fit a simple
-# graph at n = 6.
+# kind -> (header, measure, the knobs the kind reads with their defaults,
+# its least size), in constants.SWEEP_KINDS order. A kind that reads p takes
+# sizes from its p up, so its least size is None; mst-io's floor(n^1.5)
+# edges first fit a simple graph at n = 6, and its memory None means each
+# row's vertex count.
 _SWEEPS = {
     "drp-ratio": (("p", "trial", "status", "exact_cost", "approx_cost",
-                   "ratio", "bound", "within_bound"),
-                  {}, _measure_drp_ratio, ("cost_low", "cost_high", "mass_max"), 2),
+                   "ratio", "bound", "within_bound"), _measure_drp_ratio,
+                  {"cost_low": DEFAULT_COST_LOW, "cost_high": DEFAULT_COST_HIGH,
+                   "mass_max": DEFAULT_MASS_MAX}, 2),
     "gop-ratio": (("n", "p", "trial", "status", "exact_total", "approx_total",
-                   "ratio", "bound", "within_bound"),
-                  {"p": 2, "guard": DEFAULT_WORK_GUARD}, _measure_gop_ratio,
-                  ("p", "guard", "cost_low", "cost_high"), 2),
+                   "ratio", "bound", "within_bound"), _measure_gop_ratio,
+                  {"p": 2, "guard": DEFAULT_WORK_GUARD, "cost_low": DEFAULT_COST_LOW,
+                   "cost_high": DEFAULT_COST_HIGH}, None),
     "terasort-io": (("n", "trial", "status", "parallel_io", "serial_io", "ratio",
-                     "classification"),
-                    {"p": 4, "memory": DEFAULT_MEMORY}, _measure_terasort,
-                    ("p", "memory", "cost_low", "cost_high"), 4),
+                     "classification"), _measure_terasort,
+                    {"p": 4, "memory": DEFAULT_MEMORY, "cost_low": DEFAULT_COST_LOW,
+                     "cost_high": DEFAULT_COST_HIGH}, None),
     "mst-io": (("n", "m", "trial", "status", "parallel_io", "analytic_io",
-                "serial_io", "ratio", "classification"),
-               {}, _measure_mst, ("memory",), 6),
+                "serial_io", "ratio", "classification"), _measure_mst,
+               {"memory": None}, 6),
     "mm-io": (("n", "m", "trial", "status", "iterations", "parallel_io",
-               "serial_io", "ratio", "classification"),
-              {}, _measure_mm, ("epsilon", "edge_factor"), 2),
+               "serial_io", "ratio", "classification"), _measure_mm,
+              {"epsilon": DEFAULT_EPSILON, "edge_factor": 4}, 2),
 }

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Every subcommand reads instance JSON from --input (or stdin), writes result
-JSON (or CSV for sweeps) to --output (or stdout), and keeps stdout free of
-anything but the result so invocations compose in shell pipelines. Exit
-codes: 0 success, 1 guard/infeasible, 2 bad input.
+Every subcommand but ``gen`` and ``sweep``, which read no input, reads
+instance JSON from --input (or stdin). Every one writes result JSON (or CSV
+for sweeps) to --output (or stdout), and keeps stdout free of anything but
+the result so invocations compose in shell pipelines. Exit codes: 0
+success, 1 guard/infeasible, 2 bad input.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _cmd_sim_mst_io(args) -> dict:
 def _cmd_sweep(args) -> dict | str:
     from .bench import SweepSpec, run_sweep, sweep_to_csv
 
-    # SweepSpec holds the defaults; sizes convert first, so their error wins
+    # bench._SWEEPS holds the defaults; sizes convert first, so their error wins
     spec = {name: value for name in SweepSpec._fields
             if (value := getattr(args, name)) is not None}
     try:

@@ -1,3 +1,4 @@
+import copy
 import errno
 import hashlib
 import json
@@ -26,7 +27,7 @@ class TestSeed:
         for seed in (0, 2 ** 64 - 1):
             gen_tspfb(3, seed)
             SweepSpec("drp-ratio", (2,), seed=seed)
-        for seed in (-1, 2 ** 64):
+        for seed in (-1, 2 ** 64, 1.5, True):
             for build in (lambda: gen_drp(2, 1, 9, 20, seed), lambda: gen_gop(2, 2, seed),
                           lambda: gen_graph(2, 1, seed), lambda: gen_tspfb(3, seed),
                           lambda: SweepSpec("drp-ratio", (2,), seed=seed)):
@@ -165,7 +166,7 @@ class TestSweeps:
                  "gop-ratio": ("p", "guard", "cost_low", "cost_high"),
                  "terasort-io": ("p", "memory", "cost_low", "cost_high"),
                  "mst-io": ("memory",), "mm-io": ("epsilon", "edge_factor")}
-        assert {kind: row[3] for kind, row in bench._SWEEPS.items()} == reads
+        assert {kind: tuple(row[2]) for kind, row in bench._SWEEPS.items()} == reads
         for kind, names in reads.items():
             plain = run_sweep(SweepSpec(kind, (16,)))
             for name, value in values.items():
@@ -180,6 +181,38 @@ class TestSweeps:
                 message = f"{kind} does not read {name}; it reads {', '.join(names)}"
                 with pytest.raises(ParameterError, match=re.escape(message)):
                     SweepSpec(kind, (8,), **{name: value})
+
+    def test_spec_holds_exactly_what_its_sweep_reads(self):
+        # each kind's knobs at their defaults, spelled out, and its least size
+        defaults = {"drp-ratio": ({"cost_low": 1, "cost_high": 10, "mass_max": 20}, 2),
+                    "gop-ratio": ({"p": 2, "guard": 1000, "cost_low": 1, "cost_high": 10}, 2),
+                    "terasort-io": ({"p": 4, "memory": 1000, "cost_low": 1,
+                                     "cost_high": 10}, 4),
+                    "mst-io": ({"memory": None}, 6),
+                    "mm-io": ({"epsilon": "1/10", "edge_factor": 4}, 2)}
+        for kind, (knobs, least) in defaults.items():
+            spec = SweepSpec(kind, (least,))
+            assert spec == SweepSpec(kind, (least,), **knobs), kind
+            for name in SweepSpec._fields[4:]:
+                if name not in knobs:
+                    assert getattr(spec, name) is None, (kind, name)
+            for clone in (copy.copy(spec), copy.deepcopy(spec),
+                          pickle.loads(pickle.dumps(spec))):
+                assert clone == spec, kind
+
+    def test_spec_refuses_a_non_int_size_count_or_int_knob(self):
+        # the CLI converts these flags to int first; a Python caller may not
+        for value in (2.5, True, "3"):
+            with pytest.raises(ParameterError, match="^sizes must be integers"):
+                SweepSpec("mm-io", (8, value))
+            with pytest.raises(ParameterError, match="^trials must be an integer"):
+                SweepSpec("mm-io", (8,), trials=value)
+            for kind, row in bench._SWEEPS.items():
+                for name in row[2]:
+                    if name != "epsilon":
+                        with pytest.raises(ParameterError,
+                                           match=f"^{name} must be an integer"):
+                            SweepSpec(kind, (16,), **{name: value})
 
     def test_drp_ratio_rows_within_bound(self):
         header, rows = run_sweep(SweepSpec(kind="drp-ratio", sizes=(2, 3, 4),
@@ -394,7 +427,7 @@ def test_skipped_rows_in_every_share(monkeypatch):
 
 def failing_rows(monkeypatch, failures):
     """Make the drp-ratio rows named by (p, trial) of a seed-5 sweep raise."""
-    header, defaults, measure, *row = bench._SWEEPS["drp-ratio"]
+    header, measure, *row = bench._SWEEPS["drp-ratio"]
     by_seed = {bench.row_seed(5, p, trial): error for (p, trial), error in failures.items()}
 
     def measure_or_fail(spec, p, seed):
@@ -402,7 +435,7 @@ def failing_rows(monkeypatch, failures):
             raise by_seed[seed]
         return measure(spec, p, seed)
 
-    monkeypatch.setitem(bench._SWEEPS, "drp-ratio", (header, defaults, measure_or_fail, *row))
+    monkeypatch.setitem(bench._SWEEPS, "drp-ratio", (header, measure_or_fail, *row))
     return SweepSpec(kind="drp-ratio", sizes=(2, 3, 4), trials=4, seed=5)
 
 

@@ -977,7 +977,7 @@ def test_a_sweep_row_runs_each_entry_point_once_per_input(spec, monkeypatch):
     from parcost import bench
 
     calls = record_entry_points(monkeypatch)
-    header, defaults, measure, *row = bench._SWEEPS[spec["kind"]]
+    header, measure, *row = bench._SWEEPS[spec["kind"]]
     rows = []
 
     def measure_once(*args, **kwargs):
@@ -986,7 +986,7 @@ def test_a_sweep_row_runs_each_entry_point_once_per_input(spec, monkeypatch):
         rows.append(list(calls))
         return cells
 
-    monkeypatch.setitem(bench._SWEEPS, spec["kind"], (header, defaults, measure_once, *row))
+    monkeypatch.setitem(bench._SWEEPS, spec["kind"], (header, measure_once, *row))
     bench.run_sweep(bench.SweepSpec(**spec, trials=2))
     assert len(rows) == 2 * len(spec["sizes"])
     for row in rows:

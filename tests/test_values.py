@@ -49,8 +49,8 @@ def _kwargs():
          "TspFbInstance(weights=((0, 1), (2, 0)))"),
         (SweepSpec, dict(kind="drp-ratio", sizes=(2, 3)), ("drp-ratio", (2, 3)),
          "SweepSpec(kind='drp-ratio', sizes=(2, 3), trials=1, seed=0, cost_low=1, "
-         "cost_high=10, mass_max=20, p=None, memory=None, epsilon=Fraction(1, 10), "
-         "edge_factor=4, guard=None)"),
+         "cost_high=10, mass_max=20, p=None, memory=None, epsilon=None, "
+         "edge_factor=None, guard=None)"),
         (AssignmentProblem, dict(weights=ENTRIES), (ENTRIES,),
          "AssignmentProblem(weights=((0, 1), (2, 0)))"),
         (GopInstance,
@@ -132,7 +132,7 @@ def test_defaults():
     spec = SweepSpec(kind="mm-io", sizes=[4, 8])
     assert (spec.trials, spec.seed, spec.cost_low, spec.cost_high, spec.mass_max,
             spec.p, spec.memory, spec.epsilon, spec.edge_factor, spec.guard) == (
-        1, 0, 1, 10, 20, None, None, Fraction(1, 10), 4, None)
+        1, 0, None, None, None, None, None, Fraction(1, 10), 4, None)
     assert spec.sizes == (4, 8)
 
 
