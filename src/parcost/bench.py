@@ -19,8 +19,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import BinaryIO, Callable, Iterator, Sequence
 
-from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
-                        DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
+from .constants import DEFAULT_EPSILON, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .core import (FLOAT_TOLERANCE, CostMatrix, DrpInstance, GopInstance, Graph,
                    SortInstance, TransferMatrix, TspFbInstance, Value, _as_epsilon)
 from .core import (drp_from_json, drp_to_json, dumps_canonical, gop_from_json,
@@ -35,12 +34,32 @@ from .errors import GuardError, ParameterError
 GOP_VALUE_SPAN = 10
 GRAPH_WEIGHT_MAX = 100
 TSPFB_WEIGHT_MAX = 20
+DEFAULT_COST_LOW = 1  # generated link costs lie in [COST_LOW, COST_HIGH]
+DEFAULT_COST_HIGH = 10
+DEFAULT_MASS_MAX = 20  # generated transfer volumes lie in [0, MASS_MAX]
 
 
 def _is_int(value) -> bool:
     """The integer rule of a seed, a size, a count and an int knob: an int
     that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_ints(**fields) -> None:
+    """Refuse the first field that breaks the integer rule, by name. ``gen_drp``,
+    which a drp-ratio row calls, first tests that every field's type is int,
+    and calls this only if one is not, so such a row pays a type test a field."""
+    for name, value in fields.items():
+        if not _is_int(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _read_knobs(kind: str, knobs: dict, given: dict) -> dict:
+    for name, value in given.items():
+        if value is not None and name not in knobs:
+            raise ParameterError(f"{kind} does not read {name}; it reads {', '.join(knobs)}")
+    return {name: default if given[name] is None else given[name]
+            for name, default in knobs.items()}
 
 
 def _check_seed(seed: int) -> None:
@@ -115,6 +134,8 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
             seed: int) -> DrpInstance:
     """Random instance: integer off-diagonal costs in [cost_low, cost_high],
     integer transfer volumes in [0, mass_max]."""
+    if not (type(p) is type(cost_low) is type(cost_high) is type(mass_max) is int):
+        _check_ints(p=p, cost_low=cost_low, cost_high=cost_high, mass_max=mass_max)
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
     _check_cost_range(cost_low, cost_high)
@@ -130,6 +151,7 @@ def gen_drp(p: int, cost_low: int, cost_high: int, mass_max: int,
 def gen_gop(n: int, p: int, seed: int, cost_low: int = DEFAULT_COST_LOW,
             cost_high: int = DEFAULT_COST_HIGH) -> GopInstance:
     """n distinct integers spread uniformly over p machines, random cluster costs."""
+    _check_ints(n=n, p=p, cost_low=cost_low, cost_high=cost_high)
     SortInstance.check_sizes(n, p)
     _check_cost_range(cost_low, cost_high)
     rng = _rng(seed)
@@ -161,6 +183,7 @@ def _random_costs(rng: random.Random, p: int, cost_low: int, cost_high: int) -> 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Simple random graph with m edges and positive integer weights.
     ``Graph`` refuses n < 1 and m = 0."""
+    _check_ints(n=n, m=m)
     limit = max(n, 0) * (n - 1) // 2
     if not 0 <= m <= limit:
         raise ParameterError(f"m={m} infeasible for n={n} (max {limit})")
@@ -189,6 +212,7 @@ def _distinct_pairs(rng: random.Random, n: int) -> Iterator[tuple[int, int]]:
 
 def gen_tspfb(n: int, seed: int) -> TspFbInstance:
     """Random bipartite tour instance with positive integer weights."""
+    _check_ints(n=n)
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     weights = map((1).__add__, _below(_rng(seed), TSPFB_WEIGHT_MAX))
@@ -217,24 +241,19 @@ class SweepSpec(Value):
             raise ParameterError(
                 f"unknown sweep kind {kind!r}; expected one of {', '.join(SWEEP_KINDS)}")
         knobs, least = _SWEEPS[kind][2:]
-        names = self.__slots__[4:]
-        given = (cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard)
-        for name, value in zip(names, given):
-            if value is not None and name not in knobs:
-                raise ParameterError(
-                    f"{kind} does not read {name}; it reads {', '.join(knobs)}")
-        for name, value in zip(names, given):
-            if value is not None and name != "epsilon" and not _is_int(value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard = (
-            knobs.get(name) if value is None else value for name, value in zip(names, given))
+        given = dict(zip(self.__slots__[4:], (cost_low, cost_high, mass_max, p, memory,
+                                                epsilon, edge_factor, guard)))
+        settings = _read_knobs(kind, knobs, given)
+        _check_ints(**{name: value for name, value in given.items()
+                       if value is not None and name != "epsilon"})
+        cost_low, cost_high, mass_max, p, memory, epsilon, edge_factor, guard = map(
+            settings.get, given)
         if epsilon is not None:
             epsilon = _as_epsilon(epsilon)
         sizes = tuple(sizes)
         if not all(map(_is_int, sizes)):
             raise ParameterError(f"sizes must be integers, got {sizes}")
-        if not _is_int(trials):
-            raise ParameterError(f"trials must be an integer, got {trials!r}")
+        _check_ints(trials=trials)
         if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ParameterError(f"sizes must be non-empty and ascending, got {sizes}")
         if trials < 1:
@@ -509,4 +528,13 @@ _SWEEPS = {
     "mm-io": (("n", "m", "trial", "status", "iterations", "parallel_io",
                "serial_io", "ratio", "classification"), _measure_mm,
               {"epsilon": DEFAULT_EPSILON, "edge_factor": 4}, 2),
+}
+
+# instance kind -> the knobs `gen --kind` hands gen_<kind>, with their defaults
+_GENS = {
+    "drp": {"p": 4, "cost_low": DEFAULT_COST_LOW, "cost_high": DEFAULT_COST_HIGH,
+            "mass_max": DEFAULT_MASS_MAX},
+    "gop": {"n": 16, "p": 4, "cost_low": DEFAULT_COST_LOW, "cost_high": DEFAULT_COST_HIGH},
+    "graph": {"n": 16, "m": 32},
+    "tspfb": {"n": 16},
 }

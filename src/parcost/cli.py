@@ -15,8 +15,7 @@ import sys
 from itertools import chain
 from types import SimpleNamespace
 
-from .constants import (DEFAULT_COST_HIGH, DEFAULT_COST_LOW, DEFAULT_EPSILON,
-                        DEFAULT_MASS_MAX, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS)
+from .constants import DEFAULT_EPSILON, DEFAULT_MEMORY, DEFAULT_WORK_GUARD, SWEEP_KINDS
 from .errors import GuardError, InstanceError, ParameterError
 
 # A handler returns its result, a JSON value or CSV text, for main to write.
@@ -190,14 +189,11 @@ def _cmd_sweep(args) -> dict | str:
 def _cmd_gen(args) -> dict:
     from . import bench, core
 
-    if args.kind == "drp":
-        inst = bench.gen_drp(args.p, args.cost_low, args.cost_high, args.mass_max, args.seed)
-    elif args.kind == "gop":
-        inst = bench.gen_gop(args.n, args.p, args.seed, args.cost_low, args.cost_high)
-    elif args.kind == "graph":
-        inst = bench.gen_graph(args.n, args.m, args.seed)
-    else:
-        inst = bench.gen_tspfb(args.n, args.seed)
+    # every other flag is a knob, which the kind's row reads or refuses
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "handler", "kind", "seed", "output")}
+    knobs = bench._read_knobs(args.kind, bench._GENS[args.kind], given)
+    inst = getattr(bench, f"gen_{args.kind}")(**knobs, seed=args.seed)
     return getattr(core, f"{args.kind}_to_json")(inst)
 
 
@@ -277,12 +273,8 @@ _COMMANDS = {
         "--output": {}}),
     "gen": (_cmd_gen, "generate a random instance", {
         "--kind": {"required": True, "choices": tuple(_KINDS)},
-        "--seed": {"type": int, "default": 0}, "--p": {"type": int, "default": 4},
-        "--n": {"type": int, "default": 16}, "--m": {"type": int, "default": 32},
-        "--cost-low": {"type": int, "default": DEFAULT_COST_LOW},
-        "--cost-high": {"type": int, "default": DEFAULT_COST_HIGH},
-        "--mass-max": {"type": int, "default": DEFAULT_MASS_MAX},
-        "--output": {}}),
+        "--seed": {"type": int, "default": 0}, "--p": _INT, "--n": _INT, "--m": _INT,
+        "--cost-low": _INT, "--cost-high": _INT, "--mass-max": _INT, "--output": {}}),
     "validate": (_cmd_validate, "check an instance file's invariants", {
         **_IO, "--kind": {"choices": tuple(_KINDS),
                           "help": "expected instance kind (default: sniff by fields)"}}),

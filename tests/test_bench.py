@@ -76,6 +76,20 @@ class TestGenerators:
         tour = gen_tspfb(4, seed=5)
         assert all(w >= 1 for row in tour.weights for w in row)
 
+    def test_generators_refuse_a_non_int_size_count_cost_or_mass(self):
+        # the CLI converts these flags to int first; a Python caller may not.
+        # The field is refused before any other check: the seed here is bad too
+        fields = {gen_drp: {"p": 3, "cost_low": 1, "cost_high": 10, "mass_max": 20},
+                  gen_gop: {"n": 6, "p": 2, "cost_low": 1, "cost_high": 10},
+                  gen_graph: {"n": 5, "m": 3}, gen_tspfb: {"n": 3}}
+        for generate, valid in fields.items():
+            generate(**valid, seed=1)
+            for name in valid:
+                for value in (2.5, True, "3"):
+                    message = f"{name} must be an integer, got {value!r}"
+                    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                        generate(**{**valid, name: value}, seed=-1)
+
 
 class TestRoundTrips:
     def test_drp(self):

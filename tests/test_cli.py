@@ -414,6 +414,49 @@ class TestSweepAndGen:
             assert err.startswith("invalid input: ")
             assert re.search(rf"(?<![\d-]){value}(?!\d)", err), err
 
+    # the knobs gen --kind K reads, in its bench._GENS row's order
+    GEN_READS = {"drp": ("p", "cost_low", "cost_high", "mass_max"),
+                 "gop": ("n", "p", "cost_low", "cost_high"),
+                 "graph": ("n", "m"), "tspfb": ("n",)}
+    # a valid value off each knob's default, for every kind that reads it
+    GEN_VALUES = {"p": "3", "n": "12", "m": "20", "cost_low": "2", "cost_high": "5",
+                  "mass_max": "7"}
+
+    def test_gen_refuses_a_knob_its_kind_does_not_read(self, capsys):
+        from parcost import bench
+
+        assert {kind: tuple(knobs) for kind, knobs in bench._GENS.items()} == self.GEN_READS
+        refused = 0
+        for kind, reads in self.GEN_READS.items():
+            for knob, value in self.GEN_VALUES.items():
+                if knob not in reads:
+                    flag = "--" + knob.replace("_", "-")
+                    # sweep's message, word for word, even at a valid value
+                    assert run_cli(capsys, "gen", "--kind", kind, flag, value) == (
+                        2, "", f"invalid input: {kind} does not read {knob}; "
+                               f"it reads {', '.join(reads)}\n"), (kind, knob)
+                    refused += 1
+        assert refused == 13
+
+    def test_gen_reads_each_knob_its_kind_reads(self, capsys):
+        from parcost import bench
+
+        moved = 0
+        for kind, reads in self.GEN_READS.items():
+            plain = run_cli(capsys, "gen", "--kind", kind, "--seed", "5")
+            assert plain[0] == 0
+            # each default spelled out draws the plain instance
+            spelled = [text for knob, default in bench._GENS[kind].items()
+                       for text in ("--" + knob.replace("_", "-"), str(default))]
+            assert run_cli(capsys, "gen", "--kind", kind, "--seed", "5", *spelled) == plain
+            for knob in reads:
+                flag = "--" + knob.replace("_", "-")
+                got = run_cli(capsys, "gen", "--kind", kind, "--seed", "5", flag,
+                              self.GEN_VALUES[knob])
+                assert got[0] == 0 and got != plain, (kind, knob)
+                moved += 1
+        assert moved == 11
+
     def test_gen_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "gen", "--kind", "drp", "--seed", "9")
         _, second, _ = run_cli(capsys, "gen", "--kind", "drp", "--seed", "9")
@@ -696,6 +739,13 @@ CLI_PINS = [
      "2a44c4c20824999e220cd9a4ab0ffab4237319bf9c55495246c84f6b2dcd544f"),
     (("gen", "--kind", "tspfb", "--seed", "3", "--n", "4"), None, 0,
      "9d78f4dbd3578cc919304bfd12a5f7ad65b8728467c6586ea95482164f805978"),
+    # each kind at its bench._GENS defaults
+    (("gen", "--kind", "gop", "--seed", "3"), None, 0,
+     "6eb8679504b8b78cb7f1a1c6fd57593486c8c3f26ff0acfd5439652b1a4c7c11"),
+    (("gen", "--kind", "graph", "--seed", "3"), None, 0,
+     "04fbad1d278afa1028f10593df8d4b1655e33e4054e78776db287d16aa1a7aa3"),
+    (("gen", "--kind", "tspfb", "--seed", "3"), None, 0,
+     "d32f5fa2a907666843f52483f29681c248801e61af71d2da8b2b58d18fa4cb30"),
     (("validate", "--input", "drp.json"), None, 0,
      "4160e4a1ce4afdd185022f9940d25b59cb8d786ee82bca358c2d82a514df778e"),
     (("validate", "--input", "gop.json"), None, 0,

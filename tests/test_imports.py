@@ -153,9 +153,14 @@ def test_validate_loads_only_the_matched_loader(files, kind, expected):
     assert loaded(child_modules("validate", "--input", files[kind])) == expected
 
 
-@pytest.mark.parametrize("kind", ["drp", "gop", "graph", "tspfb"])
+# each kind's gen flags, only those it reads: gen refuses the rest
+GEN_FLAGS = {"drp": ("--p", "6"), "gop": ("--n", "6", "--p", "3"),
+             "graph": ("--n", "6", "--m", "5"), "tspfb": ("--n", "6")}
+
+
+@pytest.mark.parametrize("kind", GEN_FLAGS)
 def test_gen_loads_no_solver_or_simulator(kind):
-    assert loaded(child_modules("gen", "--kind", kind, "--n", "6", "--m", "5")) == {
+    assert loaded(child_modules("gen", "--kind", kind, *GEN_FLAGS[kind])) == {
         "bench", "core"}
 
 
